@@ -10,7 +10,7 @@ class InvalidParameterError(AffSimError):
 
 
 class InvalidSampleError(AffSimError):
-    """A throughput sample is unusable (non-positive value)."""
+    """A throughput sample is unusable (non-positive or non-finite value)."""
 
 
 class ProfileParseError(AffSimError):

@@ -6,6 +6,7 @@ the successor state plus the new estimate, so states are plain values that
 can be stored, replayed, and compared without hidden sharing.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, InvalidSampleError
@@ -29,9 +30,10 @@ class ThroughputSample:
     segment_index: int
 
     def __post_init__(self):
-        if not (self.value_kbps > 0):
+        if not (self.value_kbps > 0 and math.isfinite(self.value_kbps)):
             raise InvalidSampleError(
-                "throughput must be positive, got %r" % (self.value_kbps,))
+                "throughput must be positive and finite, got %r"
+                % (self.value_kbps,))
         if self.segment_index < 1:
             raise InvalidSampleError(
                 "segment_index starts at 1, got %r" % (self.segment_index,))

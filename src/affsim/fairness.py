@@ -1,27 +1,17 @@
-"""Multi-client fairness simulation over one shared bandwidth trace.
+"""Multi-client fairness over one shared bandwidth trace.
 
-Every client runs the same playback loop as the single-client simulator,
-but downloads share the link: at any instant the trace capacity is split
-equally among clients with a download in flight, and idle clients consume
-nothing. The engine advances from event to event (request, completion,
-stall onset, buffer-room wait expiry, capacity breakpoint); between events
-every rate is constant, so progress is exact.
+Clients run on the shared-link engine in `affsim.sim`, which splits the
+trace capacity equally among clients with a download in flight. This
+module draws their start times, runs them together and scores how evenly
+they shared the link over a time window, by Jain's fairness index.
 """
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 
-from .abr import decide
-from .errors import InvalidParameterError, ProfileExhaustedError
-from .estimators import ThroughputSample, estimator_new, estimator_update
+from .errors import InvalidParameterError
 from .profiles import fairness_table3
-from .sim import SegmentRecord, SessionTrace, SimConfig, _validated
-
-WAITING = "waiting"
-DOWNLOADING = "downloading"
-DEFERRING = "deferring"
-DONE = "done"
+from .sim import SimConfig, _run_shared
 
 
 @dataclass(frozen=True)
@@ -53,165 +43,6 @@ def jain_index(values):
         raise InvalidParameterError("at least one allocation must be > 0")
     s = sum(vals)
     return (s * s) / (len(vals) * sq)
-
-
-class _Client:
-    """Mutable per-client engine state; results come out as SessionTrace."""
-
-    def __init__(self, cid, start_time, cfg, seg_dur, target):
-        self.id = cid
-        self.start_time = start_time
-        self.cfg = cfg
-        self.seg_dur = seg_dur
-        self.target = target
-        self.state = WAITING
-        self.est_state = estimator_new(cfg.estimator)
-        self.estimate = None
-        self.buffer = 0.0
-        self.playing = False
-        self.stalled = False
-        self.stall_start = 0.0
-        self.next_index = 1
-        self.quality = 0
-        self.reason = ""
-        self.size = 0.0
-        self.remaining = 0.0
-        self.t_request = 0.0
-        self.defer_until = 0.0
-        self.startup_delay = 0.0
-        self.idle_full = 0.0
-        self.wall_time = 0.0
-        self.records = []
-        self.stalls = []
-
-    def issue(self, t):
-        decision = decide(self.cfg.ladder, self.cfg.abr, self.estimate,
-                          self.buffer, self.next_index == 1)
-        self.quality = decision.quality_index
-        self.reason = decision.reason
-        self.size = self.cfg.ladder.bitrates_kbps[self.quality] * self.seg_dur
-        self.remaining = self.size
-        self.t_request = t
-        self.state = DOWNLOADING
-
-    def request_or_defer(self, t):
-        if self.buffer > self.cfg.max_buffer_s - self.seg_dur:
-            wait = self.buffer - (self.cfg.max_buffer_s - self.seg_dur)
-            self.idle_full += wait
-            self.defer_until = t + wait
-            self.state = DEFERRING
-        else:
-            self.issue(t)
-
-    def complete(self, t):
-        tau = t - self.t_request
-        inst = self.size / tau
-        self.est_state, est = estimator_update(
-            self.est_state, ThroughputSample(inst, self.next_index))
-        self.estimate = est
-        self.buffer += self.seg_dur
-        last = self.next_index == self.cfg.total_segments
-        if self.next_index == 1:
-            self.playing = True
-            self.startup_delay = t - self.start_time
-        if self.stalled and (self.buffer >= self.target or last):
-            self.stalls.append((self.stall_start, t - self.stall_start))
-            self.stalled = False
-        self.records.append(SegmentRecord(
-            index=self.next_index, quality_index=self.quality,
-            size_kbit=self.size, t_request_s=self.t_request,
-            t_complete_s=t, instant_throughput_kbps=inst,
-            estimate_kbps=est.value_kbps, buffer_after_s=self.buffer,
-            decision_reason=self.reason))
-        self.next_index += 1
-        if last:
-            self.state = DONE
-            self.wall_time = t + self.buffer  # remaining media plays out
-        else:
-            self.request_or_defer(t)
-
-    def trace(self):
-        return SessionTrace(
-            records=tuple(self.records), stalls=tuple(self.stalls),
-            startup_delay_s=self.startup_delay, wall_time_s=self.wall_time,
-            idle_full_s=self.idle_full, buffer_series=())
-
-
-def _run_shared(profile, sim_cfg, start_times):
-    """Run one shared-link session per start time; returns SessionTraces."""
-    seg_dur, target = _validated(sim_cfg)
-    clients = [_Client(i, st, sim_cfg, seg_dur, target)
-               for i, st in enumerate(start_times)]
-    starts = [bp[0] for bp in profile.breakpoints]
-    t = 0.0
-    while True:
-        pending = [c for c in clients if c.state != DONE]
-        if not pending:
-            break
-        active = [c for c in clients if c.state == DOWNLOADING]
-        rate = 0.0
-        if active:
-            if t >= profile.duration_s:
-                raise ProfileExhaustedError(
-                    "trace ends at %g with downloads in flight"
-                    % (profile.duration_s,))
-            capacity = profile.breakpoints[
-                bisect_right(starts, t) - 1][1]
-            rate = capacity / len(active)
-        # gather the next event of every kind; kind order settles ties
-        events = []  # (time, kind_rank, client_id, kind)
-        for c in clients:
-            if c.state == WAITING:
-                events.append((max(c.start_time, t), 1, c.id, "start"))
-            elif c.state == DOWNLOADING and rate > 0:
-                events.append((t + c.remaining / rate, 0, c.id, "complete"))
-            elif c.state == DEFERRING:
-                events.append((c.defer_until, 2, c.id, "resume"))
-            if (c.playing and not c.stalled and c.state != DONE
-                    and c.buffer > 0):
-                events.append((t + c.buffer, 3, c.id, "empty"))
-        bp_idx = bisect_right(starts, t)
-        if bp_idx < len(starts):
-            events.append((starts[bp_idx], 4, -1, "breakpoint"))
-        elif t < profile.duration_s < float("inf"):
-            # trace end acts as a breakpoint so downloads cannot outrun it
-            events.append((profile.duration_s, 4, -1, "breakpoint"))
-        if not events:
-            raise ProfileExhaustedError(
-                "no capacity left for the remaining downloads")
-        events.sort()
-        t_next = events[0][0]
-        dt = t_next - t
-        if dt > 0:
-            for c in clients:
-                if c.state == DOWNLOADING:
-                    c.remaining -= rate * dt
-                if c.playing and not c.stalled and c.state != DONE:
-                    c.buffer = max(0.0, c.buffer - dt)
-        t = t_next
-        for ev_t, _, cid, kind in events:
-            if ev_t != t_next:
-                break
-            if kind == "breakpoint":
-                continue
-            c = clients[cid]
-            if kind == "complete" and c.state == DOWNLOADING:
-                c.remaining = 0.0
-                c.complete(t)
-            elif kind == "start" and c.state == WAITING:
-                c.issue(t)
-            elif kind == "resume" and c.state == DEFERRING:
-                c.buffer = c.cfg.max_buffer_s - seg_dur
-                c.issue(t)
-            elif kind == "empty":
-                # stale once the same-instant completion refilled it; the
-                # tolerance absorbs dust from t_next - t != buffer exactly
-                if c.playing and not c.stalled and c.state != DONE \
-                        and c.buffer <= 1e-9:
-                    c.buffer = 0.0
-                    c.stalled = True
-                    c.stall_start = t
-    return [c.trace() for c in clients]
 
 
 def run_fairness(cfg):

@@ -10,7 +10,7 @@ persists indefinitely and only lookups below infinity are answerable.
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (InvalidParameterError, OutOfRangeError,
                      ProfileParseError, ProfileValidationError)
@@ -20,16 +20,20 @@ from .errors import (InvalidParameterError, OutOfRangeError,
 class BandwidthProfile:
     breakpoints: tuple  # ((start_s, kbps), ...)
     duration_s: float
+    # breakpoint start times, built once for bisect lookups
+    starts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = tuple((float(t), float(b)) for t, b in self.breakpoints)
+        starts = tuple([t for t, _ in bps])
         object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "starts", starts)
         if not bps:
             raise ProfileValidationError("profile needs at least one row")
         if bps[0][0] != 0.0:
             raise ProfileValidationError(
                 "first breakpoint must start at 0, got %g" % bps[0][0])
-        for (t0, _), (t1, _) in zip(bps, bps[1:]):
+        for t0, t1 in zip(starts, starts[1:]):
             if t1 <= t0:
                 raise ProfileValidationError(
                     "start times must be strictly increasing (%g then %g)"
@@ -102,8 +106,7 @@ def bandwidth_at(profile, t):
     if t < 0 or t >= profile.duration_s:
         raise OutOfRangeError(
             "t=%g outside [0, %g)" % (t, profile.duration_s))
-    starts = [bp[0] for bp in profile.breakpoints]
-    return profile.breakpoints[bisect_right(starts, t) - 1][1]
+    return profile.breakpoints[bisect_right(profile.starts, t) - 1][1]
 
 
 @dataclass(frozen=True)

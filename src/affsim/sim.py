@@ -1,17 +1,19 @@
-"""Single-client playback simulation over a bandwidth trace.
+"""Playback simulation over a bandwidth trace, for one client or many.
 
-Deterministic fluid model. A download consumes the full link capacity, so
-its duration is found by inverting the cumulative capacity integral, never
-by time stepping. Playback holds until the first segment lands, then the
-buffer drains one media second per wall second whenever playback is active.
-Draining to empty mid-download opens a stall, which closes at a completion
-once the buffer refills to the rebuffer target. A request that would land
-more media than the buffer can hold waits until one segment of room has
-drained free. Requests are otherwise issued back to back, one at a time.
+Deterministic fluid model. Each client requests segments one at a time,
+back to back, but waits while the buffer lacks one segment of room.
+Playback holds until the first segment lands, then drains the buffer one
+media second per wall second; draining to empty mid-download opens a
+stall, which closes at a completion once the buffer refills to the
+rebuffer target. Clients on one trace split its capacity equally among
+those with a download in flight. The engine steps from event to event
+(request, completion, stall onset, room-wait expiry, capacity breakpoint)
+with every rate constant in between, so progress is exact. A single
+session is the one-client case.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .abr import AbrConfig, BitrateLadder, decide
 from .errors import InvalidParameterError, ProfileExhaustedError
@@ -92,7 +94,7 @@ def integrate_download(profile, start_s, size_kbit):
         raise ProfileExhaustedError(
             "download starts at %g, outside the trace" % (start_s,))
     bps = profile.breakpoints
-    idx = bisect_right([bp[0] for bp in bps], start_s) - 1
+    idx = bisect_right(profile.starts, start_s) - 1
     t = start_s
     remaining = size_kbit
     while True:
@@ -112,93 +114,224 @@ def integrate_download(profile, start_s, size_kbit):
                 % (profile.duration_s, remaining))
 
 
+WAITING = "waiting"
+DOWNLOADING = "downloading"
+DEFERRING = "deferring"
+DONE = "done"
+
+
+class _Client:
+    """Mutable per-client engine state; results come out as SessionTrace."""
+
+    def __init__(self, start_time, cfg, seg_dur, target):
+        self.start_time = start_time
+        self.cfg = cfg
+        self.seg_dur = seg_dur
+        self.target = target
+        self.room = cfg.max_buffer_s - seg_dur  # deepest buffer at a request
+        self.state = WAITING
+        self.est_state = estimator_new(cfg.estimator)
+        self.estimate = None
+        self.buffer = 0.0
+        self.playing = False
+        self.stalled = False
+        self.stall_start = 0.0
+        self.next_index = 1
+        self.decision = None
+        self.size = 0.0
+        self.remaining = 0.0
+        self.t_request = 0.0
+        self.defer_until = 0.0
+        self.startup_delay = 0.0
+        self.idle_full = 0.0
+        self.wall_time = 0.0
+        self.records = []
+        self.stalls = []
+
+    def issue(self, t):
+        self.decision = decide(self.cfg.ladder, self.cfg.abr, self.estimate,
+                               self.buffer, self.next_index == 1)
+        rung = self.cfg.ladder.bitrates_kbps[self.decision.quality_index]
+        self.size = rung * self.seg_dur
+        self.remaining = self.size
+        self.t_request = t
+        self.state = DOWNLOADING
+
+    def complete(self, t):
+        tau = t - self.t_request
+        if tau <= 0.0:
+            # the transfer time fell below one ulp of the clock
+            raise InvalidParameterError(
+                "segment %d downloaded in zero time at t=%r; the link is "
+                "too fast for the clock's resolution" % (self.next_index, t))
+        inst = self.size / tau
+        self.est_state, self.estimate = estimator_update(
+            self.est_state, ThroughputSample(inst, self.next_index))
+        self.buffer += self.seg_dur
+        last = self.next_index == self.cfg.total_segments
+        if self.next_index == 1:
+            self.playing = True
+            self.startup_delay = t - self.start_time
+        if self.stalled and (self.buffer >= self.target or last):
+            # a stall can only close when new media lands; at end of
+            # stream the player drains whatever it has
+            self.stalls.append((self.stall_start, t - self.stall_start))
+            self.stalled = False
+        self.records.append(SegmentRecord(
+            index=self.next_index, quality_index=self.decision.quality_index,
+            size_kbit=self.size, t_request_s=self.t_request,
+            t_complete_s=t, instant_throughput_kbps=inst,
+            estimate_kbps=self.estimate.value_kbps, buffer_after_s=self.buffer,
+            decision_reason=self.decision.reason))
+        self.next_index += 1
+        if last:
+            self.state = DONE
+            self.wall_time = t + self.buffer  # remaining media plays out
+        elif self.buffer > self.room:
+            wait = self.buffer - self.room
+            self.idle_full += wait
+            self.defer_until = t + wait
+            self.state = DEFERRING
+        else:
+            self.issue(t)
+
+    def trace(self):
+        return SessionTrace(
+            records=tuple(self.records), stalls=tuple(self.stalls),
+            startup_delay_s=self.startup_delay, wall_time_s=self.wall_time,
+            idle_full_s=self.idle_full, buffer_series=())
+
+
+def _run_shared(profile, sim_cfg, start_times):
+    """Run one shared-link session per start time; returns SessionTraces."""
+    seg_dur, target = _validated(sim_cfg)
+    clients = [_Client(st, sim_cfg, seg_dur, target) for st in start_times]
+    starts = profile.starts
+    t = 0.0
+    while any(c.state != DONE for c in clients):
+        active = [c for c in clients if c.state == DOWNLOADING]
+        bp_idx = bisect_right(starts, t)
+        rate = 0.0
+        if active:
+            if t >= profile.duration_s:
+                raise ProfileExhaustedError(
+                    "trace ends at %g with downloads in flight"
+                    % (profile.duration_s,))
+            rate = profile.breakpoints[bp_idx - 1][1] / len(active)
+        # gather the next event of every kind; kind order settles ties
+        events = []  # (time, kind_rank, client_id, kind)
+        for cid, c in enumerate(clients):
+            if c.state == WAITING:
+                events.append((max(c.start_time, t), 1, cid, "start"))
+            elif c.state == DOWNLOADING and rate > 0:
+                events.append((t + c.remaining / rate, 0, cid, "complete"))
+            elif c.state == DEFERRING:
+                events.append((c.defer_until, 2, cid, "resume"))
+            if (c.playing and not c.stalled and c.state != DONE
+                    and c.buffer > 0):
+                events.append((t + c.buffer, 3, cid, "empty"))
+        if bp_idx < len(starts):
+            events.append((starts[bp_idx], 4, -1, "breakpoint"))
+        elif t < profile.duration_s < float("inf"):
+            # trace end acts as a breakpoint so downloads cannot outrun it
+            events.append((profile.duration_s, 4, -1, "breakpoint"))
+        if not events:
+            raise ProfileExhaustedError(
+                "no capacity left for the remaining downloads")
+        events.sort()
+        t_next = events[0][0]
+        dt = t_next - t
+        if dt > 0:
+            for c in clients:
+                if c.state == DOWNLOADING:
+                    c.remaining -= rate * dt
+                if c.playing and not c.stalled and c.state != DONE:
+                    c.buffer = max(0.0, c.buffer - dt)
+        t = t_next
+        for ev_t, _, cid, kind in events:
+            if ev_t != t_next:
+                break
+            if kind == "breakpoint":
+                continue
+            c = clients[cid]
+            if kind == "complete" and c.state == DOWNLOADING:
+                c.remaining = 0.0
+                c.complete(t)
+            elif kind == "start" and c.state == WAITING:
+                c.issue(t)
+            elif kind == "resume" and c.state == DEFERRING:
+                c.buffer = c.room
+                c.issue(t)
+            elif kind == "empty":
+                # stale once the same-instant completion refilled it; the
+                # tolerance absorbs dust from t_next - t != buffer exactly
+                if c.playing and not c.stalled and c.state != DONE \
+                        and c.buffer <= 1e-9:
+                    c.buffer = 0.0
+                    c.stalled = True
+                    c.stall_start = t
+    return [c.trace() for c in clients]
+
+
+def _buffer_series(trace, room):
+    """Replay a one-client trace into its ((t_s, level_s), ...) series.
+
+    Points: the origin, a sample every BUFFER_TICK_S, and each request,
+    stall onset, completion and the final drain. The buffer holds during
+    stalls and drains otherwise; a deferred request starts at `room`.
+    """
+    series = [(0.0, 0.0)]
+    t = level = 0.0
+    next_tick = BUFFER_TICK_S
+
+    def advance(to_t, draining):
+        # move the clock, emitting buffer samples along the way
+        nonlocal t, level, next_tick
+        if to_t <= t:
+            return
+        while next_tick <= to_t:
+            sample = level - (next_tick - t) if draining else level
+            series.append((next_tick, max(0.0, sample)))
+            next_tick += BUFFER_TICK_S
+        if draining:
+            level = max(0.0, level - (to_t - t))
+        t = to_t
+
+    stalls = iter(trace.stalls)
+    stall = next(stalls, None)  # the open stall, else the next one
+    stalled = False
+    for r in trace.records:
+        if level > room:
+            advance(r.t_request_s, draining=True)
+            level = room
+        series.append((t, level))
+        if not stalled and stall is not None and stall[0] < r.t_complete_s:
+            advance(stall[0], draining=True)
+            level = 0.0
+            stalled = True
+            series.append((t, 0.0))
+        advance(r.t_complete_s, draining=not stalled)
+        level = r.buffer_after_s
+        # the engine computed the duration as this same difference
+        if stalled and r.t_complete_s - stall[0] >= stall[1]:
+            stalled = False
+            stall = next(stalls, None)
+        series.append((t, level))
+    advance(t + level, draining=True)
+    series.append((t, 0.0))
+    return tuple(series)
+
+
 def run_session(profile, cfg):
     """Play cfg.total_segments segments against the profile.
 
+    Runs the shared-link engine with one client that owns the whole link.
     Returns the full per-segment trace plus stall and buffer accounting.
     The closing identity, checked by the test suite to nanosecond scale:
     wall_time = startup_delay + total media duration + total stall time.
     Time lost to buffer-full waits overlaps playback, so it appears as
     idle_full_s instead of extending the wall clock.
     """
-    seg_dur, target = _validated(cfg)
-    est_state = estimator_new(cfg.estimator)
-    estimate = None
-
-    t = 0.0
-    buffer = 0.0
-    playing = False
-    stalled = False
-    stall_start = 0.0
-    startup_delay = 0.0
-    idle_full = 0.0
-    stalls = []
-    records = []
-    series = [(0.0, 0.0)]
-    next_tick = BUFFER_TICK_S
-
-    def advance(to_t, draining):
-        # move the clock, emitting 0.5 s buffer samples along the way
-        nonlocal t, buffer, next_tick
-        if to_t <= t:
-            return
-        while next_tick <= to_t:
-            level = buffer - (next_tick - t) if draining else buffer
-            series.append((next_tick, max(0.0, level)))
-            next_tick += BUFFER_TICK_S
-        if draining:
-            buffer = max(0.0, buffer - (to_t - t))
-        t = to_t
-
-    for index in range(1, cfg.total_segments + 1):
-        if buffer > cfg.max_buffer_s - seg_dur:
-            # no room for the next segment: let playback drain some out
-            wait = buffer - (cfg.max_buffer_s - seg_dur)
-            idle_full += wait
-            advance(t + wait, draining=True)
-            buffer = cfg.max_buffer_s - seg_dur
-        decision = decide(cfg.ladder, cfg.abr, estimate, buffer, index == 1)
-        size = cfg.ladder.bitrates_kbps[decision.quality_index] * seg_dur
-        t_request = t
-        series.append((t, buffer))
-        tau = integrate_download(profile, t_request, size)
-        t_complete = t_request + tau
-        if playing and not stalled:
-            if buffer < tau:
-                advance(t_request + buffer, draining=True)
-                buffer = 0.0
-                stalled = True
-                stall_start = t
-                series.append((t, 0.0))
-                advance(t_complete, draining=False)
-            else:
-                advance(t_complete, draining=True)
-        else:
-            advance(t_complete, draining=False)
-        inst = size / tau
-        est_state, est = estimator_update(
-            est_state, ThroughputSample(inst, index))
-        estimate = est
-        buffer += seg_dur
-        if index == 1:
-            playing = True
-            startup_delay = t_complete
-        if stalled and (buffer >= target or index == cfg.total_segments):
-            # a stall can only close when new media lands; at end of
-            # stream the player drains whatever it has
-            stalls.append((stall_start, t_complete - stall_start))
-            stalled = False
-        records.append(SegmentRecord(
-            index=index, quality_index=decision.quality_index,
-            size_kbit=size, t_request_s=t_request, t_complete_s=t_complete,
-            instant_throughput_kbps=inst, estimate_kbps=est.value_kbps,
-            buffer_after_s=buffer, decision_reason=decision.reason))
-        series.append((t, buffer))
-
-    advance(t + buffer, draining=True)
-    buffer = 0.0
-    series.append((t, 0.0))
-    return SessionTrace(
-        records=tuple(records), stalls=tuple(stalls),
-        startup_delay_s=startup_delay, wall_time_s=t,
-        idle_full_s=idle_full, buffer_series=tuple(series))
+    trace = _run_shared(profile, cfg, [0.0])[0]
+    room = cfg.max_buffer_s - cfg.ladder.segment_duration_s
+    return replace(trace, buffer_series=_buffer_series(trace, room))

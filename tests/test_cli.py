@@ -166,6 +166,18 @@ class TestErrorPaths:
         assert rc == 1
         assert captured.err.startswith("error:")
 
+    def test_zero_time_download_exits_one(self, capsys, tmp_path):
+        # a 1e300 kbps link moves a segment in less than one ulp of t
+        path = tmp_path / "fast.csv"
+        path.write_text("0,1e300\n")
+        rc = main(["run", "--profile", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "zero time" in lines[0]
+
 
 class TestFairnessCommand:
     def test_small_run(self, capsys):

@@ -245,6 +245,8 @@ class TestValidation:
             ThroughputSample(-5.0, 1)
         with pytest.raises(InvalidSampleError):
             ThroughputSample(float("nan"), 1)
+        with pytest.raises(InvalidSampleError):
+            ThroughputSample(float("inf"), 1)
 
     def test_segment_index_starts_at_one(self):
         with pytest.raises(InvalidSampleError):

@@ -69,18 +69,20 @@ class TestJainIndex:
 
 
 class TestSharedEngine:
-    def test_two_lockstep_clients_match_solo_at_half_rate(self):
-        # identical clients splitting a constant link behave exactly like
-        # one client owning half of it
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_lockstep_clients_match_solo(self, n):
+        # n identical clients splitting a constant n*C link behave exactly
+        # like one client owning C
         cfg = SimConfig(total_segments=60)
-        pair = _run_shared(constant(4000.0), cfg, [0.0, 0.0])
+        group = _run_shared(constant(n * 2000.0), cfg, [0.0] * n)
         solo = run_session(constant(2000.0), cfg)
-        assert pair[0].records == pair[1].records
-        for shared_rec, solo_rec in zip(pair[0].records, solo.records):
+        for other in group[1:]:
+            assert other.records == group[0].records
+        for shared_rec, solo_rec in zip(group[0].records, solo.records):
             assert shared_rec.quality_index == solo_rec.quality_index
             assert shared_rec.t_complete_s == pytest.approx(
                 solo_rec.t_complete_s, abs=1e-9)
-        assert pair[0].stalls == solo.stalls
+        assert group[0].stalls == solo.stalls
 
     def test_total_downloads_never_exceed_link_capacity(self):
         cfg = SimConfig(total_segments=180)

@@ -1,5 +1,6 @@
 """Bandwidth profile tests."""
 
+import dataclasses
 import math
 
 import pytest
@@ -100,6 +101,14 @@ class TestValidation:
     def test_zero_bandwidth_allowed(self):
         p = BandwidthProfile(((0.0, 0.0),), 10.0)
         assert bandwidth_at(p, 5.0) == 0.0
+
+    def test_breakpoint_starts_are_derived_not_fields(self):
+        p = BandwidthProfile(((0, 100), (5, 50)), 10.0)
+        assert p.starts == (0.0, 5.0)
+        assert "starts" not in repr(p)
+        assert p == BandwidthProfile(((0.0, 100.0), (5.0, 50.0)), 10.0)
+        moved = dataclasses.replace(p, breakpoints=((0.0, 1.0), (7.0, 2.0)))
+        assert moved.starts == (0.0, 7.0)
 
 
 class TestBandwidthAt:

@@ -1,5 +1,6 @@
 """Single-client playback simulation tests."""
 
+import math
 import random
 
 import pytest
@@ -148,6 +149,13 @@ class TestDegenerateSession:
         assert trace.wall_time_s == pytest.approx(
             trace.startup_delay_s + 2.0)
         assert trace.records[0].decision_reason == REASON_STARTUP
+
+    def test_zero_time_download_raises(self):
+        # once a deferral moves the clock to t=2, a segment on a 1e300 kbps
+        # link takes less than one ulp of t, so its duration rounds to zero
+        profile = BandwidthProfile(((0.0, 1e300),), math.inf)
+        with pytest.raises(InvalidParameterError, match="zero time"):
+            run_session(profile, SimConfig(total_segments=40))
 
 
 class TestRecordInvariants:

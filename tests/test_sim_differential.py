@@ -1,0 +1,165 @@
+"""Differential test: run_session against the former hand-written loop.
+
+`run_session` is the one-client case of the shared-link event engine. The
+single-client loop it replaced is frozen below as the reference. Both must
+agree on every decision exactly and on every time to 1e-9 s.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from affsim import (
+    EstimatorConfig,
+    SegmentRecord,
+    SessionTrace,
+    SimConfig,
+    ThroughputSample,
+    decide,
+    estimator_new,
+    estimator_update,
+    export,
+    integrate_download,
+    run_session,
+    summarize,
+    synthesize_profile,
+)
+from affsim.sim import BUFFER_TICK_S, _validated
+from test_acceptance import _random_config, _random_profile
+
+TOL = 1e-9
+
+
+def reference_run_session(profile, cfg):
+    """The single-client loop as it stood before the engine merge."""
+    seg_dur, target = _validated(cfg)
+    est_state = estimator_new(cfg.estimator)
+    estimate = None
+
+    t = 0.0
+    buffer = 0.0
+    playing = False
+    stalled = False
+    stall_start = 0.0
+    startup_delay = 0.0
+    idle_full = 0.0
+    stalls = []
+    records = []
+    series = [(0.0, 0.0)]
+    next_tick = BUFFER_TICK_S
+
+    def advance(to_t, draining):
+        # move the clock, emitting 0.5 s buffer samples along the way
+        nonlocal t, buffer, next_tick
+        if to_t <= t:
+            return
+        while next_tick <= to_t:
+            level = buffer - (next_tick - t) if draining else buffer
+            series.append((next_tick, max(0.0, level)))
+            next_tick += BUFFER_TICK_S
+        if draining:
+            buffer = max(0.0, buffer - (to_t - t))
+        t = to_t
+
+    for index in range(1, cfg.total_segments + 1):
+        if buffer > cfg.max_buffer_s - seg_dur:
+            # no room for the next segment: let playback drain some out
+            wait = buffer - (cfg.max_buffer_s - seg_dur)
+            idle_full += wait
+            advance(t + wait, draining=True)
+            buffer = cfg.max_buffer_s - seg_dur
+        decision = decide(cfg.ladder, cfg.abr, estimate, buffer, index == 1)
+        size = cfg.ladder.bitrates_kbps[decision.quality_index] * seg_dur
+        t_request = t
+        series.append((t, buffer))
+        tau = integrate_download(profile, t_request, size)
+        t_complete = t_request + tau
+        if playing and not stalled:
+            if buffer < tau:
+                advance(t_request + buffer, draining=True)
+                buffer = 0.0
+                stalled = True
+                stall_start = t
+                series.append((t, 0.0))
+                advance(t_complete, draining=False)
+            else:
+                advance(t_complete, draining=True)
+        else:
+            advance(t_complete, draining=False)
+        inst = size / tau
+        est_state, est = estimator_update(
+            est_state, ThroughputSample(inst, index))
+        estimate = est
+        buffer += seg_dur
+        if index == 1:
+            playing = True
+            startup_delay = t_complete
+        if stalled and (buffer >= target or index == cfg.total_segments):
+            stalls.append((stall_start, t_complete - stall_start))
+            stalled = False
+        records.append(SegmentRecord(
+            index=index, quality_index=decision.quality_index,
+            size_kbit=size, t_request_s=t_request, t_complete_s=t_complete,
+            instant_throughput_kbps=inst, estimate_kbps=est.value_kbps,
+            buffer_after_s=buffer, decision_reason=decision.reason))
+        series.append((t, buffer))
+
+    advance(t + buffer, draining=True)
+    buffer = 0.0
+    series.append((t, 0.0))
+    return SessionTrace(
+        records=tuple(records), stalls=tuple(stalls),
+        startup_delay_s=startup_delay, wall_time_s=t,
+        idle_full_s=idle_full, buffer_series=tuple(series))
+
+
+def assert_same_session(new, old, ladder):
+    assert [(r.index, r.quality_index, r.decision_reason, r.size_kbit)
+            for r in new.records] == \
+        [(r.index, r.quality_index, r.decision_reason, r.size_kbit)
+         for r in old.records]
+    for a, b in zip(new.records, old.records):
+        for name in ("t_request_s", "t_complete_s", "buffer_after_s"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name),
+                                                     abs=TOL), name
+        for name in ("instant_throughput_kbps", "estimate_kbps"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name),
+                                                     rel=TOL), name
+    assert len(new.stalls) == len(old.stalls)
+    for a, b in zip(new.stalls, old.stalls):
+        assert a == pytest.approx(b, abs=TOL)
+    for name in ("startup_delay_s", "wall_time_s", "idle_full_s"):
+        assert getattr(new, name) == pytest.approx(getattr(old, name),
+                                                   abs=TOL), name
+    assert len(new.buffer_series) == len(old.buffer_series)
+    for a, b in zip(new.buffer_series, old.buffer_series):
+        assert a == pytest.approx(b, abs=TOL)
+
+    new_rep, old_rep = summarize(new, ladder), summarize(old, ladder)
+    assert new_rep.stall_durations_s == pytest.approx(
+        old_rep.stall_durations_s, abs=TOL)
+    assert dataclasses.replace(new_rep, stall_durations_s=()) == \
+        dataclasses.replace(old_rep, stall_durations_s=())
+    assert export(new_rep, "csv") == export(old_rep, "csv")
+
+
+def test_matches_reference_on_acceptance_generator():
+    rng = random.Random(2024)
+    for _ in range(250):
+        profile = _random_profile(rng)
+        cfg = _random_config(rng)
+        assert_same_session(run_session(profile, cfg),
+                            reference_run_session(profile, cfg), cfg.ladder)
+
+
+@pytest.mark.parametrize("kind", ["test1", "test2", "test3", "test4"])
+def test_matches_reference_on_synthetic_traces(kind):
+    for seed in range(10):
+        # the span the CLI gives a 150-segment synthetic run
+        profile = synthesize_profile(kind, seed, 720.0)
+        for estimator in ("aff", "ewma", "sliding_mean"):
+            cfg = SimConfig(estimator=EstimatorConfig(kind=estimator))
+            assert_same_session(run_session(profile, cfg),
+                                reference_run_session(profile, cfg),
+                                cfg.ladder)
