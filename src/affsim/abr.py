@@ -6,6 +6,7 @@ buffer runs dangerously low, and start the session on a configured rung
 before any estimate exists.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
@@ -29,14 +30,15 @@ class BitrateLadder:
         object.__setattr__(self, "bitrates_kbps", rungs)
         if not rungs:
             raise InvalidParameterError("ladder needs at least one bitrate")
-        if rungs[0] <= 0:
-            raise InvalidParameterError("bitrates must be positive")
-        if any(b >= a for b, a in zip(rungs, rungs[1:])):
+        if not (0 < rungs[0] and rungs[-1] < math.inf):
+            raise InvalidParameterError(
+                "bitrates must be positive and finite, got %r" % (rungs,))
+        if not all(b < a for b, a in zip(rungs, rungs[1:])):
             raise InvalidParameterError(
                 "bitrates must be strictly increasing, got %r" % (rungs,))
-        if not (self.segment_duration_s > 0):
+        if not (0 < self.segment_duration_s < math.inf):
             raise InvalidParameterError(
-                "segment_duration_s must be positive, got %r"
+                "segment_duration_s must be positive and finite, got %r"
                 % (self.segment_duration_s,))
 
 
@@ -46,9 +48,10 @@ class AbrConfig:
     initial_quality_index: int = 0
 
     def __post_init__(self):
-        if self.panic_buffer_s < 0:
+        if not (0 <= self.panic_buffer_s < math.inf):
             raise InvalidParameterError(
-                "panic_buffer_s must be >= 0, got %r" % (self.panic_buffer_s,))
+                "panic_buffer_s must be finite and >= 0, got %r"
+                % (self.panic_buffer_s,))
         if self.initial_quality_index < 0:
             raise InvalidParameterError(
                 "initial_quality_index must be >= 0, got %r"

@@ -6,6 +6,7 @@ module draws their start times, runs them together and scores how evenly
 they shared the link over a time window, by Jain's fairness index.
 """
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -36,8 +37,8 @@ def jain_index(values):
     vals = list(values)
     if not vals:
         raise InvalidParameterError("jain_index needs at least one value")
-    if any(v < 0 for v in vals):
-        raise InvalidParameterError("allocations must be >= 0")
+    if not all(0 <= v < math.inf for v in vals):
+        raise InvalidParameterError("allocations must be finite and >= 0")
     sq = sum(v * v for v in vals)
     if sq == 0.0:
         raise InvalidParameterError("at least one allocation must be > 0")
@@ -51,9 +52,10 @@ def run_fairness(cfg):
     if cfg.n_clients < 2:
         raise InvalidParameterError(
             "n_clients must be >= 2, got %r" % (cfg.n_clients,))
-    if cfg.start_jitter_s < 0:
+    if not (0 <= cfg.start_jitter_s < math.inf):
         raise InvalidParameterError(
-            "start_jitter_s must be >= 0, got %r" % (cfg.start_jitter_s,))
+            "start_jitter_s must be finite and >= 0, got %r"
+            % (cfg.start_jitter_s,))
     w_lo, w_hi = cfg.window
     if not (0.0 <= w_lo < w_hi):
         raise InvalidParameterError(

@@ -34,14 +34,15 @@ class BandwidthProfile:
             raise ProfileValidationError(
                 "first breakpoint must start at 0, got %g" % bps[0][0])
         for t0, t1 in zip(starts, starts[1:]):
-            if t1 <= t0:
+            if not (t0 < t1 < math.inf):
                 raise ProfileValidationError(
-                    "start times must be strictly increasing (%g then %g)"
-                    % (t0, t1))
+                    "start times must be finite and strictly increasing "
+                    "(%g then %g)" % (t0, t1))
         for t, b in bps:
-            if b < 0:
+            if not (0 <= b < math.inf):
                 raise ProfileValidationError(
-                    "bandwidth must be >= 0, got %g at t=%g" % (b, t))
+                    "bandwidth must be finite and >= 0, got %g at t=%g"
+                    % (b, t))
         if not (self.duration_s >= bps[-1][0]):
             raise ProfileValidationError(
                 "duration %g ends before the last breakpoint at %g"
@@ -172,9 +173,9 @@ def synthesize_profile(kind, seed, duration_s):
     extremes at least once). test4 is a deterministic two-plateau trace:
     a high half followed by a sudden drop, independent of the seed.
     """
-    if duration_s < MIN_SYNTH_DURATION_S:
+    if not (MIN_SYNTH_DURATION_S <= duration_s < math.inf):
         raise InvalidParameterError(
-            "duration_s must be >= %g, got %r"
+            "duration_s must be finite and >= %g, got %r"
             % (MIN_SYNTH_DURATION_S, duration_s))
     if kind == "test4":
         return BandwidthProfile(

@@ -7,13 +7,17 @@ media second per wall second; draining to empty mid-download opens a
 stall, which closes at a completion once the buffer refills to the
 rebuffer target. Clients on one trace split its capacity equally among
 those with a download in flight. The engine steps from event to event
-(request, completion, stall onset, room-wait expiry, capacity breakpoint)
-with every rate constant in between, so progress is exact. A single
-session is the one-client case.
+(request, completion, capacity breakpoint) with every rate constant in
+between, so progress is exact. A stall onset is not an event: the rate
+split depends only on which downloads are in flight, so a client settles
+its own buffer drain, and any stall it opened, when its segment lands. A
+single session is the one-client case.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from heapq import heapify, heappop, heappush
+from math import inf
 
 from .abr import AbrConfig, BitrateLadder, decide
 from .errors import InvalidParameterError, ProfileExhaustedError
@@ -62,7 +66,7 @@ def _validated(cfg):
         raise InvalidParameterError(
             "total_segments must be >= 1, got %r" % (cfg.total_segments,))
     seg_dur = cfg.ladder.segment_duration_s
-    if cfg.max_buffer_s <= cfg.abr.panic_buffer_s:
+    if not (cfg.max_buffer_s > cfg.abr.panic_buffer_s):
         raise InvalidParameterError(
             "max_buffer_s %g must exceed panic_buffer_s %g"
             % (cfg.max_buffer_s, cfg.abr.panic_buffer_s))
@@ -114,14 +118,14 @@ def integrate_download(profile, start_s, size_kbit):
                 % (profile.duration_s, remaining))
 
 
-WAITING = "waiting"
-DOWNLOADING = "downloading"
-DEFERRING = "deferring"
-DONE = "done"
-
-
 class _Client:
-    """Mutable per-client engine state; results come out as SessionTrace."""
+    """Mutable per-client engine state; results come out as SessionTrace.
+
+    `buffer` is the level at the current request while a segment is in
+    flight, and the level the next request will see otherwise. The drain
+    in between (none while a stall is open) concerns no other client, so
+    it is settled when the segment lands.
+    """
 
     def __init__(self, start_time, cfg, seg_dur, target):
         self.start_time = start_time
@@ -129,7 +133,6 @@ class _Client:
         self.seg_dur = seg_dur
         self.target = target
         self.room = cfg.max_buffer_s - seg_dur  # deepest buffer at a request
-        self.state = WAITING
         self.est_state = estimator_new(cfg.estimator)
         self.estimate = None
         self.buffer = 0.0
@@ -139,9 +142,7 @@ class _Client:
         self.next_index = 1
         self.decision = None
         self.size = 0.0
-        self.remaining = 0.0
         self.t_request = 0.0
-        self.defer_until = 0.0
         self.startup_delay = 0.0
         self.idle_full = 0.0
         self.wall_time = 0.0
@@ -153,11 +154,14 @@ class _Client:
                                self.buffer, self.next_index == 1)
         rung = self.cfg.ladder.bitrates_kbps[self.decision.quality_index]
         self.size = rung * self.seg_dur
-        self.remaining = self.size
         self.t_request = t
-        self.state = DOWNLOADING
 
     def complete(self, t):
+        """Land the segment in flight at t.
+
+        Returns the time of the next request, or None after the last
+        segment.
+        """
         tau = t - self.t_request
         if tau <= 0.0:
             # the transfer time fell below one ulp of the clock
@@ -167,6 +171,15 @@ class _Client:
         inst = self.size / tau
         self.est_state, self.estimate = estimator_update(
             self.est_state, ThroughputSample(inst, self.next_index))
+        if self.playing and not self.stalled:
+            # an onset that ties with the arrival goes to the arrival
+            empty_at = self.t_request + self.buffer
+            if empty_at < t:
+                self.stalled = True
+                self.stall_start = empty_at
+                self.buffer = 0.0
+            else:
+                self.buffer = max(0.0, self.buffer - tau)
         self.buffer += self.seg_dur
         last = self.next_index == self.cfg.total_segments
         if self.next_index == 1:
@@ -185,15 +198,14 @@ class _Client:
             decision_reason=self.decision.reason))
         self.next_index += 1
         if last:
-            self.state = DONE
             self.wall_time = t + self.buffer  # remaining media plays out
-        elif self.buffer > self.room:
+            return None
+        if self.buffer > self.room:
             wait = self.buffer - self.room
             self.idle_full += wait
-            self.defer_until = t + wait
-            self.state = DEFERRING
-        else:
-            self.issue(t)
+            self.buffer = self.room  # the level once the wait is over
+            return t + wait
+        return t
 
     def trace(self):
         return SessionTrace(
@@ -203,73 +215,63 @@ class _Client:
 
 
 def _run_shared(profile, sim_cfg, start_times):
-    """Run one shared-link session per start time; returns SessionTraces."""
+    """Run one shared-link session per start time; returns SessionTraces.
+
+    Every download in flight gets the same share of the capacity, so one
+    clock, `served`, counts the kbit each of them has received since t=0,
+    and a download is done when `served` reaches its value at the request
+    plus the segment size. Completions wait in a heap keyed on that target
+    and each client's next request (its start, the end of a room wait, or
+    right after a completion) in a heap keyed on wall time, so each event
+    costs O(log N) for N clients. Only the clients popped at a step change.
+    """
     seg_dur, target = _validated(sim_cfg)
     clients = [_Client(st, sim_cfg, seg_dur, target) for st in start_times]
-    starts = profile.starts
+    bps, starts, end = profile.breakpoints, profile.starts, profile.duration_s
+    requests = [(st, cid) for cid, st in enumerate(start_times)]
+    heapify(requests)
+    finishing = []  # (served target, client id) per download in flight
+    served = 0.0
     t = 0.0
-    while any(c.state != DONE for c in clients):
-        active = [c for c in clients if c.state == DOWNLOADING]
-        bp_idx = bisect_right(starts, t)
-        rate = 0.0
-        if active:
-            if t >= profile.duration_s:
-                raise ProfileExhaustedError(
-                    "trace ends at %g with downloads in flight"
-                    % (profile.duration_s,))
-            rate = profile.breakpoints[bp_idx - 1][1] / len(active)
-        # gather the next event of every kind; kind order settles ties
-        events = []  # (time, kind_rank, client_id, kind)
-        for cid, c in enumerate(clients):
-            if c.state == WAITING:
-                events.append((max(c.start_time, t), 1, cid, "start"))
-            elif c.state == DOWNLOADING and rate > 0:
-                events.append((t + c.remaining / rate, 0, cid, "complete"))
-            elif c.state == DEFERRING:
-                events.append((c.defer_until, 2, cid, "resume"))
-            if (c.playing and not c.stalled and c.state != DONE
-                    and c.buffer > 0):
-                events.append((t + c.buffer, 3, cid, "empty"))
+    bp_idx = 1  # next breakpoint; the first one starts at 0
+    while requests or finishing:
+        while bp_idx < len(starts) and starts[bp_idx] <= t:
+            bp_idx += 1
         if bp_idx < len(starts):
-            events.append((starts[bp_idx], 4, -1, "breakpoint"))
-        elif t < profile.duration_s < float("inf"):
-            # trace end acts as a breakpoint so downloads cannot outrun it
-            events.append((profile.duration_s, 4, -1, "breakpoint"))
-        if not events:
+            t_bp = starts[bp_idx]
+        elif t < end:
+            t_bp = end  # so downloads cannot outrun the trace
+        else:
+            t_bp = inf
+        rate, t_done = 0.0, inf
+        if finishing:
+            if t >= end:
+                raise ProfileExhaustedError(
+                    "trace ends at %g with downloads in flight" % (end,))
+            rate = bps[bp_idx - 1][1] / len(finishing)
+            if rate > 0:
+                t_done = t + (finishing[0][0] - served) / rate
+        t_wake = max(requests[0][0], t) if requests else inf
+        t_next = min(t_done, t_bp, t_wake)
+        if t_next == inf:
             raise ProfileExhaustedError(
                 "no capacity left for the remaining downloads")
-        events.sort()
-        t_next = events[0][0]
-        dt = t_next - t
-        if dt > 0:
-            for c in clients:
-                if c.state == DOWNLOADING:
-                    c.remaining -= rate * dt
-                if c.playing and not c.stalled and c.state != DONE:
-                    c.buffer = max(0.0, c.buffer - dt)
+        # on a tie the completion wins; landing exactly on its target
+        # keeps rounding from delaying it
+        if t_next == t_done:
+            served = finishing[0][0]
+        else:
+            served += rate * (t_next - t)
         t = t_next
-        for ev_t, _, cid, kind in events:
-            if ev_t != t_next:
-                break
-            if kind == "breakpoint":
-                continue
-            c = clients[cid]
-            if kind == "complete" and c.state == DOWNLOADING:
-                c.remaining = 0.0
-                c.complete(t)
-            elif kind == "start" and c.state == WAITING:
-                c.issue(t)
-            elif kind == "resume" and c.state == DEFERRING:
-                c.buffer = c.room
-                c.issue(t)
-            elif kind == "empty":
-                # stale once the same-instant completion refilled it; the
-                # tolerance absorbs dust from t_next - t != buffer exactly
-                if c.playing and not c.stalled and c.state != DONE \
-                        and c.buffer <= 1e-9:
-                    c.buffer = 0.0
-                    c.stalled = True
-                    c.stall_start = t
+        while finishing and finishing[0][0] <= served:
+            cid = heappop(finishing)[1]
+            due = clients[cid].complete(t)
+            if due is not None:
+                heappush(requests, (due, cid))
+        while requests and requests[0][0] <= t:
+            cid = heappop(requests)[1]
+            clients[cid].issue(t)
+            heappush(finishing, (served + clients[cid].size, cid))
     return [c.trace() for c in clients]
 
 

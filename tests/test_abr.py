@@ -93,9 +93,23 @@ class TestLadderValidation:
         with pytest.raises(InvalidParameterError):
             BitrateLadder((250.0,), 0.0)
 
-    def test_config_validation(self):
+    @pytest.mark.parametrize("rungs, seg_dur", [
+        ((float("nan"), 500.0), 2.0),
+        ((250.0, float("nan"), 1000.0), 2.0),
+        ((250.0, float("nan")), 2.0),
+        ((250.0, float("inf")), 2.0),
+        ((250.0, 500.0), float("inf")),
+        ((250.0, 500.0), float("nan")),
+    ], ids=["nan-first", "nan-middle", "nan-last", "inf-last",
+            "inf-duration", "nan-duration"])
+    def test_rejects_non_finite_rungs_and_duration(self, rungs, seg_dur):
         with pytest.raises(InvalidParameterError):
-            AbrConfig(panic_buffer_s=-1.0)
+            BitrateLadder(rungs, seg_dur)
+
+    def test_config_validation(self):
+        for panic in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                AbrConfig(panic_buffer_s=panic)
         with pytest.raises(InvalidParameterError):
             AbrConfig(initial_quality_index=-1)
 

@@ -1,10 +1,14 @@
 """End-to-end CLI tests, driven in process through main(argv)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import affsim
 from affsim import profile_stats
 from affsim.cli import main
 from affsim.profiles import fairness_table3
@@ -177,6 +181,32 @@ class TestErrorPaths:
         assert len(lines) == 1
         assert lines[0].startswith("error:")
         assert "zero time" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["fairness", "--jitter", "nan", "--clients", "3"],
+        ["run", "--synth", "test1", "--ladder", "nan,500"],
+        ["run", "--synth", "test1", "--ladder", "250,inf"],
+        ["run", "--synth", "test1", "--segment-duration", "inf"],
+        ["run", "--synth", "test1", "--duration", "nan"],
+        ["run", "--synth", "test1", "--duration", "inf"],
+        ["run", "--synth", "test1", "--panic-buffer", "nan"],
+    ], ids=["jitter-nan", "ladder-nan", "ladder-inf", "segment-duration-inf",
+            "duration-nan", "duration-inf", "panic-buffer-nan"])
+    def test_non_finite_option_exits_one(self, argv):
+        # each of these once hung or crashed, so it runs in a child process
+        # whose timeout turns a hang into a failure
+        src = os.path.dirname(os.path.dirname(affsim.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "affsim.cli"] + argv, env=env,
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error:")
 
 
 class TestFairnessCommand:

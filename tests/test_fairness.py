@@ -1,9 +1,10 @@
 """Shared-link fairness tests."""
 
 import dataclasses
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affsim import (
@@ -44,6 +45,10 @@ class TestJainIndex:
             jain_index([0.0, 0.0])
         with pytest.raises(InvalidParameterError):
             jain_index([1.0, -0.5])
+        with pytest.raises(InvalidParameterError):
+            jain_index([1.0, float("nan")])
+        with pytest.raises(InvalidParameterError):
+            jain_index([1.0, float("inf")])
 
     @given(st.lists(st.one_of(st.just(0.0),
                               st.floats(min_value=1e-3, max_value=1e6)),
@@ -69,7 +74,7 @@ class TestJainIndex:
 
 
 class TestSharedEngine:
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 5, 40])
     def test_lockstep_clients_match_solo(self, n):
         # n identical clients splitting a constant n*C link behave exactly
         # like one client owning C
@@ -84,20 +89,37 @@ class TestSharedEngine:
                 solo_rec.t_complete_s, abs=1e-9)
         assert group[0].stalls == solo.stalls
 
-    def test_total_downloads_never_exceed_link_capacity(self):
-        cfg = SimConfig(total_segments=180)
-        traces = _run_shared(profile_table3(), cfg,
-                             [1.0, 2.5, 4.0, 7.5, 11.0])
-        end = max(tr.records[-1].t_complete_s for tr in traces)
-        delivered = 0.0
-        bps = profile_table3().breakpoints
-        for i, (start, kbps) in enumerate(bps):
-            stop = bps[i + 1][0] if i + 1 < len(bps) else 360.0
-            stop = min(stop, end)
-            if stop > start:
-                delivered += (stop - start) * kbps
-        moved = sum(r.size_kbit for tr in traces for r in tr.records)
-        assert moved <= delivered + 1e-6
+    @given(st.lists(st.tuples(st.floats(min_value=0.5, max_value=40.0),
+                              st.one_of(st.just(0.0),
+                                        st.floats(min_value=50.0,
+                                                  max_value=20000.0))),
+                    min_size=1, max_size=8),
+           st.floats(min_value=100.0, max_value=20000.0),
+           st.lists(st.floats(min_value=0.0, max_value=30.0),
+                    min_size=1, max_size=8),
+           st.integers(min_value=1, max_value=30))
+    @example(pieces=[(100.0, 22000.0), (100.0, 12000.0), (100.0, 6000.0)],
+             tail_kbps=22000.0, start_times=[1.0, 2.5, 4.0, 7.5, 11.0],
+             segments=180)  # the built-in shared link
+    @settings(max_examples=150, deadline=None)
+    def test_total_downloads_never_exceed_link_capacity(
+            self, pieces, tail_kbps, start_times, segments):
+        # by any time T, the kbit completed never exceed what the trace
+        # offered over [0, T]; the last piece is open ended and positive
+        bps, t = [], 0.0
+        for length, kbps in pieces:
+            bps.append((t, kbps))
+            t += length
+        bps.append((t, tail_kbps))
+        profile = BandwidthProfile(tuple(bps), math.inf)
+        traces = _run_shared(profile, SimConfig(total_segments=segments),
+                             start_times)
+        done = sorted((r.t_complete_s, r.size_kbit)
+                      for tr in traces for r in tr.records)
+        moved = 0.0
+        for t_done, size in done:
+            moved += size
+            assert moved <= offered_kbit(profile, t_done) + 1e-6
 
     def test_staggered_starts_shift_first_request(self):
         cfg = SimConfig(total_segments=5)
@@ -106,9 +128,15 @@ class TestSharedEngine:
         assert traces[1].records[0].t_request_s == 3.0
 
 
-def profile_table3():
-    from affsim import fairness_table3
-    return fairness_table3()
+def offered_kbit(profile, until):
+    """Capacity the profile offers over [0, until], in kbit."""
+    bps = profile.breakpoints
+    total = 0.0
+    for i, (start, kbps) in enumerate(bps):
+        stop = bps[i + 1][0] if i + 1 < len(bps) else until
+        if start < until:
+            total += (min(stop, until) - start) * kbps
+    return total
 
 
 class TestRunFairness:
@@ -164,8 +192,9 @@ class TestRunFairness:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             run_fairness(FairnessConfig(n_clients=1))
-        with pytest.raises(InvalidParameterError):
-            run_fairness(FairnessConfig(start_jitter_s=-1.0))
+        for jitter in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                run_fairness(FairnessConfig(start_jitter_s=jitter))
         with pytest.raises(InvalidParameterError):
             run_fairness(FairnessConfig(window=(300.0, 100.0)))
         with pytest.raises(InvalidParameterError):

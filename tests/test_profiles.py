@@ -98,6 +98,20 @@ class TestValidation:
         with pytest.raises(ProfileValidationError):
             BandwidthProfile(((0.0, 100.0), (20.0, 50.0)), 10.0)
 
+    @pytest.mark.parametrize("breakpoints", [
+        ((0.0, float("nan")), (5.0, 3000.0)),
+        ((0.0, 1000.0), (5.0, float("inf"))),
+        ((0.0, 1000.0), (float("nan"), 3000.0)),
+        ((0.0, 1000.0), (float("inf"), 3000.0)),
+    ], ids=["nan-kbps", "inf-kbps", "nan-start", "inf-start"])
+    def test_non_finite_values_rejected(self, breakpoints):
+        with pytest.raises(ProfileValidationError):
+            BandwidthProfile(breakpoints, math.inf)
+
+    def test_nan_duration_rejected(self):
+        with pytest.raises(ProfileValidationError):
+            BandwidthProfile(((0.0, 100.0),), float("nan"))
+
     def test_zero_bandwidth_allowed(self):
         p = BandwidthProfile(((0.0, 0.0),), 10.0)
         assert bandwidth_at(p, 5.0) == 0.0
@@ -237,6 +251,13 @@ class TestSynthesize:
     def test_too_short_duration_rejected(self):
         with pytest.raises(InvalidParameterError):
             synthesize_profile("test1", 0, 59.0)
+
+    @pytest.mark.parametrize("kind", ["test1", "test4"])
+    def test_nan_duration_rejected(self, kind):
+        # an infinite duration is covered by a CLI test in a child process,
+        # since the generator loop would never end on it
+        with pytest.raises(InvalidParameterError):
+            synthesize_profile(kind, 0, float("nan"))
 
 
 times = st.floats(min_value=0.0, max_value=999.0,

@@ -263,6 +263,9 @@ class TestConfigValidation:
             run_session(constant(1000.0), SimConfig(rebuffer_target_s=31.0))
         with pytest.raises(InvalidParameterError):
             run_session(constant(1000.0), SimConfig(rebuffer_target_s=0.0))
+        with pytest.raises(InvalidParameterError, match="max_buffer_s nan"):
+            run_session(constant(1000.0),
+                        SimConfig(max_buffer_s=float("nan")))
 
 
 class TestAccounting:
