@@ -52,10 +52,12 @@ class AffState:
     the current forgetting factor before each new sample is added. A factor
     of 1.0 makes the estimate the plain cumulative mean; smaller factors
     discount history geometrically. After each sample the factor itself is
-    moved one gradient step downhill on the squared one-step prediction
-    error, then clamped to [forgetting_min, forgetting_max]. sum_grad and
-    weight_grad carry the derivatives of the two accumulators with respect
-    to the factor, which is what makes the gradient computable online.
+    moved one gradient step downhill on the squared a posteriori error
+    (estimate - sample, where the estimate already includes that sample;
+    not the one-step-ahead prediction error), then clamped to
+    [forgetting_min, forgetting_max]. sum_grad and weight_grad carry the
+    derivatives of the two accumulators with respect to the factor, which
+    is what makes the gradient computable online.
     """
 
     weighted_sum: float = 0.0

@@ -57,9 +57,10 @@ def run_fairness(cfg):
             "start_jitter_s must be finite and >= 0, got %r"
             % (cfg.start_jitter_s,))
     w_lo, w_hi = cfg.window
-    if not (0.0 <= w_lo < w_hi):
+    if not (0.0 <= w_lo < w_hi < math.inf):
         raise InvalidParameterError(
-            "window must satisfy 0 <= start < end, got %r" % (cfg.window,))
+            "window must satisfy 0 <= start < end < inf, got %r"
+            % (cfg.window,))
     if profile.duration_s < w_hi:
         raise InvalidParameterError(
             "profile ends at %g, before the window end %g"

@@ -8,7 +8,10 @@ with 4 decimal places in CSV; JSON keeps full precision.
 import csv
 import io
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InvalidParameterError
 from .fairness import FairnessResult
@@ -27,26 +30,46 @@ class QoeReport:
 
 
 def summarize(trace, ladder):
-    """Collapse a SessionTrace into its headline QoE numbers."""
+    """Collapse a SessionTrace into its headline QoE numbers.
+
+    Each CDF takes one pass. The rungs strictly increase, so a bitrate is
+    at or below rung i exactly when its quality index is at most i. A
+    buffer level goes to the first threshold at or above it, so a level
+    equal to a threshold counts there.
+    """
     qualities = [r.quality_index for r in trace.records]
     changes = sum(1 for a, b in zip(qualities, qualities[1:]) if a != b)
     bitrates = [ladder.bitrates_kbps[q] for q in qualities]
     mean_bitrate = sum(bitrates) / len(bitrates)
     n = len(bitrates)
+    per_rung = [0] * len(ladder.bitrates_kbps)
+    for q in qualities:
+        per_rung[q] += 1
     bitrate_cdf = tuple(
-        (rung, sum(1 for b in bitrates if b <= rung) / n)
-        for rung in ladder.bitrates_kbps)
-    levels = [level for _, level in trace.buffer_series]
+        (rung, count / n)
+        for rung, count in zip(ladder.bitrates_kbps, accumulate(per_rung)))
+    series = trace.buffer_series
     buffer_cdf = ()
-    if levels:
-        top = max(levels)
+    if series:
+        top = max(level for _, level in series)
+        if not top < math.inf:
+            raise InvalidParameterError(
+                "buffer levels must be finite, got %r" % (top,))
         thresholds = [0.0]
         while thresholds[-1] < top:
             thresholds.append(thresholds[-1] + BUFFER_CDF_STEP_S)
-        m = len(levels)
+        per_bin = [0] * len(thresholds)
+        for _, level in series:
+            i = bisect_left(thresholds, level)
+            # NaN and -inf also land in bin 0
+            if not i and not level > -math.inf:
+                raise InvalidParameterError(
+                    "buffer levels must be finite, got %r" % (level,))
+            per_bin[i] += 1
+        m = len(series)
         buffer_cdf = tuple(
-            (th, sum(1 for lv in levels if lv <= th) / m)
-            for th in thresholds)
+            (th, count / m)
+            for th, count in zip(thresholds, accumulate(per_bin)))
     return QoeReport(
         bitrate_changes=changes,
         stall_events=len(trace.stalls),

@@ -182,6 +182,17 @@ class TestErrorPaths:
         assert lines[0].startswith("error:")
         assert "zero time" in lines[0]
 
+    def test_infinite_fairness_window_end(self, capsys, tmp_path):
+        path = tmp_path / "open.csv"
+        path.write_text("0,2500\n")
+        rc = main(["fairness", "--profile", str(path), "--window", "50:inf",
+                   "--clients", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: window must")
+
     @pytest.mark.parametrize("argv", [
         ["fairness", "--jitter", "nan", "--clients", "3"],
         ["run", "--synth", "test1", "--ladder", "nan,500"],

@@ -200,6 +200,12 @@ class TestRunFairness:
         with pytest.raises(InvalidParameterError):
             run_fairness(FairnessConfig(window=(50.0, 500.0)))  # past end
 
+    def test_infinite_window_end_rejected(self):
+        open_ended = BandwidthProfile(((0.0, 2500.0),), math.inf)
+        with pytest.raises(InvalidParameterError, match="window"):
+            run_fairness(FairnessConfig(profile=open_ended,
+                                        window=(50.0, math.inf)))
+
     def test_estimator_homogeneity_respected(self):
         sliding = dataclasses.replace(
             FairnessConfig(rng_seed=3).sim,

@@ -2,9 +2,14 @@
 
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import affsim
 from affsim import (
     BandwidthProfile,
     BitrateLadder,
@@ -85,6 +90,71 @@ class TestSummarize:
             assert fractions == sorted(fractions)
             assert fractions[-1] == pytest.approx(1.0)
         assert 250.0 <= report.mean_bitrate_kbps <= 2000.0
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")],
+                             ids=["nan", "-inf"])
+    def test_non_finite_buffer_level_rejected(self, bad, position):
+        levels = [0.0, 1.0, 2.0]
+        levels[position] = bad
+        series = tuple((0.5 * i, lv) for i, lv in enumerate(levels))
+        with pytest.raises(InvalidParameterError, match="finite"):
+            summarize(make_trace([0], buffer_series=series), LADDER)
+
+    def test_infinite_buffer_level_rejected(self):
+        # an infinite level once made the threshold loop grow a list without
+        # end, so the call runs in a child with capped memory and a timeout
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from affsim import BitrateLadder, InvalidParameterError\n"
+            "from affsim import SessionTrace, summarize\n"
+            "from affsim.sim import SegmentRecord\n"
+            "rec = SegmentRecord(1, 0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 'x')\n"
+            "trace = SessionTrace((rec,), (), 0.0, 1.0, 0.0,\n"
+            "                     ((0.0, 0.0), (0.5, float('inf'))))\n"
+            "try:\n"
+            "    summarize(trace, BitrateLadder())\n"
+            "except InvalidParameterError as exc:\n"
+            "    sys.exit(0 if 'finite' in str(exc) else 3)\n"
+            "sys.exit(4)\n")
+        src = os.path.dirname(os.path.dirname(affsim.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestSummarizeOperationCount:
+    def test_buffer_cdf_comparisons_are_logarithmic_in_thresholds(self):
+        compared = [0]
+
+        class Level(float):
+            def __lt__(self, other):
+                compared[0] += 1
+                return float.__lt__(self, other)
+
+            def __le__(self, other):
+                compared[0] += 1
+                return float.__le__(self, other)
+
+            def __gt__(self, other):
+                compared[0] += 1
+                return float.__gt__(self, other)
+
+            def __ge__(self, other):
+                compared[0] += 1
+                return float.__ge__(self, other)
+
+        m = 6002
+        series = tuple((0.5 * i, Level(30.0 * i / (m - 1)))
+                       for i in range(m))
+        report = summarize(make_trace([0], buffer_series=series), LADDER)
+        t = len(report.buffer_cdf)
+        assert t == 61
+        assert compared[0] <= m * (math.ceil(math.log2(t + 1)) + 2)
 
 
 class TestToDict:

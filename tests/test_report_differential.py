@@ -1,0 +1,148 @@
+"""Differential test: the one-pass summarize against the former quadratic one.
+
+The summarize that rescanned every sample for every CDF threshold is frozen
+below as the reference. The one-pass version must give an equal QoeReport
+and byte-identical JSON and CSV exports on every input.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from affsim import (
+    BitrateLadder,
+    EstimatorConfig,
+    QoeReport,
+    SegmentRecord,
+    SessionTrace,
+    SimConfig,
+    export,
+    run_session,
+    summarize,
+    synthesize_profile,
+)
+from affsim.report import BUFFER_CDF_STEP_S
+
+
+def reference_summarize(trace, ladder):
+    """Collapse a SessionTrace into its headline QoE numbers."""
+    qualities = [r.quality_index for r in trace.records]
+    changes = sum(1 for a, b in zip(qualities, qualities[1:]) if a != b)
+    bitrates = [ladder.bitrates_kbps[q] for q in qualities]
+    mean_bitrate = sum(bitrates) / len(bitrates)
+    n = len(bitrates)
+    bitrate_cdf = tuple(
+        (rung, sum(1 for b in bitrates if b <= rung) / n)
+        for rung in ladder.bitrates_kbps)
+    levels = [level for _, level in trace.buffer_series]
+    buffer_cdf = ()
+    if levels:
+        top = max(levels)
+        thresholds = [0.0]
+        while thresholds[-1] < top:
+            thresholds.append(thresholds[-1] + BUFFER_CDF_STEP_S)
+        m = len(levels)
+        buffer_cdf = tuple(
+            (th, sum(1 for lv in levels if lv <= th) / m)
+            for th in thresholds)
+    return QoeReport(
+        bitrate_changes=changes,
+        stall_events=len(trace.stalls),
+        stall_durations_s=tuple(d for _, d in trace.stalls),
+        mean_bitrate_kbps=mean_bitrate,
+        bitrate_cdf=bitrate_cdf,
+        buffer_cdf=buffer_cdf)
+
+
+def assert_same_summary(trace, ladder):
+    new, old = summarize(trace, ladder), reference_summarize(trace, ladder)
+    assert new == old
+    assert export(new, "json") == export(old, "json")
+    assert export(new, "csv") == export(old, "csv")
+
+
+def session_trace(qualities, stalls, levels):
+    records = tuple(
+        SegmentRecord(
+            index=i + 1, quality_index=q, size_kbit=1.0,
+            t_request_s=float(i), t_complete_s=i + 0.5,
+            instant_throughput_kbps=2.0, estimate_kbps=1.0,
+            buffer_after_s=0.0, decision_reason="throughput")
+        for i, q in enumerate(qualities))
+    return SessionTrace(
+        records=records, stalls=tuple(stalls), startup_delay_s=0.0,
+        wall_time_s=float(len(qualities)), idle_full_s=0.0,
+        buffer_series=tuple((0.5 * i, lv) for i, lv in enumerate(levels)))
+
+
+# levels on a CDF threshold, one ulp either side of one, and anywhere
+ON_GRID = st.integers(0, 120).map(lambda k: k * BUFFER_CDF_STEP_S)
+LEVELS = st.one_of(
+    ON_GRID,
+    ON_GRID.map(lambda x: math.nextafter(x, math.inf)),
+    ON_GRID.map(lambda x: math.nextafter(x, -math.inf)),
+    st.floats(0.0, 60.0),
+    st.sampled_from([0.0, -0.0, 30.0, 60.0]),
+)
+
+
+@st.composite
+def ladders(draw):
+    rungs = draw(st.sets(st.floats(1.0, 1e5), min_size=1, max_size=8))
+    return BitrateLadder(tuple(sorted(rungs)))
+
+
+@st.composite
+def cases(draw):
+    ladder = draw(ladders())
+    k = len(ladder.bitrates_kbps)
+    qualities = draw(st.lists(st.integers(0, k - 1), min_size=1,
+                              max_size=60))
+    if draw(st.booleans()):
+        qualities += draw(st.permutations(range(k)))  # every quality index
+    stalls = draw(st.lists(st.tuples(st.floats(0.0, 1e3),
+                                     st.floats(0.0, 50.0)), max_size=4))
+    levels = draw(st.lists(LEVELS, max_size=80))
+    return session_trace(qualities, stalls, levels), ladder
+
+
+class TestSummarizeMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(cases())
+    def test_built_traces(self, case):
+        trace, ladder = case
+        assert_same_summary(trace, ladder)
+
+    @pytest.mark.parametrize("levels", [
+        [],
+        [0.0],
+        [0.0, 0.0, 0.0],
+        [0.0, 0.5, 1.0, 1.5, 30.0],
+        [0.25, 0.5, 0.75, 60.0, 60.0],
+        [math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0)],
+    ], ids=["empty", "zero", "all-zero", "on-grid", "top-repeated",
+            "ulp-around-threshold"])
+    @pytest.mark.parametrize("rungs", [(800.0,), (250.0, 500.0, 1000.0,
+                                                   2000.0)],
+                             ids=["one-rung", "four-rungs"])
+    def test_edge_cases(self, levels, rungs):
+        ladder = BitrateLadder(rungs)
+        qualities = list(range(len(rungs))) + [0]
+        assert_same_summary(session_trace(qualities, (), levels), ladder)
+
+    @pytest.mark.parametrize("kind", ["test1", "test2", "test3", "test4"])
+    def test_synthetic_sessions(self, kind):
+        # the sessions of test_sim_differential.py
+        for seed in range(10):
+            profile = synthesize_profile(kind, seed, 720.0)
+            for estimator in ("aff", "ewma", "sliding_mean"):
+                cfg = SimConfig(estimator=EstimatorConfig(kind=estimator))
+                assert_same_summary(run_session(profile, cfg), cfg.ladder)
+
+    def test_long_session(self):
+        # 1,000 segments on a 24,000 s trace: about 6,000 buffer samples
+        profile = synthesize_profile("test1", 31, 24000.0)
+        cfg = SimConfig(total_segments=1000)
+        assert_same_summary(run_session(profile, cfg), cfg.ladder)
