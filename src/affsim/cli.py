@@ -173,14 +173,15 @@ def _cmd_compare(args):
     for kind in COMPARE_ORDER:
         cfg = _sim_config(args, kind)
         trace = run_session(profile, cfg)
-        rows.append((kind, summarize(trace, cfg.ladder)))
+        label = "avg%d" % args.avg_window if kind == "avg3" else kind
+        rows.append((label, summarize(trace, cfg.ladder)))
     header = ("method", "bitrate_changes", "stall_events", "stall_time_s",
               "mean_bitrate_kbps")
     table = [header]
-    for kind, rep in rows:
+    for label, rep in rows:
         stall_time = ", ".join("%.2f" % d for d in rep.stall_durations_s) \
             or "--"
-        table.append((kind, str(rep.bitrate_changes),
+        table.append((label, str(rep.bitrate_changes),
                       str(rep.stall_events), stall_time,
                       "%.2f" % rep.mean_bitrate_kbps))
     widths = [max(len(row[i]) for row in table)
@@ -189,7 +190,7 @@ def _cmd_compare(args):
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
               .rstrip())
     if args.out:
-        payload = {kind: to_dict(rep) for kind, rep in rows}
+        payload = {label: to_dict(rep) for label, rep in rows}
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

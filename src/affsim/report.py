@@ -15,6 +15,7 @@ from itertools import accumulate
 
 from .errors import InvalidParameterError
 from .fairness import FairnessResult
+from .sim import MAX_BUFFER_SAMPLES
 
 BUFFER_CDF_STEP_S = 0.5
 
@@ -36,6 +37,8 @@ def summarize(trace, ladder):
     at or below rung i exactly when its quality index is at most i. A
     buffer level goes to the first threshold at or above it, so a level
     equal to a threshold counts there.
+    A level above MAX_BUFFER_SAMPLES thresholds raises
+    InvalidParameterError, as a non-finite one does.
     """
     qualities = [r.quality_index for r in trace.records]
     changes = sum(1 for a, b in zip(qualities, qualities[1:]) if a != b)
@@ -52,9 +55,10 @@ def summarize(trace, ladder):
     buffer_cdf = ()
     if series:
         top = max(level for _, level in series)
-        if not top < math.inf:
+        if not top / BUFFER_CDF_STEP_S <= MAX_BUFFER_SAMPLES:
             raise InvalidParameterError(
-                "buffer levels must be finite, got %r" % (top,))
+                "buffer levels must be finite and at most %g s, got %r"
+                % (MAX_BUFFER_SAMPLES * BUFFER_CDF_STEP_S, top))
         thresholds = [0.0]
         while thresholds[-1] < top:
             thresholds.append(thresholds[-1] + BUFFER_CDF_STEP_S)

@@ -18,6 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
 from math import inf
+from typing import NamedTuple
 
 from .abr import AbrConfig, BitrateLadder, decide
 from .errors import InvalidParameterError, ProfileExhaustedError
@@ -26,6 +27,9 @@ from .estimators import EstimatorConfig, ThroughputSample, estimator_new, \
 
 DEFAULT_MAX_BUFFER_S = 30.0
 BUFFER_TICK_S = 0.5
+# most buffer samples (and buffer CDF thresholds) one session may need; a
+# longer session is refused instead of filling memory
+MAX_BUFFER_SAMPLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,8 @@ class SimConfig:
     total_segments: int = 150
 
 
-@dataclass(frozen=True)
-class SegmentRecord:
+# one per segment: a NamedTuple builds faster than a frozen dataclass
+class SegmentRecord(NamedTuple):
     index: int
     quality_index: int
     size_kbit: float
@@ -332,8 +336,13 @@ def run_session(profile, cfg):
     The closing identity, checked by the test suite to nanosecond scale:
     wall_time = startup_delay + total media duration + total stall time.
     Time lost to buffer-full waits overlaps playback, so it appears as
-    idle_full_s instead of extending the wall clock.
+    idle_full_s instead of extending the wall clock. A wall time of
+    more than MAX_BUFFER_SAMPLES ticks raises InvalidParameterError.
     """
     trace = _run_shared(profile, cfg, [0.0])[0]
+    if trace.wall_time_s / BUFFER_TICK_S > MAX_BUFFER_SAMPLES:
+        raise InvalidParameterError(
+            "a %g s session needs more than %d buffer samples"
+            % (trace.wall_time_s, MAX_BUFFER_SAMPLES))
     room = cfg.max_buffer_s - cfg.ladder.segment_duration_s
     return replace(trace, buffer_series=_buffer_series(trace, room))

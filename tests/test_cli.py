@@ -43,6 +43,17 @@ class TestCompare:
             assert {"bitrate_changes", "stall_events",
                     "mean_bitrate_kbps"} <= set(rep)
 
+    def test_avg_window_names_the_row(self, capsys, tmp_path):
+        path = tmp_path / "cmp.json"
+        rc = main(["compare", "--synth", "test1", "--seed", "7",
+                   "--avg-window", "5", "--out", str(path)])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert [line.split()[0] for line in out[1:]] == \
+            ["aff", "avg5", "ewma"]
+        assert sorted(json.loads(path.read_text())) == \
+            ["aff", "avg5", "ewma"]
+
 
 class TestRun:
     def test_session_summary_lines(self, capsys):
@@ -192,6 +203,24 @@ class TestErrorPaths:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: window must")
+
+    def test_long_wall_time_exits_one(self, capped_python, tmp_path):
+        # the buffer replay of this 5e6 s session once ran out of memory,
+        # so it runs in a child with capped memory
+        path = tmp_path / "fast.csv"
+        path.write_text("0,1e9\n")
+        code = ("import sys\n"
+                "from affsim.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        proc = capped_python(
+            code, "run", "--profile", str(path), "--segment-duration", "1e6",
+            "--max-buffer", "1e7", "--segments", "5")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error:")
+        assert "buffer samples" in lines[0]
 
     @pytest.mark.parametrize("argv", [
         ["fairness", "--jitter", "nan", "--clients", "3"],

@@ -123,7 +123,6 @@ class TestAffFixedPoint:
                 state, est = aff_update(state, ThroughputSample(c, i))
             assert state.forgetting == 1.0
             assert est.value_kbps == pytest.approx(c, rel=1e-12)
-            assert state.last_sq_error == pytest.approx(0.0, abs=1e-9)
 
 
 class TestAffGradient:

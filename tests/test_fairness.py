@@ -12,10 +12,12 @@ from affsim import (
     FairnessConfig,
     InvalidParameterError,
     SimConfig,
+    fairness_table3,
     jain_index,
     run_fairness,
     run_session,
 )
+from affsim import sim
 from affsim.fairness import _run_shared
 
 
@@ -137,6 +139,42 @@ def offered_kbit(profile, until):
         if start < until:
             total += (min(stop, until) - start) * kbps
     return total
+
+
+class TestEngineOperationCount:
+    """Operation counts of the shared-link engine, exact for any host.
+
+    Each segment is one request and one completion. Both pass through one
+    heap each way, except that the N start times are heapified, not pushed.
+    """
+
+    def test_heap_and_client_calls_per_segment(self, monkeypatch):
+        counts = dict.fromkeys(("push", "pop", "issue", "complete"), 0)
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(sim, "heappush", counted("push", sim.heappush))
+        monkeypatch.setattr(sim, "heappop", counted("pop", sim.heappop))
+        monkeypatch.setattr(sim._Client, "issue",
+                            counted("issue", sim._Client.issue))
+        monkeypatch.setattr(sim._Client, "complete",
+                            counted("complete", sim._Client.complete))
+        n, segments, runs = 40, 180, 4
+        base = fairness_table3()
+        link = BandwidthProfile(  # the 10-client link scaled to 40 clients
+            tuple((t, kbps * n / 10.0) for t, kbps in base.breakpoints),
+            base.duration_s)
+        for seed in range(runs):
+            run_fairness(FairnessConfig(
+                n_clients=n, profile=link,
+                sim=SimConfig(total_segments=segments), rng_seed=seed))
+        assert counts["issue"] == counts["complete"] == runs * segments * n
+        assert counts["pop"] == runs * 2 * segments * n
+        assert counts["push"] == runs * (2 * segments * n - n)
 
 
 class TestRunFairness:

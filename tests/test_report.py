@@ -3,13 +3,9 @@
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 
-import affsim
 from affsim import (
     BandwidthProfile,
     BitrateLadder,
@@ -22,6 +18,7 @@ from affsim import (
     summarize,
     to_dict,
 )
+from affsim import report as report_module
 from affsim.fairness import FairnessResult
 from affsim.sim import SegmentRecord, SessionTrace
 
@@ -101,30 +98,41 @@ class TestSummarize:
         with pytest.raises(InvalidParameterError, match="finite"):
             summarize(make_trace([0], buffer_series=series), LADDER)
 
-    def test_infinite_buffer_level_rejected(self):
-        # an infinite level once made the threshold loop grow a list without
-        # end, so the call runs in a child with capped memory and a timeout
-        code = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from affsim import BitrateLadder, InvalidParameterError\n"
-            "from affsim import SessionTrace, summarize\n"
-            "from affsim.sim import SegmentRecord\n"
-            "rec = SegmentRecord(1, 0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 'x')\n"
-            "trace = SessionTrace((rec,), (), 0.0, 1.0, 0.0,\n"
-            "                     ((0.0, 0.0), (0.5, float('inf'))))\n"
-            "try:\n"
-            "    summarize(trace, BitrateLadder())\n"
-            "except InvalidParameterError as exc:\n"
-            "    sys.exit(0 if 'finite' in str(exc) else 3)\n"
-            "sys.exit(4)\n")
-        src = os.path.dirname(os.path.dirname(affsim.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=30)
+    # a level of inf once made the threshold loop grow a list without end,
+    # and 1e9 s (2e9 thresholds) ran out of memory; each runs in a child
+    # with capped memory and a timeout
+    SUMMARIZE_LEVEL = (
+        "import sys\n"
+        "from affsim import BitrateLadder, InvalidParameterError\n"
+        "from affsim import SessionTrace, summarize\n"
+        "from affsim.sim import SegmentRecord\n"
+        "rec = SegmentRecord(1, 0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 'x')\n"
+        "trace = SessionTrace((rec,), (), 0.0, 1.0, 0.0,\n"
+        "                     ((0.0, 0.0), (0.5, float(sys.argv[1]))))\n"
+        "try:\n"
+        "    summarize(trace, BitrateLadder())\n"
+        "except InvalidParameterError as exc:\n"
+        "    sys.exit(0 if 'finite' in str(exc) else 3)\n"
+        "sys.exit(4)\n")
+
+    def test_infinite_buffer_level_rejected(self, capped_python):
+        proc = capped_python(self.SUMMARIZE_LEVEL, "inf")
         assert proc.returncode == 0, proc.stderr
+
+    def test_huge_buffer_level_rejected(self, capped_python):
+        proc = capped_python(self.SUMMARIZE_LEVEL, "1e9")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_threshold_cap_boundary(self, monkeypatch):
+        # a 2.0 s top level needs thresholds 0.0..2.0, four steps of 0.5 s
+        series = ((0.0, 0.0), (0.5, 2.0))
+        monkeypatch.setattr(report_module, "MAX_BUFFER_SAMPLES", 4)
+        report = summarize(make_trace([0], buffer_series=series), LADDER)
+        assert [th for th, _ in report.buffer_cdf] == [0.0, 0.5, 1.0, 1.5,
+                                                       2.0]
+        monkeypatch.setattr(report_module, "MAX_BUFFER_SAMPLES", 3)
+        with pytest.raises(InvalidParameterError, match="at most 1.5 s"):
+            summarize(make_trace([0], buffer_series=series), LADDER)
 
 
 class TestSummarizeOperationCount:

@@ -5,15 +5,19 @@ import random
 
 import pytest
 
+from affsim import sim
 from affsim import (
     AbrConfig,
     BandwidthProfile,
     BitrateLadder,
+    Decision,
+    Estimate,
     EstimatorConfig,
     InvalidParameterError,
     ProfileExhaustedError,
     REASON_BUFFER_PANIC,
     REASON_STARTUP,
+    SegmentRecord,
     SimConfig,
     integrate_download,
     run_session,
@@ -156,6 +160,74 @@ class TestDegenerateSession:
         profile = BandwidthProfile(((0.0, 1e300),), math.inf)
         with pytest.raises(InvalidParameterError, match="zero time"):
             run_session(profile, SimConfig(total_segments=40))
+
+    def test_long_wall_time_rejected(self, capped_python):
+        # five 1e6 s segments play for about 5e6 s; the buffer replay once
+        # ran out of memory on its 1e7 samples, so this runs in a child
+        code = (
+            "import sys\n"
+            "from affsim import BandwidthProfile, BitrateLadder, SimConfig\n"
+            "from affsim import InvalidParameterError, run_session\n"
+            "profile = BandwidthProfile(((0.0, 1e9),), float('inf'))\n"
+            "cfg = SimConfig(ladder=BitrateLadder(segment_duration_s=1e6),\n"
+            "                max_buffer_s=1e7, total_segments=5)\n"
+            "try:\n"
+            "    run_session(profile, cfg)\n"
+            "except InvalidParameterError as exc:\n"
+            "    sys.exit(0 if 'buffer samples' in str(exc) else 3)\n"
+            "sys.exit(4)\n")
+        proc = capped_python(code)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_buffer_sample_cap_boundary(self, monkeypatch):
+        cfg = SimConfig(total_segments=10)
+        wall = run_session(constant(1000.0), cfg).wall_time_s
+        ticks = math.ceil(wall / sim.BUFFER_TICK_S)
+        monkeypatch.setattr(sim, "MAX_BUFFER_SAMPLES", ticks)
+        assert run_session(constant(1000.0), cfg).wall_time_s == wall
+        monkeypatch.setattr(sim, "MAX_BUFFER_SAMPLES", ticks - 1)
+        with pytest.raises(InvalidParameterError, match="buffer samples"):
+            run_session(constant(1000.0), cfg)
+
+
+RECORD_FIELDS = dict(
+    index=1, quality_index=2, size_kbit=1000.0, t_request_s=0.5,
+    t_complete_s=1.25, instant_throughput_kbps=800.0, estimate_kbps=750.0,
+    buffer_after_s=4.0, decision_reason="throughput")
+
+
+class TestValueSemantics:
+    """The per-segment values are immutable, hashable and print as before."""
+
+    CASES = [
+        (SegmentRecord, RECORD_FIELDS, "buffer_after_s"),
+        (Decision, dict(quality_index=0, reason=REASON_STARTUP),
+         "quality_index"),
+        (Estimate, dict(value_kbps=1.5), "value_kbps"),
+    ]
+    CASE_IDS = ["SegmentRecord", "Decision", "Estimate"]
+
+    @pytest.mark.parametrize("cls,fields,name", CASES, ids=CASE_IDS)
+    def test_fields_are_read_only(self, cls, fields, name):
+        value = cls(**fields)
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        assert getattr(value, name) == fields[name]
+
+    @pytest.mark.parametrize("cls,fields,name", CASES, ids=CASE_IDS)
+    def test_equal_values_hash_alike(self, cls, fields, name):
+        a, b = cls(**fields), cls(**fields)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_record_repr(self):
+        assert repr(SegmentRecord(**RECORD_FIELDS)) == (
+            "SegmentRecord(index=1, quality_index=2, size_kbit=1000.0, "
+            "t_request_s=0.5, t_complete_s=1.25, "
+            "instant_throughput_kbps=800.0, estimate_kbps=750.0, "
+            "buffer_after_s=4.0, decision_reason='throughput')")
 
 
 class TestRecordInvariants:
