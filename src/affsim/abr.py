@@ -71,10 +71,11 @@ def select_bitrate(ladder, estimate):
     An estimate below the whole ladder still returns the lowest rung; there
     is no abstention.
     """
-    for i in range(len(ladder.bitrates_kbps) - 1, -1, -1):
-        if ladder.bitrates_kbps[i] <= estimate.value_kbps:
-            return Decision(i, REASON_THROUGHPUT)
-    return Decision(0, REASON_THROUGHPUT)
+    rungs, v = ladder.bitrates_kbps, estimate.value_kbps
+    i = len(rungs) - 1
+    while i and not rungs[i] <= v:
+        i -= 1
+    return Decision(i, REASON_THROUGHPUT)
 
 
 def decide(ladder, cfg, estimate, buffer_level_s, is_first_segment):

@@ -32,12 +32,25 @@ class ThroughputSample:
 
     def __post_init__(self):
         if not (self.value_kbps > 0 and math.isfinite(self.value_kbps)):
-            raise InvalidSampleError(
-                "throughput must be positive and finite, got %r"
-                % (self.value_kbps,))
+            _reject(self.value_kbps)
         if self.segment_index < 1:
             raise InvalidSampleError(
                 "segment_index starts at 1, got %r" % (self.segment_index,))
+
+
+def _reject(value):
+    raise InvalidSampleError(
+        "throughput must be positive and finite, got %r" % (value,))
+
+
+def _sample_value(sample):
+    """A sample's kbit/s; a bare number is checked without building one."""
+    if isinstance(sample, ThroughputSample):
+        return sample.value_kbps
+    value = float(sample)
+    if not 0.0 < value < math.inf:
+        _reject(value)
+    return value
 
 
 # one per sample: a NamedTuple builds faster than a frozen dataclass
@@ -94,15 +107,14 @@ def aff_update(state, sample):
     previous weighted sums, then the sums advance, then the estimate is
     read, and only then does the forgetting factor take its gradient step.
     """
-    if not isinstance(sample, ThroughputSample):
-        sample = ThroughputSample(float(sample), state.n + 1)
+    value = _sample_value(sample)
     f = state.forgetting
     sum_grad = f * state.sum_grad + state.weighted_sum
     weight_grad = f * state.weight_grad + state.weight
-    weighted_sum = f * state.weighted_sum + sample.value_kbps
+    weighted_sum = f * state.weighted_sum + value
     weight = f * state.weight + 1.0
     estimate = weighted_sum / weight
-    error = estimate - sample.value_kbps
+    error = estimate - value
     # d(estimate)/d(factor) by the quotient rule over the two accumulators
     grad = (sum_grad * weight - weight_grad * weighted_sum) / (weight * weight)
     f_next = f - state.step_size * 2.0 * error * grad
@@ -133,13 +145,11 @@ def ewma_new(weight=DEFAULT_EWMA_WEIGHT):
 
 def ewma_update(state, sample):
     """Fixed-weight exponential average, seeded with the first sample."""
-    if not isinstance(sample, ThroughputSample):
-        sample = ThroughputSample(float(sample), state.n + 1)
+    value = _sample_value(sample)
     if state.n == 0:
-        estimate = sample.value_kbps
+        estimate = value
     else:
-        estimate = state.weight * sample.value_kbps \
-            + (1.0 - state.weight) * state.estimate
+        estimate = state.weight * value + (1.0 - state.weight) * state.estimate
     return EwmaState(state.weight, estimate, state.n + 1), Estimate(estimate)
 
 
@@ -159,9 +169,8 @@ def sliding_mean_new(window=DEFAULT_WINDOW):
 
 def sliding_mean_update(state, sample):
     """Mean of the last few samples; shorter while warming up."""
-    if not isinstance(sample, ThroughputSample):
-        sample = ThroughputSample(float(sample), state.n + 1)
-    window = (state.window + (sample.value_kbps,))[-state.capacity:]
+    value = _sample_value(sample)
+    window = (state.window + (value,))[-state.capacity:]
     estimate = sum(window) / len(window)
     return (SlidingMeanState(window, state.capacity, state.n + 1),
             Estimate(estimate))

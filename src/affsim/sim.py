@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 from .abr import AbrConfig, BitrateLadder, decide
 from .errors import InvalidParameterError, ProfileExhaustedError
-from .estimators import EstimatorConfig, ThroughputSample, estimator_new, \
-    estimator_update
+from .estimators import EstimatorConfig, estimator_new, estimator_update
 
 DEFAULT_MAX_BUFFER_S = 30.0
 BUFFER_TICK_S = 0.5
@@ -173,8 +172,7 @@ class _Client:
                 "segment %d downloaded in zero time at t=%r; the link is "
                 "too fast for the clock's resolution" % (self.next_index, t))
         inst = self.size / tau
-        self.est_state, self.estimate = estimator_update(
-            self.est_state, ThroughputSample(inst, self.next_index))
+        self.est_state, self.estimate = estimator_update(self.est_state, inst)
         if self.playing and not self.stalled:
             # an onset that ties with the arrival goes to the arrival
             empty_at = self.t_request + self.buffer
@@ -194,12 +192,11 @@ class _Client:
             # stream the player drains whatever it has
             self.stalls.append((self.stall_start, t - self.stall_start))
             self.stalled = False
+        # positional: keywords nearly double the cost of building a record
         self.records.append(SegmentRecord(
-            index=self.next_index, quality_index=self.decision.quality_index,
-            size_kbit=self.size, t_request_s=self.t_request,
-            t_complete_s=t, instant_throughput_kbps=inst,
-            estimate_kbps=self.estimate.value_kbps, buffer_after_s=self.buffer,
-            decision_reason=self.decision.reason))
+            self.next_index, self.decision.quality_index, self.size,
+            self.t_request, t, inst, self.estimate.value_kbps, self.buffer,
+            self.decision.reason))
         self.next_index += 1
         if last:
             self.wall_time = t + self.buffer  # remaining media plays out
@@ -287,20 +284,28 @@ def _buffer_series(trace, room):
     stalls and drains otherwise; a deferred request starts at `room`.
     """
     series = [(0.0, 0.0)]
+    emit = series.append
     t = level = 0.0
     next_tick = BUFFER_TICK_S
 
     def advance(to_t, draining):
-        # move the clock, emitting buffer samples along the way
+        # move the clock, emitting buffer samples along the way;
+        # `x if x > 0.0 else 0.0` is max(0.0, x), -0.0 and NaN included
         nonlocal t, level, next_tick
         if to_t <= t:
             return
-        while next_tick <= to_t:
-            sample = level - (next_tick - t) if draining else level
-            series.append((next_tick, max(0.0, sample)))
-            next_tick += BUFFER_TICK_S
         if draining:
-            level = max(0.0, level - (to_t - t))
+            while next_tick <= to_t:
+                x = level - (next_tick - t)
+                emit((next_tick, x if x > 0.0 else 0.0))
+                next_tick += BUFFER_TICK_S
+            x = level - (to_t - t)
+            level = x if x > 0.0 else 0.0
+        else:
+            held = level if level > 0.0 else 0.0
+            while next_tick <= to_t:
+                emit((next_tick, held))
+                next_tick += BUFFER_TICK_S
         t = to_t
 
     stalls = iter(trace.stalls)
@@ -310,22 +315,29 @@ def _buffer_series(trace, room):
         if level > room:
             advance(r.t_request_s, draining=True)
             level = room
-        series.append((t, level))
+        emit((t, level))
         if not stalled and stall is not None and stall[0] < r.t_complete_s:
             advance(stall[0], draining=True)
             level = 0.0
             stalled = True
-            series.append((t, 0.0))
+            emit((t, 0.0))
         advance(r.t_complete_s, draining=not stalled)
         level = r.buffer_after_s
         # the engine computed the duration as this same difference
         if stalled and r.t_complete_s - stall[0] >= stall[1]:
             stalled = False
             stall = next(stalls, None)
-        series.append((t, level))
+        emit((t, level))
     advance(t + level, draining=True)
-    series.append((t, 0.0))
+    emit((t, 0.0))
     return tuple(series)
+
+
+def _check_samples(wall_s):
+    if wall_s / BUFFER_TICK_S > MAX_BUFFER_SAMPLES:
+        raise InvalidParameterError(
+            "a %g s session needs more than %d buffer samples"
+            % (wall_s, MAX_BUFFER_SAMPLES))
 
 
 def run_session(profile, cfg):
@@ -337,12 +349,11 @@ def run_session(profile, cfg):
     wall_time = startup_delay + total media duration + total stall time.
     Time lost to buffer-full waits overlaps playback, so it appears as
     idle_full_s instead of extending the wall clock. A wall time of
-    more than MAX_BUFFER_SAMPLES ticks raises InvalidParameterError.
+    more than MAX_BUFFER_SAMPLES ticks raises InvalidParameterError, before
+    the engine runs when the media duration alone is that long.
     """
+    _check_samples(cfg.total_segments * cfg.ladder.segment_duration_s)
     trace = _run_shared(profile, cfg, [0.0])[0]
-    if trace.wall_time_s / BUFFER_TICK_S > MAX_BUFFER_SAMPLES:
-        raise InvalidParameterError(
-            "a %g s session needs more than %d buffer samples"
-            % (trace.wall_time_s, MAX_BUFFER_SAMPLES))
+    _check_samples(trace.wall_time_s)
     room = cfg.max_buffer_s - cfg.ladder.segment_duration_s
     return replace(trace, buffer_series=_buffer_series(trace, room))

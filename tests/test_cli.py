@@ -222,6 +222,23 @@ class TestErrorPaths:
         assert lines[0].startswith("error:")
         assert "buffer samples" in lines[0]
 
+    def test_long_media_exits_one_before_the_engine(self, capped_python,
+                                                    tmp_path):
+        # 3e6 two-second segments play for at least 6e6 s; this session
+        # once ran for tens of seconds and then out of memory in the engine
+        path = tmp_path / "fast.csv"
+        path.write_text("0,5000\n")
+        code = ("import sys\n"
+                "from affsim.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        proc = capped_python(
+            code, "run", "--profile", str(path), "--segments", "3000000")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: a 6e+06 s session needs")
+
     @pytest.mark.parametrize("argv", [
         ["fairness", "--jitter", "nan", "--clients", "3"],
         ["run", "--synth", "test1", "--ladder", "nan,500"],

@@ -278,6 +278,34 @@ positive_rates = st.floats(min_value=1e-3, max_value=1e7,
                            allow_nan=False, allow_infinity=False)
 
 
+class TestBareNumberPath:
+    """A bare number, as the engine passes it, skips the ThroughputSample."""
+
+    @given(st.lists(positive_rates, min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sample_path_bit_for_bit(self, values):
+        for kind in ("aff", "ewma", "sliding_mean"):
+            bare = boxed = estimator_new(EstimatorConfig(kind=kind))
+            for i, v in enumerate(values, 1):
+                bare, bare_est = estimator_update(bare, v)
+                boxed, boxed_est = estimator_update(
+                    boxed, ThroughputSample(v, i))
+                # repr tells -0.0 from 0.0 and prints every float exactly
+                assert repr(bare) == repr(boxed)
+                assert repr(bare_est) == repr(boxed_est)
+
+    @pytest.mark.parametrize("kind", ["aff", "ewma", "sliding_mean"])
+    @pytest.mark.parametrize("bad", [
+        0.0, -0.0, -5.0, float("nan"), float("inf"), float("-inf")])
+    def test_invalid_bare_number_rejected_as_sample(self, kind, bad):
+        with pytest.raises(InvalidSampleError) as boxed:
+            ThroughputSample(bad, 1)
+        state = estimator_new(EstimatorConfig(kind=kind))
+        with pytest.raises(InvalidSampleError) as bare:
+            estimator_update(state, bad)
+        assert str(bare.value) == str(boxed.value)
+
+
 class TestProperties:
     @given(st.lists(positive_rates, min_size=1, max_size=30))
     @settings(max_examples=200, deadline=None)

@@ -1,9 +1,12 @@
 """Single-client playback simulation tests."""
 
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affsim import sim
 from affsim import (
@@ -19,8 +22,10 @@ from affsim import (
     REASON_STARTUP,
     SegmentRecord,
     SimConfig,
+    ThroughputSample,
     integrate_download,
     run_session,
+    synthesize_profile,
 )
 
 
@@ -189,6 +194,19 @@ class TestDegenerateSession:
         with pytest.raises(InvalidParameterError, match="buffer samples"):
             run_session(constant(1000.0), cfg)
 
+    def test_long_media_refused_before_the_engine(self, monkeypatch):
+        # ten 2 s segments need 40 ticks at least; the trace ends before
+        # they land, so the error tells whether the engine ran
+        cfg = SimConfig(total_segments=10)
+        short = constant(1000.0, duration_s=5.0)
+        monkeypatch.setattr(sim, "MAX_BUFFER_SAMPLES", 40)
+        with pytest.raises(ProfileExhaustedError):
+            run_session(short, cfg)
+        monkeypatch.setattr(sim, "MAX_BUFFER_SAMPLES", 39)
+        with pytest.raises(InvalidParameterError,
+                           match="a 20 s session needs more than 39 buffer"):
+            run_session(short, cfg)
+
 
 RECORD_FIELDS = dict(
     index=1, quality_index=2, size_kbit=1000.0, t_request_s=0.5,
@@ -304,6 +322,68 @@ class TestEstimatorPlugIn:
         trace = run_session(constant(1500.0), SimConfig(total_segments=30))
         for r in trace.records:
             assert r.estimate_kbps == pytest.approx(1500.0, rel=1e-9)
+
+
+class TestNoPerSegmentSample:
+    """The engine hands each throughput to its estimator as a bare number."""
+
+    @pytest.mark.parametrize("kind", ["aff", "ewma", "sliding_mean"])
+    def test_session_builds_no_throughput_sample(self, monkeypatch, kind):
+        checked = []
+        check = ThroughputSample.__post_init__
+
+        def counting(sample):
+            checked.append(sample.segment_index)
+            check(sample)
+
+        monkeypatch.setattr(ThroughputSample, "__post_init__", counting)
+        ThroughputSample(1.0, 7)  # the counter sees every sample built
+        profile = synthesize_profile("test2", 3, 600.0)
+        cfg = SimConfig(estimator=EstimatorConfig(kind=kind),
+                        total_segments=120)
+        assert len(run_session(profile, cfg).records) == 120
+        assert checked == [7]
+
+
+def scaled(profile, cfg, factor):
+    """The profile's bandwidths and the ladder's rungs times factor."""
+    bps = tuple((t, kbps * factor) for t, kbps in profile.breakpoints)
+    ladder = BitrateLadder(
+        tuple(b * factor for b in cfg.ladder.bitrates_kbps),
+        cfg.ladder.segment_duration_s)
+    return (BandwidthProfile(bps, profile.duration_s),
+            dataclasses.replace(cfg, ladder=ladder))
+
+
+class TestScaleEquivariance:
+    @given(st.sampled_from(["test1", "test2", "test3", "test4"]),
+           st.integers(min_value=0, max_value=9),
+           st.sampled_from(["ewma", "sliding_mean"]),
+           st.sampled_from([10.0, 30.0, 60.0]),
+           st.integers(min_value=-8, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_scaling_keeps_the_session(
+            self, kind, seed, estimator, max_buffer_s, log2_scale):
+        # sizes and rates scale together, so every transfer time, and with
+        # it every decision, stall and buffer level, stays bit-identical
+        s = 2.0 ** log2_scale
+        profile = synthesize_profile(kind, seed, 720.0)
+        cfg = SimConfig(estimator=EstimatorConfig(kind=estimator),
+                        max_buffer_s=max_buffer_s)
+        a = run_session(profile, cfg)
+        b = run_session(*scaled(profile, cfg, s))
+        assert [(r.index, r.quality_index, r.decision_reason, r.t_request_s,
+                 r.t_complete_s, r.buffer_after_s) for r in b.records] == \
+            [(r.index, r.quality_index, r.decision_reason, r.t_request_s,
+              r.t_complete_s, r.buffer_after_s) for r in a.records]
+        assert [(r.size_kbit, r.instant_throughput_kbps, r.estimate_kbps)
+                for r in b.records] == \
+            [(r.size_kbit * s, r.instant_throughput_kbps * s,
+              r.estimate_kbps * s) for r in a.records]
+        assert repr(b.stalls) == repr(a.stalls)
+        assert repr(b.buffer_series) == repr(a.buffer_series)
+        assert (b.startup_delay_s, b.wall_time_s, b.idle_full_s) == \
+            (a.startup_delay_s, a.wall_time_s, a.idle_full_s)
 
 
 class TestDeterminism:

@@ -2,7 +2,9 @@
 
 `run_session` is the one-client case of the shared-link event engine. The
 single-client loop it replaced is frozen below as the reference. Both must
-agree on every decision exactly and on every time to 1e-9 s.
+agree on every decision exactly and on every time to 1e-9 s. The buffer
+replay is also checked against its own former version, frozen below too,
+and must match it exactly.
 """
 
 import dataclasses
@@ -114,6 +116,55 @@ def reference_run_session(profile, cfg):
         idle_full_s=idle_full, buffer_series=tuple(series))
 
 
+def reference_buffer_series(trace, room):
+    """Replay a one-client trace into its ((t_s, level_s), ...) series.
+
+    Points: the origin, a sample every BUFFER_TICK_S, and each request,
+    stall onset, completion and the final drain. The buffer holds during
+    stalls and drains otherwise; a deferred request starts at `room`.
+    """
+    series = [(0.0, 0.0)]
+    t = level = 0.0
+    next_tick = BUFFER_TICK_S
+
+    def advance(to_t, draining):
+        # move the clock, emitting buffer samples along the way
+        nonlocal t, level, next_tick
+        if to_t <= t:
+            return
+        while next_tick <= to_t:
+            sample = level - (next_tick - t) if draining else level
+            series.append((next_tick, max(0.0, sample)))
+            next_tick += BUFFER_TICK_S
+        if draining:
+            level = max(0.0, level - (to_t - t))
+        t = to_t
+
+    stalls = iter(trace.stalls)
+    stall = next(stalls, None)  # the open stall, else the next one
+    stalled = False
+    for r in trace.records:
+        if level > room:
+            advance(r.t_request_s, draining=True)
+            level = room
+        series.append((t, level))
+        if not stalled and stall is not None and stall[0] < r.t_complete_s:
+            advance(stall[0], draining=True)
+            level = 0.0
+            stalled = True
+            series.append((t, 0.0))
+        advance(r.t_complete_s, draining=not stalled)
+        level = r.buffer_after_s
+        # the engine computed the duration as this same difference
+        if stalled and r.t_complete_s - stall[0] >= stall[1]:
+            stalled = False
+            stall = next(stalls, None)
+        series.append((t, level))
+    advance(t + level, draining=True)
+    series.append((t, 0.0))
+    return tuple(series)
+
+
 def assert_same_session(new, old, ladder):
     assert [(r.index, r.quality_index, r.decision_reason, r.size_kbit)
             for r in new.records] == \
@@ -163,3 +214,28 @@ def test_matches_reference_on_synthetic_traces(kind):
             assert_same_session(run_session(profile, cfg),
                                 reference_run_session(profile, cfg),
                                 cfg.ladder)
+
+
+def test_buffer_replay_matches_reference_exactly():
+    rng = random.Random(2024)
+    cases = [(_random_profile(rng), _random_config(rng)) for _ in range(250)]
+    for kind in ("test1", "test2", "test3", "test4"):
+        for seed in range(10):
+            profile = synthesize_profile(kind, seed, 720.0)
+            for estimator in ("aff", "ewma", "sliding_mean"):
+                # 10 s buffers wait for room often; 60 s ones rarely
+                for max_buffer_s in (10.0, 30.0, 60.0):
+                    cases.append((profile, SimConfig(
+                        estimator=EstimatorConfig(kind=estimator),
+                        max_buffer_s=max_buffer_s)))
+    stalls = waits = 0
+    for profile, cfg in cases:
+        trace = run_session(profile, cfg)
+        room = cfg.max_buffer_s - cfg.ladder.segment_duration_s
+        # repr tells -0.0 from 0.0 and prints every float exactly
+        assert repr(trace.buffer_series) == \
+            repr(reference_buffer_series(trace, room))
+        stalls += len(trace.stalls)
+        waits += trace.idle_full_s > 0.0
+    # the cases exercise both branches of the replay
+    assert stalls > 100 and waits > 100, (stalls, waits)
