@@ -6,6 +6,7 @@ error exits nonzero with a one-line diagnostic on stderr.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -16,7 +17,7 @@ from .fairness import FairnessConfig, run_fairness
 from .profiles import BUILTIN_PROFILES, load_profile, profile_stats, \
     synthesize_profile
 from .report import export, summarize, to_dict
-from .sim import SimConfig, run_session
+from .sim import SimConfig, _check_media, run_session
 
 SYNTH_KINDS = ("test1", "test2", "test3", "test4")
 ESTIMATOR_CHOICES = ("aff", "ewma", "avg3")
@@ -129,8 +130,9 @@ def _write_trace_csv(trace, path):
 
 
 def _cmd_run(args):
-    profile = _build_profile(args, _synth_span(args))
     cfg = _sim_config(args, args.estimator)
+    _check_media(cfg)  # before building a trace for a refused session
+    profile = _build_profile(args, _synth_span(args))
     trace = run_session(profile, cfg)
     report = summarize(trace, cfg.ladder)
     _print_session(trace, report)
@@ -168,6 +170,7 @@ def _cmd_fairness(args):
 
 
 def _cmd_compare(args):
+    _check_media(_sim_config(args, COMPARE_ORDER[0]))
     profile = _build_profile(args, _synth_span(args))
     rows = []
     for kind in COMPARE_ORDER:
@@ -208,6 +211,7 @@ def _cmd_stats(args):
 
 
 def build_parser():
+    """Return a new argument parser for the affsim command line."""
     parser = argparse.ArgumentParser(
         prog="affsim",
         description="Trace-driven adaptive bitrate simulation")
@@ -247,9 +251,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves the parser as it was and returns a new Namespace,
+    # so one parser serves every main() call of the process
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (AffSimError, OSError) as exc:

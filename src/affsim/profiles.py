@@ -57,36 +57,38 @@ def load_profile(source, duration_s=None):
     its first field is not numeric. Any other unparseable row raises
     ProfileParseError with its 1-based line number.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
+    lines = source.splitlines() if isinstance(source, str) else source
     rows = []
-    saw_data = False
-    for line_no, raw in enumerate(lines, start=1):
+    append = rows.append
+    inf = math.inf
+    header_seen = False
+    for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 2:
+        try:
+            first, second = line.split(",")
+        except ValueError:
             raise ProfileParseError(
                 line_no, "expected 2 comma-separated fields, got %d"
-                % len(fields))
-        if not saw_data:
-            try:
-                float(fields[0])
-            except ValueError:
-                saw_data = True  # header row, consume it
-                continue
+                % (line.count(",") + 1)) from None
+        # float() keeps U+001C..U+001F around a number; str.strip drops them
         try:
-            t, b = float(fields[0]), float(fields[1])
+            t = float(first.strip())
+        except ValueError:
+            if not (rows or header_seen):
+                header_seen = True  # header row, consume it
+                continue
+            raise ProfileParseError(
+                line_no, "could not parse %r as numbers" % (line,)) from None
+        try:
+            b = float(second.strip())
         except ValueError:
             raise ProfileParseError(
                 line_no, "could not parse %r as numbers" % (line,)) from None
-        if not (math.isfinite(t) and math.isfinite(b)):
+        if not (-inf < t < inf and -inf < b < inf):
             raise ProfileParseError(line_no, "values must be finite")
-        rows.append((t, b))
-        saw_data = True
+        append((t, b))
     if not rows:
         raise ProfileValidationError("profile has no data rows")
     if duration_s is None:
@@ -162,6 +164,9 @@ TEST4_HIGH_KBPS = 2390.0
 TEST4_LOW_KBPS = 600.0
 
 MIN_SYNTH_DURATION_S = 60.0
+# About 24 days: room for the CLI's default span (2 x media + 120 s) of any
+# session run_session accepts, whose media is at most 2^19 s.
+MAX_SYNTH_DURATION_S = 2 ** 21
 
 
 def synthesize_profile(kind, seed, duration_s):
@@ -173,10 +178,10 @@ def synthesize_profile(kind, seed, duration_s):
     extremes at least once). test4 is a deterministic two-plateau trace:
     a high half followed by a sudden drop, independent of the seed.
     """
-    if not (MIN_SYNTH_DURATION_S <= duration_s < math.inf):
+    if not (MIN_SYNTH_DURATION_S <= duration_s <= MAX_SYNTH_DURATION_S):
         raise InvalidParameterError(
-            "duration_s must be finite and >= %g, got %r"
-            % (MIN_SYNTH_DURATION_S, duration_s))
+            "duration_s must lie in [%g, %d], got %r"
+            % (MIN_SYNTH_DURATION_S, MAX_SYNTH_DURATION_S, duration_s))
     if kind == "test4":
         return BandwidthProfile(
             ((0.0, TEST4_HIGH_KBPS), (duration_s / 2.0, TEST4_LOW_KBPS)),

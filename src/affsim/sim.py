@@ -340,6 +340,11 @@ def _check_samples(wall_s):
             % (wall_s, MAX_BUFFER_SAMPLES))
 
 
+def _check_media(cfg):
+    # the wall time is at least the media duration, so this refuses early
+    _check_samples(cfg.total_segments * cfg.ladder.segment_duration_s)
+
+
 def run_session(profile, cfg):
     """Play cfg.total_segments segments against the profile.
 
@@ -352,7 +357,7 @@ def run_session(profile, cfg):
     more than MAX_BUFFER_SAMPLES ticks raises InvalidParameterError, before
     the engine runs when the media duration alone is that long.
     """
-    _check_samples(cfg.total_segments * cfg.ladder.segment_duration_s)
+    _check_media(cfg)
     trace = _run_shared(profile, cfg, [0.0])[0]
     _check_samples(trace.wall_time_s)
     room = cfg.max_buffer_s - cfg.ladder.segment_duration_s

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import affsim
-from affsim import profile_stats
+from affsim import cli, profile_stats
 from affsim.cli import main
 from affsim.profiles import fairness_table3
 
@@ -265,6 +265,61 @@ class TestErrorPaths:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--synth", "test1", "--step-size", "nan"],
+        ["run", "--synth", "test1", "--forgetting-min", "nan"],
+        ["run", "--synth", "test1", "--forgetting-max", "nan"],
+        ["run", "--synth", "test1", "--estimator", "ewma",
+         "--ewma-weight", "nan"],
+        ["run", "--synth", "test1", "--rebuffer-target", "nan"],
+        ["run", "--synth", "test1", "--rebuffer-target", "inf"],
+        ["run", "--synth", "test1", "--max-buffer", "nan"],
+    ], ids=["step-size-nan", "forgetting-min-nan", "forgetting-max-nan",
+            "ewma-weight-nan", "rebuffer-target-nan", "rebuffer-target-inf",
+            "max-buffer-nan"])
+    def test_degenerate_option_exits_one(self, capsys, argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error:")
+
+    def test_huge_synthetic_duration_exits_one(self, capped_python):
+        # the generator once looped on this duration until memory ran out
+        code = ("import sys\n"
+                "from affsim.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        proc = capped_python(
+            code, "stats", "--synth", "test1", "--duration", "1e300")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: duration_s must lie in")
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_over_cap_session_refused_before_synthesis(
+            self, capsys, monkeypatch, command):
+        calls = []
+        real = cli.synthesize_profile
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(cli, "synthesize_profile", counting)
+        assert main([command, "--synth", "test1", "--segments", "30"]) == 0
+        assert len(calls) == 1  # the counter sees a synthesis
+        capsys.readouterr()
+        rc = main([command, "--synth", "test1", "--segments", "300000"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == ("error: a 600000 s session needs more than "
+                                "1048576 buffer samples\n")
+        assert len(calls) == 1
+
 
 class TestFairnessCommand:
     def test_small_run(self, capsys):
@@ -285,3 +340,81 @@ class TestFairnessCommand:
         payload = json.loads(path.read_text())
         assert payload["jfi"] > 0
         assert len(payload["per_client_avg_kbps"]) == 2
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_parser_cache")
+class TestParserReuse:
+    """main() builds one parser per process and reuses it."""
+
+    def _calls(self, tmp_path):
+        csv = tmp_path / "trace.csv"
+        csv.write_text("time_s,bandwidth_kbps\n0,2400\n40,700\n90,1800\n")
+        out = str(tmp_path / "out")
+        trace = str(tmp_path / "segments.csv")
+        return [
+            ["fairness", "--clients", "3", "--jitter", "2",
+             "--window", "30:110", "--out", out],
+            ["run", "--profile", str(csv), "--out", out, "--trace", trace],
+            ["compare", "--profile", str(csv), "--avg-window", "4",
+             "--out", out],
+            ["stats", "--profile", str(csv), "--duration", "120"],
+            ["run", "--profile", str(csv), "--ladder", "250,xyz"],
+            ["run", "--segments", "10"],
+            ["--help"],
+            ["run", "--synth", "test2", "--seed", "5", "--estimator",
+             "ewma", "--format", "csv", "--out", out],
+            ["fairness", "--synth", "test4", "--clients", "2",
+             "--segments", "40", "--window", "30:110", "--jitter", "2"],
+        ], (out, trace)
+
+    def _play(self, capsys, calls, files, fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = ("exit", exc.code)
+            captured = capsys.readouterr()
+            written = []
+            for path in files:
+                if os.path.exists(path):
+                    with open(path, "rb") as fh:
+                        written.append(fh.read())
+                    os.remove(path)
+                else:
+                    written.append(None)
+            results.append((status, captured.out, captured.err, written))
+        return results
+
+    def test_build_parser_runs_once(self, capsys, monkeypatch, tmp_path):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        calls, files = self._calls(tmp_path)
+        self._play(capsys, calls, files, fresh=False)
+        assert len(built) == 1
+
+    def test_shared_parser_output_matches_fresh_parsers(self, capsys,
+                                                       tmp_path):
+        calls, files = self._calls(tmp_path)
+        shared = self._play(capsys, calls, files, fresh=False)
+        fresh = self._play(capsys, calls, files, fresh=True)
+        assert shared == fresh
+        status = [r[0] for r in shared]
+        assert status == [0, 0, 0, 0, 1, ("exit", 2), ("exit", 0), 0, 0]
+        # run keeps its 150-segment default after fairness parsed 180
+        assert "segments: 150\n" in shared[1][1]
+        assert shared[6][1].startswith("usage: affsim")

@@ -1,5 +1,6 @@
 """Bandwidth profile tests."""
 
+import argparse
 import dataclasses
 import math
 
@@ -21,6 +22,9 @@ from affsim import (
     profile_stats,
     synthesize_profile,
 )
+from affsim.cli import _synth_span
+from affsim.profiles import MAX_SYNTH_DURATION_S
+from affsim.sim import BUFFER_TICK_S, MAX_BUFFER_SAMPLES
 
 TABLE3_CSV = "0,22000\n100,12000\n200,6000\n300,22000"
 
@@ -251,6 +255,22 @@ class TestSynthesize:
     def test_too_short_duration_rejected(self):
         with pytest.raises(InvalidParameterError):
             synthesize_profile("test1", 0, 59.0)
+
+    def test_duration_bound(self):
+        # the bound admits the CLI's default span for the longest session
+        # run_session accepts, and refuses the next float up before any
+        # generation (test1 at 1e300 once looped until memory ran out)
+        longest_media = MAX_BUFFER_SAMPLES * BUFFER_TICK_S
+        args = argparse.Namespace(segments=int(longest_media / 2.0),
+                                  segment_duration=2.0)
+        assert _synth_span(args) <= MAX_SYNTH_DURATION_S
+        p = synthesize_profile("test4", 0, MAX_SYNTH_DURATION_S)
+        assert p.duration_s == MAX_SYNTH_DURATION_S
+        over = math.nextafter(MAX_SYNTH_DURATION_S, math.inf)
+        for kind in ("test1", "test2", "test3", "test4"):
+            with pytest.raises(InvalidParameterError,
+                               match=r"must lie in \[60, 2097152\]"):
+                synthesize_profile(kind, 0, over)
 
     @pytest.mark.parametrize("kind", ["test1", "test4"])
     def test_nan_duration_rejected(self, kind):
