@@ -106,7 +106,7 @@ def dump_profile(profile):
 
 def bandwidth_at(profile, t):
     """Bandwidth in kbit/s at time t, for 0 <= t < duration."""
-    if t < 0 or t >= profile.duration_s:
+    if not 0 <= t < profile.duration_s:
         raise OutOfRangeError(
             "t=%g outside [0, %g)" % (t, profile.duration_s))
     return profile.breakpoints[bisect_right(profile.starts, t) - 1][1]

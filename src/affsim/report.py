@@ -38,9 +38,18 @@ def summarize(trace, ladder):
     buffer level goes to the first threshold at or above it, so a level
     equal to a threshold counts there.
     A level above MAX_BUFFER_SAMPLES thresholds raises
-    InvalidParameterError, as a non-finite one does.
+    InvalidParameterError, as a non-finite one does, and so do a trace
+    with no records and a quality index outside the ladder.
     """
     qualities = [r.quality_index for r in trace.records]
+    if not qualities:
+        raise InvalidParameterError("cannot summarize a trace with no records")
+    # one set per call, not a branch per record
+    outside = set(qualities).difference(range(len(ladder.bitrates_kbps)))
+    if outside:
+        raise InvalidParameterError(
+            "quality_index %r is outside the %d-rung ladder"
+            % (min(outside), len(ladder.bitrates_kbps)))
     changes = sum(1 for a, b in zip(qualities, qualities[1:]) if a != b)
     bitrates = [ladder.bitrates_kbps[q] for q in qualities]
     mean_bitrate = sum(bitrates) / len(bitrates)

@@ -7,11 +7,13 @@ media second per wall second; draining to empty mid-download opens a
 stall, which closes at a completion once the buffer refills to the
 rebuffer target. Clients on one trace split its capacity equally among
 those with a download in flight. The engine steps from event to event
-(request, completion, capacity breakpoint) with every rate constant in
-between, so progress is exact. A stall onset is not an event: the rate
-split depends only on which downloads are in flight, so a client settles
-its own buffer drain, and any stall it opened, when its segment lands. A
-single session is the one-client case.
+(request, completion, and a capacity breakpoint while a download is in
+flight) with every rate constant in between, so progress is exact; an
+idle link jumps to the next request. A stall onset is not an event: the
+rate split depends only on which downloads are in flight, so a client
+settles its own buffer drain, and any stall it opened, when its segment
+lands. A single session is the one-client case, and `integrate_download`
+is one download of it.
 """
 
 from bisect import bisect_right
@@ -90,35 +92,19 @@ def _validated(cfg):
 def integrate_download(profile, start_s, size_kbit):
     """Seconds needed to move size_kbit starting at start_s.
 
-    Walks the profile's constant pieces and accumulates capacity until the
-    requested size is covered. Raises ProfileExhaustedError when the trace
-    ends first.
+    One download by the shared-link engine: a lone client fetches one 1 s
+    segment from a one-rung ladder of size_kbit. Raises
+    ProfileExhaustedError when the trace ends first.
     """
-    if size_kbit <= 0:
+    if not 0 < size_kbit < inf:
         raise InvalidParameterError(
-            "size_kbit must be positive, got %r" % (size_kbit,))
-    if start_s < 0 or start_s >= profile.duration_s:
+            "size_kbit must be positive and finite, got %r" % (size_kbit,))
+    if not 0 <= start_s < profile.duration_s:
         raise ProfileExhaustedError(
             "download starts at %g, outside the trace" % (start_s,))
-    bps = profile.breakpoints
-    idx = bisect_right(profile.starts, start_s) - 1
-    t = start_s
-    remaining = size_kbit
-    while True:
-        piece_end = bps[idx + 1][0] if idx + 1 < len(bps) else \
-            profile.duration_s
-        bw = bps[idx][1]
-        if bw > 0:
-            need = remaining / bw
-            if t + need <= piece_end:
-                return t + need - start_s
-            remaining -= bw * (piece_end - t)
-        t = piece_end
-        idx += 1
-        if t >= profile.duration_s:
-            raise ProfileExhaustedError(
-                "trace ends at %g with %g kbit still to download"
-                % (profile.duration_s, remaining))
+    cfg = SimConfig(ladder=BitrateLadder((size_kbit,), 1.0), total_segments=1)
+    trace = _run_shared(profile, cfg, [start_s])[0]
+    return trace.records[0].t_complete_s - start_s
 
 
 class _Client:
@@ -139,7 +125,6 @@ class _Client:
         self.est_state = estimator_new(cfg.estimator)
         self.estimate = None
         self.buffer = 0.0
-        self.playing = False
         self.stalled = False
         self.stall_start = 0.0
         self.next_index = 1
@@ -173,7 +158,7 @@ class _Client:
                 "too fast for the clock's resolution" % (self.next_index, t))
         inst = self.size / tau
         self.est_state, self.estimate = estimator_update(self.est_state, inst)
-        if self.playing and not self.stalled:
+        if self.next_index > 1 and not self.stalled:
             # an onset that ties with the arrival goes to the arrival
             empty_at = self.t_request + self.buffer
             if empty_at < t:
@@ -185,7 +170,6 @@ class _Client:
         self.buffer += self.seg_dur
         last = self.next_index == self.cfg.total_segments
         if self.next_index == 1:
-            self.playing = True
             self.startup_delay = t - self.start_time
         if self.stalled and (self.buffer >= self.target or last):
             # a stall can only close when new media lands; at end of
@@ -234,17 +218,15 @@ def _run_shared(profile, sim_cfg, start_times):
     finishing = []  # (served target, client id) per download in flight
     served = 0.0
     t = 0.0
-    bp_idx = 1  # next breakpoint; the first one starts at 0
+    # the first breakpoint after the earliest request, so a late start
+    # skips the walk from t=0; the loop below fixes a start below 0
+    bp_idx = bisect_right(starts, min(start_times, default=0.0))
     while requests or finishing:
         while bp_idx < len(starts) and starts[bp_idx] <= t:
             bp_idx += 1
-        if bp_idx < len(starts):
-            t_bp = starts[bp_idx]
-        elif t < end:
-            t_bp = end  # so downloads cannot outrun the trace
-        else:
-            t_bp = inf
-        rate, t_done = 0.0, inf
+        # an idle link moves nothing, so only a download in flight stops
+        # at a breakpoint, or at the end so it cannot outrun the trace
+        rate, t_done, t_bp = 0.0, inf, inf
         if finishing:
             if t >= end:
                 raise ProfileExhaustedError(
@@ -252,6 +234,7 @@ def _run_shared(profile, sim_cfg, start_times):
             rate = bps[bp_idx - 1][1] / len(finishing)
             if rate > 0:
                 t_done = t + (finishing[0][0] - served) / rate
+            t_bp = starts[bp_idx] if bp_idx < len(starts) else end
         t_wake = max(requests[0][0], t) if requests else inf
         t_next = min(t_done, t_bp, t_wake)
         if t_next == inf:

@@ -147,6 +147,8 @@ class TestBandwidthAt:
             bandwidth_at(p, 360.0)
         with pytest.raises(OutOfRangeError):
             bandwidth_at(p, -0.001)
+        with pytest.raises(OutOfRangeError):
+            bandwidth_at(p, math.nan)
 
 
 class TestProfileStats:

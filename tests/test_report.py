@@ -1,5 +1,6 @@
 """QoE summary and export tests."""
 
+import dataclasses
 import io
 import json
 import math
@@ -73,6 +74,20 @@ class TestSummarize:
         fractions = [fr for _, fr in report.buffer_cdf]
         assert thresholds == [0.0, 0.5, 1.0, 1.5]
         assert fractions == pytest.approx([1 / 3, 1 / 3, 2 / 3, 1.0])
+
+    def test_trace_without_records_rejected(self):
+        with pytest.raises(InvalidParameterError, match="no records"):
+            summarize(make_trace([]), LADDER)
+
+    # -1 would index the top rung and 7 would overrun the ladder
+    @pytest.mark.parametrize("bad", [7, 4, -1])
+    def test_quality_index_outside_ladder_rejected(self, bad):
+        trace = make_trace([0, 1, 2])
+        records = trace.records[:2] + (
+            trace.records[2]._replace(quality_index=bad),)
+        with pytest.raises(InvalidParameterError,
+                           match=r"quality_index %d .*4-rung" % bad):
+            summarize(dataclasses.replace(trace, records=records), LADDER)
 
     def test_empty_buffer_series_gives_empty_cdf(self):
         report = summarize(make_trace([0]), LADDER)

@@ -65,6 +65,55 @@ class TestIntegrateDownload:
         with pytest.raises(InvalidParameterError):
             integrate_download(constant(100.0), 0.0, 0.0)
 
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -1.0])
+    def test_size_must_be_finite_and_positive(self, size):
+        with pytest.raises(InvalidParameterError, match="size_kbit"):
+            integrate_download(constant(100.0), 0.0, size)
+
+    @pytest.mark.parametrize("start", [math.nan, -1.0, -math.inf])
+    def test_start_outside_trace(self, start):
+        with pytest.raises(ProfileExhaustedError, match="outside the trace"):
+            integrate_download(constant(100.0), start, 1.0)
+
+
+class TestBreakpointReads:
+    """A late first request reads O(log n) breakpoint starts, not O(n).
+
+    An idle link must not step through every breakpoint from t=0 to the
+    first request.
+    """
+
+    @pytest.fixture
+    def counted(self):
+        profile = synthesize_profile("test1", 1, 30000.0)
+        reads = [0]
+
+        class CountingStarts(tuple):
+            def __getitem__(self, i):
+                reads[0] += 1
+                return tuple.__getitem__(self, i)
+
+        object.__setattr__(profile, "starts", CountingStarts(profile.starts))
+        return profile, reads
+
+    def bound(self, profile):
+        # one bisect, then a few reads per event of a short download
+        return math.ceil(math.log2(len(profile.starts) + 1)) + 12
+
+    def test_late_session_start(self, counted):
+        profile, reads = counted
+        assert len(profile.starts) == 10091
+        trace = sim._run_shared(profile, SimConfig(total_segments=1),
+                                [profile.duration_s - 100.0])[0]
+        assert len(trace.records) == 1
+        assert 0 < reads[0] <= self.bound(profile), reads[0]
+
+    def test_late_integrate_download(self, counted):
+        profile, reads = counted
+        assert integrate_download(
+            profile, profile.duration_s - 100.0, 4000.0) > 0.0
+        assert 0 < reads[0] <= self.bound(profile), reads[0]
+
 
 @pytest.fixture(scope="module")
 def fast_trace():

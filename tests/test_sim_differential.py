@@ -1,19 +1,24 @@
 """Differential test: run_session against the former hand-written loop.
 
 `run_session` is the one-client case of the shared-link event engine. The
-single-client loop it replaced is frozen below as the reference. Both must
-agree on every decision exactly and on every time to 1e-9 s. The buffer
-replay is also checked against its own former version, frozen below too,
-and must match it exactly.
+single-client loop it replaced is frozen below as the reference, with the
+piece walk that timed its downloads (the library's `integrate_download`
+now runs the engine, so it cannot be the reference). Both must agree on
+every decision exactly and on every time to 1e-9 s. The buffer replay is
+also checked against its own former version, frozen below too, and must
+match it exactly.
 """
 
 import dataclasses
 import random
+from bisect import bisect_right
 
 import pytest
 
 from affsim import (
     EstimatorConfig,
+    InvalidParameterError,
+    ProfileExhaustedError,
     SegmentRecord,
     SessionTrace,
     SimConfig,
@@ -22,7 +27,6 @@ from affsim import (
     estimator_new,
     estimator_update,
     export,
-    integrate_download,
     run_session,
     summarize,
     synthesize_profile,
@@ -31,6 +35,40 @@ from affsim.sim import BUFFER_TICK_S, _validated
 from test_acceptance import _random_config, _random_profile
 
 TOL = 1e-9
+
+
+def integrate_download(profile, start_s, size_kbit):
+    """Seconds needed to move size_kbit starting at start_s.
+
+    Walks the profile's constant pieces and accumulates capacity until the
+    requested size is covered. Raises ProfileExhaustedError when the trace
+    ends first.
+    """
+    if size_kbit <= 0:
+        raise InvalidParameterError(
+            "size_kbit must be positive, got %r" % (size_kbit,))
+    if start_s < 0 or start_s >= profile.duration_s:
+        raise ProfileExhaustedError(
+            "download starts at %g, outside the trace" % (start_s,))
+    bps = profile.breakpoints
+    idx = bisect_right(profile.starts, start_s) - 1
+    t = start_s
+    remaining = size_kbit
+    while True:
+        piece_end = bps[idx + 1][0] if idx + 1 < len(bps) else \
+            profile.duration_s
+        bw = bps[idx][1]
+        if bw > 0:
+            need = remaining / bw
+            if t + need <= piece_end:
+                return t + need - start_s
+            remaining -= bw * (piece_end - t)
+        t = piece_end
+        idx += 1
+        if t >= profile.duration_s:
+            raise ProfileExhaustedError(
+                "trace ends at %g with %g kbit still to download"
+                % (profile.duration_s, remaining))
 
 
 def reference_run_session(profile, cfg):
