@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 
 REASON_THROUGHPUT = "throughput"
 REASON_BUFFER_PANIC = "buffer_panic"
@@ -53,10 +53,7 @@ class AbrConfig:
             raise InvalidParameterError(
                 "panic_buffer_s must be finite and >= 0, got %r"
                 % (self.panic_buffer_s,))
-        if self.initial_quality_index < 0:
-            raise InvalidParameterError(
-                "initial_quality_index must be >= 0, got %r"
-                % (self.initial_quality_index,))
+        check_int("initial_quality_index", self.initial_quality_index, 0)
 
 
 # one per request: a NamedTuple builds faster than a frozen dataclass

@@ -9,6 +9,13 @@ class InvalidParameterError(AffSimError):
     """A constructor or config argument violates its documented range."""
 
 
+def check_int(name, value, low):
+    """Refuse a bool, a non-int, or an int below `low`, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise InvalidParameterError(
+            "%s must be an integer >= %g, got %r" % (name, low, value))
+
+
 class InvalidSampleError(AffSimError):
     """A throughput sample is unusable (non-positive or non-finite value)."""
 

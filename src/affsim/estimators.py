@@ -7,10 +7,10 @@ can be stored, replayed, and compared without hidden sharing.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import InvalidParameterError, InvalidSampleError
+from .errors import InvalidParameterError, InvalidSampleError, check_int
 
 DEFAULT_STEP_SIZE = 0.1
 DEFAULT_FORGETTING_MIN = 0.6
@@ -161,9 +161,7 @@ class SlidingMeanState:
 
 
 def sliding_mean_new(window=DEFAULT_WINDOW):
-    if not isinstance(window, int) or window < 1:
-        raise InvalidParameterError(
-            "window must be a positive integer, got %r" % (window,))
+    check_int("window", window, 1)
     return SlidingMeanState(capacity=window)
 
 
@@ -186,6 +184,11 @@ class EstimatorConfig:
     forgetting_max: float = DEFAULT_FORGETTING_MAX
     ewma_weight: float = DEFAULT_EWMA_WEIGHT
     window: int = DEFAULT_WINDOW
+    # built, so checked, once; states are immutable, so sessions share it
+    initial_state: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # checks only the knobs this kind reads
+        object.__setattr__(self, "initial_state", estimator_new(self))
 
 
 def estimator_new(cfg):

@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 from .profiles import fairness_table3
 from .sim import SimConfig, _run_shared
 
@@ -23,6 +23,22 @@ class FairnessConfig:
     profile: object = None  # BandwidthProfile; None picks the built-in
     sim: SimConfig = SimConfig(total_segments=180)
     rng_seed: int = 0
+
+    def __post_init__(self):
+        check_int("n_clients", self.n_clients, 2)
+        if not (0 <= self.start_jitter_s < math.inf):
+            raise InvalidParameterError(
+                "start_jitter_s must be finite and >= 0, got %r"
+                % (self.start_jitter_s,))
+        try:
+            w_lo, w_hi = self.window
+            if not 0.0 <= w_lo < w_hi < math.inf:
+                raise ValueError
+        except (TypeError, ValueError):  # also not a pair, or not numbers
+            raise InvalidParameterError(
+                "window must satisfy 0 <= start < end < inf, got %r"
+                % (self.window,)) from None
+        check_int("rng_seed", self.rng_seed, -math.inf)
 
 
 @dataclass(frozen=True)
@@ -49,18 +65,7 @@ def jain_index(values):
 def run_fairness(cfg):
     """Simulate cfg.n_clients identical clients and score the sharing."""
     profile = cfg.profile if cfg.profile is not None else fairness_table3()
-    if cfg.n_clients < 2:
-        raise InvalidParameterError(
-            "n_clients must be >= 2, got %r" % (cfg.n_clients,))
-    if not (0 <= cfg.start_jitter_s < math.inf):
-        raise InvalidParameterError(
-            "start_jitter_s must be finite and >= 0, got %r"
-            % (cfg.start_jitter_s,))
     w_lo, w_hi = cfg.window
-    if not (0.0 <= w_lo < w_hi < math.inf):
-        raise InvalidParameterError(
-            "window must satisfy 0 <= start < end < inf, got %r"
-            % (cfg.window,))
     if profile.duration_s < w_hi:
         raise InvalidParameterError(
             "profile ends at %g, before the window end %g"

@@ -24,29 +24,30 @@ class BandwidthProfile:
     starts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bps = tuple((float(t), float(b)) for t, b in self.breakpoints)
-        starts = tuple([t for t, _ in bps])
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "starts", starts)
-        if not bps:
-            raise ProfileValidationError("profile needs at least one row")
-        if bps[0][0] != 0.0:
-            raise ProfileValidationError(
-                "first breakpoint must start at 0, got %g" % bps[0][0])
-        for t0, t1 in zip(starts, starts[1:]):
-            if not (t0 < t1 < math.inf):
+        bps, prev = [], None  # converted and checked in one pass
+        for t, b in self.breakpoints:
+            t, b = float(t), float(b)
+            if not (prev is not None or t == 0.0):
+                raise ProfileValidationError(
+                    "first breakpoint must start at 0, got %g" % t)
+            if prev is not None and not prev < t < math.inf:
                 raise ProfileValidationError(
                     "start times must be finite and strictly increasing "
-                    "(%g then %g)" % (t0, t1))
-        for t, b in bps:
-            if not (0 <= b < math.inf):
+                    "(%g then %g)" % (prev, t))
+            if not 0 <= b < math.inf:
                 raise ProfileValidationError(
                     "bandwidth must be finite and >= 0, got %g at t=%g"
                     % (b, t))
-        if not (self.duration_s >= bps[-1][0]):
+            bps.append((t, b))
+            prev = t
+        if prev is None:
+            raise ProfileValidationError("profile needs at least one row")
+        if not (self.duration_s >= prev):
             raise ProfileValidationError(
                 "duration %g ends before the last breakpoint at %g"
-                % (self.duration_s, bps[-1][0]))
+                % (self.duration_s, prev))
+        object.__setattr__(self, "breakpoints", tuple(bps))
+        object.__setattr__(self, "starts", tuple([t for t, _ in bps]))
 
 
 def load_profile(source, duration_s=None):
@@ -130,7 +131,6 @@ def profile_stats(profile):
     bps = profile.breakpoints
     for i, (start, kbps) in enumerate(bps):
         end = bps[i + 1][0] if i + 1 < len(bps) else profile.duration_s
-        end = min(end, profile.duration_s)
         if end > start:
             pieces.append((end - start, kbps))
     total = sum(length for length, _ in pieces)

@@ -23,14 +23,21 @@ from math import inf
 from typing import NamedTuple
 
 from .abr import AbrConfig, BitrateLadder, decide
-from .errors import InvalidParameterError, ProfileExhaustedError
-from .estimators import EstimatorConfig, estimator_new, estimator_update
+from .errors import InvalidParameterError, ProfileExhaustedError, check_int
+from .estimators import EstimatorConfig, estimator_update
 
 DEFAULT_MAX_BUFFER_S = 30.0
 BUFFER_TICK_S = 0.5
 # most buffer samples (and buffer CDF thresholds) one session may need; a
 # longer session is refused instead of filling memory
 MAX_BUFFER_SAMPLES = 1 << 20
+
+
+def _check_samples(wall_s):
+    if wall_s / BUFFER_TICK_S > MAX_BUFFER_SAMPLES:
+        raise InvalidParameterError(
+            "a %g s session needs more than %d buffer samples"
+            % (wall_s, MAX_BUFFER_SAMPLES))
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,24 @@ class SimConfig:
     max_buffer_s: float = DEFAULT_MAX_BUFFER_S
     rebuffer_target_s: float = None  # None means one segment duration
     total_segments: int = 150
+
+    def __post_init__(self):
+        check_int("total_segments", self.total_segments, 1)
+        seg_dur, target = _durations(self)
+        if not (self.max_buffer_s > self.abr.panic_buffer_s):
+            raise InvalidParameterError(
+                "max_buffer_s %g must exceed panic_buffer_s %g"
+                % (self.max_buffer_s, self.abr.panic_buffer_s))
+        if self.max_buffer_s < seg_dur:
+            raise InvalidParameterError(
+                "max_buffer_s %g cannot hold one %g s segment"
+                % (self.max_buffer_s, seg_dur))
+        if not (0.0 < target <= self.max_buffer_s):
+            raise InvalidParameterError(
+                "rebuffer_target_s must be in (0, max_buffer_s], got %r"
+                % (target,))
+        # the wall time is at least the media duration
+        _check_samples(self.total_segments * seg_dur)
 
 
 # one per segment: a NamedTuple builds faster than a frozen dataclass
@@ -66,27 +91,9 @@ class SessionTrace:
     buffer_series: tuple  # ((t_s, level_s), ...)
 
 
-def _validated(cfg):
-    if cfg.total_segments < 1:
-        raise InvalidParameterError(
-            "total_segments must be >= 1, got %r" % (cfg.total_segments,))
-    seg_dur = cfg.ladder.segment_duration_s
-    if not (cfg.max_buffer_s > cfg.abr.panic_buffer_s):
-        raise InvalidParameterError(
-            "max_buffer_s %g must exceed panic_buffer_s %g"
-            % (cfg.max_buffer_s, cfg.abr.panic_buffer_s))
-    if cfg.max_buffer_s < seg_dur:
-        raise InvalidParameterError(
-            "max_buffer_s %g cannot hold one %g s segment"
-            % (cfg.max_buffer_s, seg_dur))
-    target = cfg.rebuffer_target_s
-    if target is None:
-        target = seg_dur
-    if not (0.0 < target <= cfg.max_buffer_s):
-        raise InvalidParameterError(
-            "rebuffer_target_s must be in (0, max_buffer_s], got %r"
-            % (target,))
-    return seg_dur, target
+def _durations(cfg):
+    seg_dur, target = cfg.ladder.segment_duration_s, cfg.rebuffer_target_s
+    return seg_dur, seg_dur if target is None else target
 
 
 def integrate_download(profile, start_s, size_kbit):
@@ -116,13 +123,12 @@ class _Client:
     it is settled when the segment lands.
     """
 
-    def __init__(self, start_time, cfg, seg_dur, target):
+    def __init__(self, start_time, cfg):
         self.start_time = start_time
         self.cfg = cfg
-        self.seg_dur = seg_dur
-        self.target = target
-        self.room = cfg.max_buffer_s - seg_dur  # deepest buffer at a request
-        self.est_state = estimator_new(cfg.estimator)
+        self.seg_dur, self.target = _durations(cfg)
+        self.room = cfg.max_buffer_s - self.seg_dur  # most buffer at a request
+        self.est_state = cfg.estimator.initial_state
         self.estimate = None
         self.buffer = 0.0
         self.stalled = False
@@ -210,8 +216,7 @@ def _run_shared(profile, sim_cfg, start_times):
     right after a completion) in a heap keyed on wall time, so each event
     costs O(log N) for N clients. Only the clients popped at a step change.
     """
-    seg_dur, target = _validated(sim_cfg)
-    clients = [_Client(st, sim_cfg, seg_dur, target) for st in start_times]
+    clients = [_Client(st, sim_cfg) for st in start_times]
     bps, starts, end = profile.breakpoints, profile.starts, profile.duration_s
     requests = [(st, cid) for cid, st in enumerate(start_times)]
     heapify(requests)
@@ -316,18 +321,6 @@ def _buffer_series(trace, room):
     return tuple(series)
 
 
-def _check_samples(wall_s):
-    if wall_s / BUFFER_TICK_S > MAX_BUFFER_SAMPLES:
-        raise InvalidParameterError(
-            "a %g s session needs more than %d buffer samples"
-            % (wall_s, MAX_BUFFER_SAMPLES))
-
-
-def _check_media(cfg):
-    # the wall time is at least the media duration, so this refuses early
-    _check_samples(cfg.total_segments * cfg.ladder.segment_duration_s)
-
-
 def run_session(profile, cfg):
     """Play cfg.total_segments segments against the profile.
 
@@ -336,11 +329,10 @@ def run_session(profile, cfg):
     The closing identity, checked by the test suite to nanosecond scale:
     wall_time = startup_delay + total media duration + total stall time.
     Time lost to buffer-full waits overlaps playback, so it appears as
-    idle_full_s instead of extending the wall clock. A wall time of
-    more than MAX_BUFFER_SAMPLES ticks raises InvalidParameterError, before
-    the engine runs when the media duration alone is that long.
+    idle_full_s instead of extending the wall clock. cfg was checked when
+    built; only a wall time of more than MAX_BUFFER_SAMPLES ticks raises
+    InvalidParameterError here (a longer media duration cannot be built).
     """
-    _check_media(cfg)
     trace = _run_shared(profile, cfg, [0.0])[0]
     _check_samples(trace.wall_time_s)
     room = cfg.max_buffer_s - cfg.ladder.segment_duration_s

@@ -27,7 +27,7 @@ from affsim import (
     synthesize_profile,
 )
 from affsim.errors import InvalidParameterError
-from affsim.sim import _run_shared, _validated
+from affsim.sim import _durations, _run_shared
 
 TOL = 1e-9
 
@@ -122,7 +122,7 @@ class ReferenceClient:
 
 def reference_run_shared(profile, sim_cfg, start_times):
     """The shared-link engine as it stood before virtual time."""
-    seg_dur, target = _validated(sim_cfg)
+    seg_dur, target = _durations(sim_cfg)
     clients = [ReferenceClient(st, sim_cfg, seg_dur, target)
                for st in start_times]
     starts = profile.starts

@@ -217,15 +217,17 @@ class TestDegenerateSession:
 
     def test_long_wall_time_rejected(self, capped_python):
         # five 1e6 s segments play for about 5e6 s; the buffer replay once
-        # ran out of memory on its 1e7 samples, so this runs in a child
+        # ran out of memory on its 1e7 samples, so this runs in a child.
+        # The config itself is refused, so it is built inside the try.
         code = (
             "import sys\n"
             "from affsim import BandwidthProfile, BitrateLadder, SimConfig\n"
             "from affsim import InvalidParameterError, run_session\n"
             "profile = BandwidthProfile(((0.0, 1e9),), float('inf'))\n"
-            "cfg = SimConfig(ladder=BitrateLadder(segment_duration_s=1e6),\n"
-            "                max_buffer_s=1e7, total_segments=5)\n"
             "try:\n"
+            "    ladder = BitrateLadder(segment_duration_s=1e6)\n"
+            "    cfg = SimConfig(ladder=ladder, max_buffer_s=1e7,\n"
+            "                    total_segments=5)\n"
             "    run_session(profile, cfg)\n"
             "except InvalidParameterError as exc:\n"
             "    sys.exit(0 if 'buffer samples' in str(exc) else 3)\n"
@@ -245,16 +247,16 @@ class TestDegenerateSession:
 
     def test_long_media_refused_before_the_engine(self, monkeypatch):
         # ten 2 s segments need 40 ticks at least; the trace ends before
-        # they land, so the error tells whether the engine ran
-        cfg = SimConfig(total_segments=10)
+        # they land, so the error tells whether the engine ran; the
+        # config is refused when built, so each is built under its cap
         short = constant(1000.0, duration_s=5.0)
         monkeypatch.setattr(sim, "MAX_BUFFER_SAMPLES", 40)
         with pytest.raises(ProfileExhaustedError):
-            run_session(short, cfg)
+            run_session(short, SimConfig(total_segments=10))
         monkeypatch.setattr(sim, "MAX_BUFFER_SAMPLES", 39)
         with pytest.raises(InvalidParameterError,
                            match="a 20 s session needs more than 39 buffer"):
-            run_session(short, cfg)
+            run_session(short, SimConfig(total_segments=10))
 
 
 RECORD_FIELDS = dict(

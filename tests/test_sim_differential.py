@@ -31,7 +31,7 @@ from affsim import (
     summarize,
     synthesize_profile,
 )
-from affsim.sim import BUFFER_TICK_S, _validated
+from affsim.sim import BUFFER_TICK_S, _durations
 from test_acceptance import _random_config, _random_profile
 
 TOL = 1e-9
@@ -73,7 +73,7 @@ def integrate_download(profile, start_s, size_kbit):
 
 def reference_run_session(profile, cfg):
     """The single-client loop as it stood before the engine merge."""
-    seg_dur, target = _validated(cfg)
+    seg_dur, target = _durations(cfg)
     est_state = estimator_new(cfg.estimator)
     estimate = None
 
