@@ -11,10 +11,9 @@ from .abr import (REASON_BUFFER_PANIC, REASON_STARTUP, REASON_THROUGHPUT,
 from .errors import (AffSimError, InvalidParameterError, InvalidSampleError,
                      OutOfRangeError, ProfileExhaustedError,
                      ProfileParseError, ProfileValidationError)
-from .estimators import (KIND_AFF, KIND_EWMA, KIND_SLIDING_MEAN, AffState,
-                         Estimate, EstimatorConfig, EwmaState,
-                         SlidingMeanState, ThroughputSample, aff_new,
-                         aff_update, estimator_new, estimator_update,
+from .estimators import (AffState, Estimate, EstimatorConfig, EwmaState,
+                         SlidingMeanState, aff_new, aff_update,
+                         estimator_kinds, estimator_new, estimator_update,
                          ewma_new, ewma_update, sliding_mean_new,
                          sliding_mean_update)
 from .fairness import (FairnessConfig, FairnessResult, jain_index,
@@ -31,17 +30,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AbrConfig", "AffSimError", "AffState", "BUILTIN_PROFILES",
     "BandwidthProfile", "BitrateLadder", "Decision", "Estimate",
-    "EstimatorConfig", "EwmaState", "FairnessConfig", "FairnessResult",
-    "InvalidParameterError", "InvalidSampleError", "KIND_AFF", "KIND_EWMA",
-    "KIND_SLIDING_MEAN", "OutOfRangeError",
-    "ProfileExhaustedError", "ProfileParseError", "ProfileStats",
-    "REASON_BUFFER_PANIC", "REASON_STARTUP", "REASON_THROUGHPUT",
-    "ProfileValidationError", "QoeReport", "SegmentRecord", "SessionTrace",
-    "SimConfig", "SlidingMeanState", "ThroughputSample", "aff_new",
-    "aff_update", "bandwidth_at", "decide", "dump_profile", "estimator_new",
-    "estimator_update", "ewma_new", "ewma_update", "export",
-    "fairness_table3", "integrate_download", "jain_index", "load_profile",
-    "parse_csv_export", "profile_stats", "run_fairness", "run_session",
-    "select_bitrate", "sliding_mean_new", "sliding_mean_update",
-    "summarize", "synthesize_profile", "to_dict",
+    "EstimatorConfig", "EwmaState", "FairnessConfig",
+    "FairnessResult", "InvalidParameterError", "InvalidSampleError",
+    "OutOfRangeError", "ProfileExhaustedError", "ProfileParseError",
+    "ProfileStats", "REASON_BUFFER_PANIC", "REASON_STARTUP",
+    "REASON_THROUGHPUT", "ProfileValidationError", "QoeReport",
+    "SegmentRecord", "SessionTrace", "SimConfig", "SlidingMeanState",
+    "aff_new", "aff_update", "bandwidth_at", "decide", "dump_profile",
+    "estimator_kinds", "estimator_new", "estimator_update", "ewma_new",
+    "ewma_update", "export", "fairness_table3", "integrate_download",
+    "jain_index", "load_profile", "parse_csv_export", "profile_stats",
+    "run_fairness", "run_session", "select_bitrate", "sliding_mean_new",
+    "sliding_mean_update", "summarize", "synthesize_profile", "to_dict",
 ]

@@ -12,7 +12,7 @@ import sys
 
 from .abr import AbrConfig, BitrateLadder
 from .errors import AffSimError
-from .estimators import EstimatorConfig
+from .estimators import EstimatorConfig, estimator_kinds
 from .fairness import FairnessConfig, run_fairness
 from .profiles import BUILTIN_PROFILES, load_profile, profile_stats, \
     synthesize_profile
@@ -20,8 +20,11 @@ from .report import export, summarize, to_dict
 from .sim import SimConfig, run_session
 
 SYNTH_KINDS = ("test1", "test2", "test3", "test4")
-ESTIMATOR_CHOICES = ("aff", "ewma", "avg3")
-COMPARE_ORDER = ("aff", "avg3", "ewma")
+
+
+@functools.cache
+def _estimators():  # {command-line name: kind}, in table order
+    return {EstimatorConfig(kind).label: kind for kind in estimator_kinds()}
 
 
 def _add_profile_args(p, profile_required=True):
@@ -50,7 +53,7 @@ def _add_session_args(p):
 
 
 def _add_estimator_args(p):
-    p.add_argument("--estimator", choices=ESTIMATOR_CHOICES, default="aff")
+    p.add_argument("--estimator", choices=_estimators(), default="aff")
     p.add_argument("--step-size", type=float, default=0.1)
     p.add_argument("--forgetting-min", type=float, default=0.6)
     p.add_argument("--forgetting-max", type=float, default=1.0)
@@ -64,16 +67,7 @@ def _add_out_args(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _estimator_config(args, kind):
-    internal = {"aff": "aff", "ewma": "ewma", "avg3": "sliding_mean"}[kind]
-    return EstimatorConfig(
-        kind=internal, step_size=args.step_size,
-        forgetting_min=args.forgetting_min,
-        forgetting_max=args.forgetting_max,
-        ewma_weight=args.ewma_weight, window=args.avg_window)
-
-
-def _sim_config(args, kind):
+def _sim_config(args, name):
     try:
         rungs = tuple(float(b) for b in args.ladder.split(","))
     except ValueError:
@@ -82,7 +76,11 @@ def _sim_config(args, kind):
     return SimConfig(
         ladder=BitrateLadder(rungs, args.segment_duration),
         abr=AbrConfig(args.panic_buffer, args.initial_quality),
-        estimator=_estimator_config(args, kind),
+        estimator=EstimatorConfig(
+            kind=_estimators()[name], step_size=args.step_size,
+            forgetting_min=args.forgetting_min,
+            forgetting_max=args.forgetting_max,
+            ewma_weight=args.ewma_weight, window=args.avg_window),
         max_buffer_s=args.max_buffer,
         rebuffer_target_s=args.rebuffer_target,
         total_segments=args.segments)
@@ -167,13 +165,11 @@ def _cmd_fairness(args):
 
 
 def _cmd_compare(args):
-    cfgs = [(kind, _sim_config(args, kind)) for kind in COMPARE_ORDER]
+    # rows in alphabetical order of command-line name
+    cfgs = [_sim_config(args, name) for name in sorted(_estimators())]
     profile = _build_profile(args, _synth_span(args))
-    rows = []
-    for kind, cfg in cfgs:
-        trace = run_session(profile, cfg)
-        label = "avg%d" % args.avg_window if kind == "avg3" else kind
-        rows.append((label, summarize(trace, cfg.ladder)))
+    rows = [(cfg.estimator.label,
+             summarize(run_session(profile, cfg), cfg.ladder)) for cfg in cfgs]
     header = ("method", "bitrate_changes", "stall_events", "stall_time_s",
               "mean_bitrate_kbps")
     table = [header]

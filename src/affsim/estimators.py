@@ -1,13 +1,13 @@
 """Online throughput estimators for segmented media downloads.
 
-All three estimators share one calling convention: build an initial state
-once, then fold it over per-segment throughput samples. Every update returns
-the successor state plus the new estimate, so states are plain values that
-can be stored, replayed, and compared without hidden sharing.
+All three estimators, listed in `estimator_kinds`, share one calling
+convention: build an initial state once, then fold it over per-segment
+throughputs, floats in kbit/s. Each update returns the successor state and
+the new estimate, so states are plain values to store, replay and compare.
 """
 
-import math
 from dataclasses import dataclass, field
+from math import inf
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, InvalidSampleError, check_int
@@ -18,39 +18,11 @@ DEFAULT_FORGETTING_MAX = 1.0
 DEFAULT_EWMA_WEIGHT = 0.2
 DEFAULT_WINDOW = 3
 
-KIND_AFF = "aff"
-KIND_EWMA = "ewma"
-KIND_SLIDING_MEAN = "sliding_mean"
 
-
-@dataclass(frozen=True)
-class ThroughputSample:
-    """One measured download rate, in kbit/s, for a numbered segment."""
-
-    value_kbps: float
-    segment_index: int
-
-    def __post_init__(self):
-        if not (self.value_kbps > 0 and math.isfinite(self.value_kbps)):
-            _reject(self.value_kbps)
-        if self.segment_index < 1:
-            raise InvalidSampleError(
-                "segment_index starts at 1, got %r" % (self.segment_index,))
-
-
-def _reject(value):
-    raise InvalidSampleError(
-        "throughput must be positive and finite, got %r" % (value,))
-
-
-def _sample_value(sample):
-    """A sample's kbit/s; a bare number is checked without building one."""
-    if isinstance(sample, ThroughputSample):
-        return sample.value_kbps
-    value = float(sample)
-    if not 0.0 < value < math.inf:
-        _reject(value)
-    return value
+def _check(value):
+    if not 0.0 < value < inf:
+        raise InvalidSampleError(
+            "throughput must be positive and finite, got %r" % (value,))
 
 
 # one per sample: a NamedTuple builds faster than a frozen dataclass
@@ -100,14 +72,14 @@ def aff_new(step_size=DEFAULT_STEP_SIZE,
                     forgetting_max=forgetting_max, forgetting=forgetting_max)
 
 
-def aff_update(state, sample):
+def aff_update(state, value):
     """Consume one sample, return (next_state, estimate).
 
     Update order matters: the derivative accumulators advance with the
     previous weighted sums, then the sums advance, then the estimate is
     read, and only then does the forgetting factor take its gradient step.
     """
-    value = _sample_value(sample)
+    _check(value)
     f = state.forgetting
     sum_grad = f * state.sum_grad + state.weighted_sum
     weight_grad = f * state.weight_grad + state.weight
@@ -143,9 +115,9 @@ def ewma_new(weight=DEFAULT_EWMA_WEIGHT):
     return EwmaState(weight=weight)
 
 
-def ewma_update(state, sample):
+def ewma_update(state, value):
     """Fixed-weight exponential average, seeded with the first sample."""
-    value = _sample_value(sample)
+    _check(value)
     if state.n == 0:
         estimate = value
     else:
@@ -165,20 +137,47 @@ def sliding_mean_new(window=DEFAULT_WINDOW):
     return SlidingMeanState(capacity=window)
 
 
-def sliding_mean_update(state, sample):
+def sliding_mean_update(state, value):
     """Mean of the last few samples; shorter while warming up."""
-    value = _sample_value(sample)
+    _check(value)
     window = (state.window + (value,))[-state.capacity:]
     estimate = sum(window) / len(window)
     return (SlidingMeanState(window, state.capacity, state.n + 1),
             Estimate(estimate))
 
 
+class EstimatorKind(NamedTuple):
+    """A row of `estimator_kinds`. `label`, filled in with a config's fields,
+    names the kind in reports; under the defaults it is the command-line
+    name ("avg{window}" reads "avg3", and "avg5" for a window of 5)."""
+
+    label: str
+    state: type
+    new: object  # EstimatorConfig -> initial state
+    update: object  # (state, kbit/s) -> (next state, Estimate)
+
+
+def estimator_kinds():
+    """{kind: EstimatorKind} in command-line order. A new kind is one entry
+    plus its new and update functions. Built from the module's names on
+    each call, so a function swapped in after import (a tracer's counting
+    wrapper, say) is the one that runs."""
+    return {
+        "aff": EstimatorKind("aff", AffState, lambda c: aff_new(
+            c.step_size, c.forgetting_min, c.forgetting_max), aff_update),
+        "ewma": EstimatorKind("ewma", EwmaState,
+                              lambda c: ewma_new(c.ewma_weight), ewma_update),
+        "sliding_mean": EstimatorKind(
+            "avg{window}", SlidingMeanState,
+            lambda c: sliding_mean_new(c.window), sliding_mean_update),
+    }
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Which estimator a simulation should run, plus its knobs."""
 
-    kind: str = KIND_AFF
+    kind: str = "aff"
     step_size: float = DEFAULT_STEP_SIZE
     forgetting_min: float = DEFAULT_FORGETTING_MIN
     forgetting_max: float = DEFAULT_FORGETTING_MAX
@@ -190,22 +189,21 @@ class EstimatorConfig:
     def __post_init__(self):  # checks only the knobs this kind reads
         object.__setattr__(self, "initial_state", estimator_new(self))
 
+    @property
+    def label(self):
+        return estimator_kinds()[self.kind].label.format_map(vars(self))
+
 
 def estimator_new(cfg):
-    if cfg.kind == KIND_AFF:
-        return aff_new(cfg.step_size, cfg.forgetting_min, cfg.forgetting_max)
-    if cfg.kind == KIND_EWMA:
-        return ewma_new(cfg.ewma_weight)
-    if cfg.kind == KIND_SLIDING_MEAN:
-        return sliding_mean_new(cfg.window)
+    # compared, not looked up, so an unhashable kind is refused too
+    for key, entry in estimator_kinds().items():
+        if cfg.kind == key:
+            return entry.new(cfg)
     raise InvalidParameterError("unknown estimator kind %r" % (cfg.kind,))
 
 
-def estimator_update(state, sample):
-    if isinstance(state, AffState):
-        return aff_update(state, sample)
-    if isinstance(state, EwmaState):
-        return ewma_update(state, sample)
-    if isinstance(state, SlidingMeanState):
-        return sliding_mean_update(state, sample)
+def estimator_update(state, value):
+    for entry in estimator_kinds().values():
+        if type(state) is entry.state:
+            return entry.update(state, value)
     raise InvalidParameterError("not an estimator state: %r" % (state,))

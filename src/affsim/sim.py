@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .abr import AbrConfig, BitrateLadder, decide
 from .errors import InvalidParameterError, ProfileExhaustedError, check_int
-from .estimators import EstimatorConfig, estimator_update
+from .estimators import EstimatorConfig, estimator_kinds
 
 DEFAULT_MAX_BUFFER_S = 30.0
 BUFFER_TICK_S = 0.5
@@ -66,6 +66,7 @@ class SimConfig:
                 % (target,))
         # the wall time is at least the media duration
         _check_samples(self.total_segments * seg_dur)
+        decide(self.ladder, self.abr, None, 0.0, True)  # the start rung
 
 
 # one per segment: a NamedTuple builds faster than a frozen dataclass
@@ -128,6 +129,7 @@ class _Client:
         self.cfg = cfg
         self.seg_dur, self.target = _durations(cfg)
         self.room = cfg.max_buffer_s - self.seg_dur  # most buffer at a request
+        self.update = estimator_kinds()[cfg.estimator.kind].update
         self.est_state = cfg.estimator.initial_state
         self.estimate = None
         self.buffer = 0.0
@@ -163,7 +165,7 @@ class _Client:
                 "segment %d downloaded in zero time at t=%r; the link is "
                 "too fast for the clock's resolution" % (self.next_index, t))
         inst = self.size / tau
-        self.est_state, self.estimate = estimator_update(self.est_state, inst)
+        self.est_state, self.estimate = self.update(self.est_state, inst)
         if self.next_index > 1 and not self.stalled:
             # an onset that ties with the arrival goes to the arrival
             empty_at = self.t_request + self.buffer

@@ -239,6 +239,19 @@ class TestErrorPaths:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: a 6e+06 s session needs")
 
+    def test_over_cap_fairness_exits_one(self, capped_python):
+        # 1e8 clients once ran for seconds and then out of memory
+        code = ("import sys\n"
+                "from affsim.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        proc = capped_python(
+            code, "fairness", "--clients", "100000000", "--segments", "5")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: n_clients 100000000 x ")
+
     @pytest.mark.parametrize("argv", [
         ["fairness", "--jitter", "nan", "--clients", "3"],
         ["run", "--synth", "test1", "--ladder", "nan,500"],

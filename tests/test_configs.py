@@ -24,11 +24,13 @@ from affsim import (
     FairnessConfig,
     InvalidParameterError,
     SimConfig,
+    decide,
     fairness,
     run_fairness,
     run_session,
 )
 from affsim.cli import main
+from affsim.sim import MAX_BUFFER_SAMPLES
 
 CONSTANT = BandwidthProfile(((0.0, 1000.0),), math.inf)
 SHORT_SEGMENTS = 5
@@ -46,13 +48,40 @@ SHORT_CLIENTS = 3
     ("window", lambda: FairnessConfig(window=("a", "b"))),
     ("rng_seed", lambda: FairnessConfig(rng_seed=math.nan)),
     ("kind", lambda: EstimatorConfig(kind="x")),
+    ("kind", lambda: EstimatorConfig(kind=["aff"])),
     ("step_size", lambda: EstimatorConfig(step_size=0)),
+    ("n_clients", lambda: FairnessConfig(
+        n_clients=10 ** 8, sim=SimConfig(total_segments=5))),
+    ("initial_quality_index", lambda: SimConfig(
+        abr=AbrConfig(initial_quality_index=1),
+        ladder=BitrateLadder((800.0,)))),
 ], ids=["segments-float", "segments-bool", "initial-float", "initial-bool",
         "avg-window-bool", "clients-float", "window-triple", "window-text",
-        "seed-nan", "unknown-kind", "zero-step"])
+        "seed-nan", "unknown-kind", "unhashable-kind", "zero-step",
+        "clients-over-record-cap", "initial-outside-ladder"])
 def test_probe_refused_when_built(field, build):
     with pytest.raises(InvalidParameterError, match=field):
         build()
+
+
+def test_record_cap_boundary():
+    # 2^19 half-second segments stay under the session cap; two clients
+    # of them hold exactly MAX_BUFFER_SAMPLES records, three do not
+    sim = SimConfig(ladder=BitrateLadder(segment_duration_s=0.5),
+                    total_segments=MAX_BUFFER_SAMPLES // 2)
+    assert FairnessConfig(n_clients=2, sim=sim)
+    with pytest.raises(InvalidParameterError, match="n_clients 3 x "):
+        FairnessConfig(n_clients=3, sim=sim)
+
+
+def test_start_rung_check_keeps_the_message_of_decide():
+    ladder, abr = BitrateLadder((800.0,)), AbrConfig(initial_quality_index=1)
+    with pytest.raises(InvalidParameterError) as built:
+        SimConfig(abr=abr, ladder=ladder)
+    with pytest.raises(InvalidParameterError) as decided:
+        decide(ladder, abr, None, 0.0, True)
+    assert str(built.value) == str(decided.value) == (
+        "initial_quality_index 1 outside ladder of 1 rungs")
 
 
 def test_knobs_of_other_kinds_are_not_checked(capsys):

@@ -20,9 +20,9 @@ from affsim import (
     InvalidParameterError,
     InvalidSampleError,
     SlidingMeanState,
-    ThroughputSample,
     aff_new,
     aff_update,
+    estimator_kinds,
     estimator_new,
     estimator_update,
     ewma_new,
@@ -47,8 +47,8 @@ AFF_POST_DROP_TRAIL = [
 
 def run_updates(state, values):
     estimates = []
-    for i, v in enumerate(values, 1):
-        state, est = estimator_update(state, ThroughputSample(v, i))
+    for v in values:
+        state, est = estimator_update(state, v)
         estimates.append(est.value_kbps)
     return state, estimates
 
@@ -78,10 +78,10 @@ class TestStepResponse:
 
     def test_aff_factor_hits_lower_clamp_on_first_post_drop_update(self):
         state = aff_new()
-        for i, v in enumerate(STEP_HIGH, 1):
-            state, _ = aff_update(state, ThroughputSample(v, i))
+        for v in STEP_HIGH:
+            state, _ = aff_update(state, v)
         assert state.forgetting == 1.0
-        state, _ = aff_update(state, ThroughputSample(600.0, 21))
+        state, _ = aff_update(state, 600.0)
         assert state.forgetting == state.forgetting_min == 0.6
         assert AFF_CLAMP_AT_UPDATE == 1
 
@@ -102,7 +102,7 @@ class TestAffFixedPoint:
         for c in (1.0, 7.0, 950.0, 2500.0, 1e6):
             state = aff_new()
             for i in range(1, 51):
-                state, est = aff_update(state, ThroughputSample(c, i))
+                state, est = aff_update(state, c)
                 assert state.forgetting == 1.0
             assert est.value_kbps == pytest.approx(c, rel=1e-12)
 
@@ -111,7 +111,7 @@ class TestAffFixedPoint:
         for c in (250.0, 600.0, 2000.0, 40000.0):
             state = aff_new()
             for i in range(1, 101):
-                state, est = aff_update(state, ThroughputSample(c, i))
+                state, est = aff_update(state, c)
                 assert est.value_kbps == c
 
     def test_random_constants_pin_factor_and_estimate(self):
@@ -120,7 +120,7 @@ class TestAffFixedPoint:
             c = rng.uniform(1.0, 1e5)
             state = aff_new()
             for i in range(1, 21):
-                state, est = aff_update(state, ThroughputSample(c, i))
+                state, est = aff_update(state, c)
             assert state.forgetting == 1.0
             assert est.value_kbps == pytest.approx(c, rel=1e-12)
 
@@ -135,8 +135,8 @@ class TestAffGradient:
         state = aff_new(forgetting_min=1e-9, forgetting_max=1.0)
         state = dataclasses.replace(state, forgetting=factor)
         est = None
-        for i, v in enumerate(values, 1):
-            state, est = aff_update(state, ThroughputSample(v, i))
+        for v in values:
+            state, est = aff_update(state, v)
             state = dataclasses.replace(state, forgetting=factor)
         return est.value_kbps
 
@@ -149,8 +149,8 @@ class TestAffGradient:
             factor = rng.uniform(0.6, 0.999)
             state = aff_new(forgetting_min=1e-9, forgetting_max=1.0)
             state = dataclasses.replace(state, forgetting=factor)
-            for i, v in enumerate(values, 1):
-                state, _ = aff_update(state, ThroughputSample(v, i))
+            for v in values:
+                state, _ = aff_update(state, v)
                 last = state
                 state = dataclasses.replace(state, forgetting=factor)
             analytic = (last.sum_grad * last.weight
@@ -165,7 +165,7 @@ class TestAffGradient:
 
 class TestEwma:
     def test_seeds_with_first_sample(self):
-        _, est = ewma_update(ewma_new(), ThroughputSample(1234.5, 1))
+        _, est = ewma_update(ewma_new(), 1234.5)
         assert est.value_kbps == 1234.5
 
     def test_matches_closed_form(self):
@@ -218,7 +218,7 @@ class TestDispatch:
     def test_update_routes_on_state_type(self):
         for kind in ("aff", "ewma", "sliding_mean"):
             state = estimator_new(EstimatorConfig(kind=kind))
-            state, est = estimator_update(state, ThroughputSample(800.0, 1))
+            state, est = estimator_update(state, 800.0)
             assert isinstance(est, Estimate)
             assert est.value_kbps == 800.0
             assert state.n == 1
@@ -227,7 +227,19 @@ class TestDispatch:
         with pytest.raises(InvalidParameterError):
             estimator_new(EstimatorConfig(kind="harmonic"))
         with pytest.raises(InvalidParameterError):
-            estimator_update(object(), ThroughputSample(1.0, 1))
+            estimator_update(object(), 1.0)
+
+    def test_table_lists_kinds_with_their_labels(self):
+        kinds = estimator_kinds()
+        assert list(kinds) == ["aff", "ewma", "sliding_mean"]
+        for kind, entry in kinds.items():
+            cfg = EstimatorConfig(kind=kind)
+            assert type(cfg.initial_state) is entry.state
+            assert entry.update(cfg.initial_state, 800.0) == \
+                estimator_update(cfg.initial_state, 800.0)
+        assert [EstimatorConfig(kind).label for kind in kinds] == [
+            "aff", "ewma", "avg3"]
+        assert EstimatorConfig("sliding_mean", window=5).label == "avg5"
 
     def test_bare_floats_accepted_as_samples(self):
         state = aff_new()
@@ -238,18 +250,9 @@ class TestDispatch:
 
 class TestValidation:
     def test_sample_must_be_positive(self):
-        with pytest.raises(InvalidSampleError):
-            ThroughputSample(0.0, 1)
-        with pytest.raises(InvalidSampleError):
-            ThroughputSample(-5.0, 1)
-        with pytest.raises(InvalidSampleError):
-            ThroughputSample(float("nan"), 1)
-        with pytest.raises(InvalidSampleError):
-            ThroughputSample(float("inf"), 1)
-
-    def test_segment_index_starts_at_one(self):
-        with pytest.raises(InvalidSampleError):
-            ThroughputSample(100.0, 0)
+        for bad in (0.0, -5.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidSampleError):
+                aff_update(aff_new(), bad)
 
     def test_aff_parameter_ranges(self):
         with pytest.raises(InvalidParameterError):
@@ -279,31 +282,17 @@ positive_rates = st.floats(min_value=1e-3, max_value=1e7,
 
 
 class TestBareNumberPath:
-    """A bare number, as the engine passes it, skips the ThroughputSample."""
-
-    @given(st.lists(positive_rates, min_size=1, max_size=30))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_sample_path_bit_for_bit(self, values):
-        for kind in ("aff", "ewma", "sliding_mean"):
-            bare = boxed = estimator_new(EstimatorConfig(kind=kind))
-            for i, v in enumerate(values, 1):
-                bare, bare_est = estimator_update(bare, v)
-                boxed, boxed_est = estimator_update(
-                    boxed, ThroughputSample(v, i))
-                # repr tells -0.0 from 0.0 and prints every float exactly
-                assert repr(bare) == repr(boxed)
-                assert repr(bare_est) == repr(boxed_est)
+    """Every kind checks the float it is given, with one message."""
 
     @pytest.mark.parametrize("kind", ["aff", "ewma", "sliding_mean"])
     @pytest.mark.parametrize("bad", [
         0.0, -0.0, -5.0, float("nan"), float("inf"), float("-inf")])
     def test_invalid_bare_number_rejected_as_sample(self, kind, bad):
-        with pytest.raises(InvalidSampleError) as boxed:
-            ThroughputSample(bad, 1)
         state = estimator_new(EstimatorConfig(kind=kind))
         with pytest.raises(InvalidSampleError) as bare:
             estimator_update(state, bad)
-        assert str(bare.value) == str(boxed.value)
+        assert str(bare.value) == (
+            "throughput must be positive and finite, got %r" % (bad,))
 
 
 class TestProperties:
@@ -311,8 +300,8 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_aff_factor_stays_clamped(self, values):
         state = aff_new()
-        for i, v in enumerate(values, 1):
-            state, _ = aff_update(state, ThroughputSample(v, i))
+        for v in values:
+            state, _ = aff_update(state, v)
             assert state.forgetting_min <= state.forgetting \
                 <= state.forgetting_max
 
@@ -323,9 +312,9 @@ class TestProperties:
         for kind in ("aff", "ewma", "sliding_mean"):
             state = estimator_new(EstimatorConfig(kind=kind))
             seen = []
-            for i, v in enumerate(values, 1):
+            for v in values:
                 seen.append(v)
-                state, est = estimator_update(state, ThroughputSample(v, i))
+                state, est = estimator_update(state, v)
                 slack = 1e-9 * max(seen)
                 assert min(seen) - slack <= est.value_kbps \
                     <= max(seen) + slack
@@ -339,9 +328,9 @@ class TestProperties:
         for kind in ("ewma", "sliding_mean"):
             a = estimator_new(EstimatorConfig(kind=kind))
             b = estimator_new(EstimatorConfig(kind=kind))
-            for i, v in enumerate(values, 1):
-                a, ea = estimator_update(a, ThroughputSample(v, i))
-                b, eb = estimator_update(b, ThroughputSample(v * s, i))
+            for v in values:
+                a, ea = estimator_update(a, v)
+                b, eb = estimator_update(b, v * s)
                 assert eb.value_kbps == ea.value_kbps * s
 
     @given(st.lists(positive_rates, min_size=1, max_size=30),
@@ -356,8 +345,8 @@ class TestProperties:
         a = aff_new()
         b = aff_new()
         for i, v in enumerate(values, 1):
-            a, ea = aff_update(a, ThroughputSample(v, i))
-            b, eb = aff_update(b, ThroughputSample(v * s, i))
+            a, ea = aff_update(a, v)
+            b, eb = aff_update(b, v * s)
             if i <= 2:
                 assert eb.value_kbps == ea.value_kbps * s
             if a.forgetting != b.forgetting:
@@ -370,5 +359,5 @@ class TestProperties:
         for kind in ("aff", "ewma", "sliding_mean"):
             state = estimator_new(EstimatorConfig(kind=kind))
             for i, v in enumerate(values, 1):
-                state, _ = estimator_update(state, ThroughputSample(v, i))
+                state, _ = estimator_update(state, v)
                 assert state.n == i

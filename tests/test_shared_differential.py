@@ -20,7 +20,6 @@ from affsim import (
     SegmentRecord,
     SessionTrace,
     SimConfig,
-    ThroughputSample,
     decide,
     estimator_new,
     estimator_update,
@@ -83,8 +82,7 @@ class ReferenceClient:
                 "segment %d downloaded in zero time at t=%r; the link is "
                 "too fast for the clock's resolution" % (self.next_index, t))
         inst = self.size / tau
-        self.est_state, self.estimate = estimator_update(
-            self.est_state, ThroughputSample(inst, self.next_index))
+        self.est_state, self.estimate = estimator_update(self.est_state, inst)
         self.buffer += self.seg_dur
         last = self.next_index == self.cfg.total_segments
         if self.next_index == 1:

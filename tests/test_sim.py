@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affsim import sim
+from affsim import estimators, sim
 from affsim import (
     AbrConfig,
     BandwidthProfile,
@@ -16,14 +16,15 @@ from affsim import (
     Decision,
     Estimate,
     EstimatorConfig,
+    FairnessConfig,
     InvalidParameterError,
     ProfileExhaustedError,
     REASON_BUFFER_PANIC,
     REASON_STARTUP,
     SegmentRecord,
     SimConfig,
-    ThroughputSample,
     integrate_download,
+    run_fairness,
     run_session,
     synthesize_profile,
 )
@@ -375,25 +376,48 @@ class TestEstimatorPlugIn:
             assert r.estimate_kbps == pytest.approx(1500.0, rel=1e-9)
 
 
-class TestNoPerSegmentSample:
-    """The engine hands each throughput to its estimator as a bare number."""
+UPDATES = {"aff": "aff_update", "ewma": "ewma_update",
+           "sliding_mean": "sliding_mean_update"}
 
-    @pytest.mark.parametrize("kind", ["aff", "ewma", "sliding_mean"])
-    def test_session_builds_no_throughput_sample(self, monkeypatch, kind):
-        checked = []
-        check = ThroughputSample.__post_init__
 
-        def counting(sample):
-            checked.append(sample.segment_index)
-            check(sample)
+class TestUpdateReadWhenClientsAreBuilt:
+    """Each client binds its kind's update as the module names it when the
+    client is built, not at import or when the config is built, so a
+    counting wrapper swapped in later sees every segment. A tracer that
+    patches module attributes relies on this."""
 
-        monkeypatch.setattr(ThroughputSample, "__post_init__", counting)
-        ThroughputSample(1.0, 7)  # the counter sees every sample built
-        profile = synthesize_profile("test2", 3, 600.0)
+    @staticmethod
+    def count_updates(monkeypatch):
+        calls = dict.fromkeys(UPDATES.values(), 0)
+        for name in UPDATES.values():
+            def counting(state, value, name=name,
+                         real=getattr(estimators, name)):
+                calls[name] += 1
+                return real(state, value)
+            monkeypatch.setattr(estimators, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", sorted(UPDATES))
+    def test_session_counts_one_call_per_segment(self, monkeypatch, kind):
         cfg = SimConfig(estimator=EstimatorConfig(kind=kind),
                         total_segments=120)
+        profile = synthesize_profile("test2", 3, 600.0)
+        calls = self.count_updates(monkeypatch)
         assert len(run_session(profile, cfg).records) == 120
-        assert checked == [7]
+        assert calls == dict.fromkeys(UPDATES.values(), 0) | {
+            UPDATES[kind]: 120}
+
+    @pytest.mark.parametrize("kind", sorted(UPDATES))
+    def test_fairness_counts_one_call_per_client_segment(self, monkeypatch,
+                                                         kind):
+        cfg = FairnessConfig(
+            n_clients=4, window=(0.0, 30.0),
+            sim=SimConfig(estimator=EstimatorConfig(kind=kind),
+                          total_segments=30))
+        calls = self.count_updates(monkeypatch)
+        run_fairness(cfg)
+        assert calls == dict.fromkeys(UPDATES.values(), 0) | {
+            UPDATES[kind]: 4 * 30}
 
 
 def scaled(profile, cfg, factor):

@@ -22,7 +22,6 @@ from affsim import (
     SegmentRecord,
     SessionTrace,
     SimConfig,
-    ThroughputSample,
     decide,
     estimator_new,
     estimator_update,
@@ -128,8 +127,7 @@ def reference_run_session(profile, cfg):
         else:
             advance(t_complete, draining=False)
         inst = size / tau
-        est_state, est = estimator_update(
-            est_state, ThroughputSample(inst, index))
+        est_state, est = estimator_update(est_state, inst)
         estimate = est
         buffer += seg_dur
         if index == 1:
