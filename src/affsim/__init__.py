@@ -22,8 +22,8 @@ from .profiles import (BUILTIN_PROFILES, BandwidthProfile, ProfileStats,
                        bandwidth_at, dump_profile, fairness_table3,
                        load_profile, profile_stats, synthesize_profile)
 from .report import QoeReport, export, parse_csv_export, summarize, to_dict
-from .sim import (SegmentRecord, SessionTrace, SimConfig, integrate_download,
-                  run_session)
+from .sim import (SegmentRecord, SessionTrace, SimConfig, buffer_samples,
+                  integrate_download, run_session)
 
 __version__ = "0.1.0"
 
@@ -36,10 +36,11 @@ __all__ = [
     "ProfileStats", "REASON_BUFFER_PANIC", "REASON_STARTUP",
     "REASON_THROUGHPUT", "ProfileValidationError", "QoeReport",
     "SegmentRecord", "SessionTrace", "SimConfig", "SlidingMeanState",
-    "aff_new", "aff_update", "bandwidth_at", "decide", "dump_profile",
-    "estimator_kinds", "estimator_new", "estimator_update", "ewma_new",
-    "ewma_update", "export", "fairness_table3", "integrate_download",
-    "jain_index", "load_profile", "parse_csv_export", "profile_stats",
-    "run_fairness", "run_session", "select_bitrate", "sliding_mean_new",
-    "sliding_mean_update", "summarize", "synthesize_profile", "to_dict",
+    "aff_new", "aff_update", "bandwidth_at", "buffer_samples", "decide",
+    "dump_profile", "estimator_kinds", "estimator_new", "estimator_update",
+    "ewma_new", "ewma_update", "export", "fairness_table3",
+    "integrate_download", "jain_index", "load_profile", "parse_csv_export",
+    "profile_stats", "run_fairness", "run_session", "select_bitrate",
+    "sliding_mean_new", "sliding_mean_update", "summarize",
+    "synthesize_profile", "to_dict",
 ]

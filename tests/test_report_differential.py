@@ -2,9 +2,12 @@
 
 The summarize that rescanned every sample for every CDF threshold is frozen
 below as the reference. The one-pass version must give an equal QoeReport
-and byte-identical JSON and CSV exports on every input.
+and byte-identical JSON and CSV exports on every input. It reads a buffer
+series as corners and streams their expansion, so the reference is handed
+the expanded series.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -18,6 +21,7 @@ from affsim import (
     SegmentRecord,
     SessionTrace,
     SimConfig,
+    buffer_samples,
     export,
     run_session,
     summarize,
@@ -57,7 +61,9 @@ def reference_summarize(trace, ladder):
 
 
 def assert_same_summary(trace, ladder):
-    new, old = summarize(trace, ladder), reference_summarize(trace, ladder)
+    expanded = dataclasses.replace(
+        trace, buffer_series=tuple(buffer_samples(trace.buffer_series)))
+    new, old = summarize(trace, ladder), reference_summarize(expanded, ladder)
     assert new == old
     assert export(new, "json") == export(old, "json")
     assert export(new, "csv") == export(old, "csv")

@@ -23,6 +23,7 @@ from affsim import (
     REASON_STARTUP,
     SegmentRecord,
     SimConfig,
+    buffer_samples,
     integrate_download,
     run_fairness,
     run_session,
@@ -75,6 +76,14 @@ class TestIntegrateDownload:
     def test_start_outside_trace(self, start):
         with pytest.raises(ProfileExhaustedError, match="outside the trace"):
             integrate_download(constant(100.0), start, 1.0)
+
+    def test_sub_ulp_download_names_the_call(self):
+        # 1e-5 s is below one ulp of a clock at 1e12 s
+        profile = BandwidthProfile(((0.0, 1e6),), math.inf)
+        with pytest.raises(InvalidParameterError,
+                           match=r"size_kbit 10\.0 from start_s 1e\+?12 "
+                                 r"downloads in less than one ulp"):
+            integrate_download(profile, 1e12, 10.0)
 
 
 class TestBreakpointReads:
@@ -258,6 +267,62 @@ class TestDegenerateSession:
         with pytest.raises(InvalidParameterError,
                            match="a 20 s session needs more than 39 buffer"):
             run_session(short, SimConfig(total_segments=10))
+
+
+class TestBufferCorners:
+    """The buffer series holds corners, and buffer_samples adds the ticks."""
+
+    def test_expansion_hand_example(self):
+        corners = ((0.0, 0.0), (1.0, 2.0), (2.25, 0.0))
+        assert list(buffer_samples(corners)) == [
+            (0.0, 0.0), (0.5, 0.0), (1.0, 2.0), (1.5, 1.5), (2.0, 1.0),
+            (2.25, 0.0)]
+
+    def test_a_drain_below_zero_holds_at_zero(self):
+        corners = ((0.0, 0.0), (0.2, 0.6), (2.2, 0.0))
+        assert [level for _, level in buffer_samples(corners)] == [
+            0.0, 0.6, 0.3, 0.0, 0.0, 0.0, 0.0]
+
+    def test_a_full_series_expands_to_itself(self, varied_trace):
+        full = tuple(buffer_samples(varied_trace.buffer_series))
+        assert len(full) > 2 * len(varied_trace.buffer_series)
+        assert tuple(buffer_samples(full)) == full
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 1e12])
+    def test_time_beyond_the_cap_refused(self, t):
+        samples = buffer_samples(((0.0, 0.0), (t, 1.0)))
+        assert next(samples) == (0.0, 0.0)
+        with pytest.raises(InvalidParameterError, match="finite and at most"):
+            next(samples)
+
+    def check_expansion(self, trace, max_buffer_s):
+        # streamed: the near-cap expansion holds a million points
+        previous = -math.inf
+        count = 0
+        for t, level in buffer_samples(trace.buffer_series):
+            assert previous <= t
+            assert 0.0 <= level <= max_buffer_s + 1e-9
+            previous = t
+            count += 1
+        assert previous == trace.wall_time_s
+        return count
+
+    def test_corners_per_segment_on_a_long_session(self):
+        profile = synthesize_profile("test1", 1, 24000.0)
+        cfg = SimConfig(total_segments=1000)
+        trace = run_session(profile, cfg)
+        assert len(trace.buffer_series) <= 3 * cfg.total_segments + 2
+        assert self.check_expansion(trace, cfg.max_buffer_s) > \
+            trace.wall_time_s / sim.BUFFER_TICK_S
+
+    def test_corners_per_segment_near_the_sample_cap(self):
+        # five 1e5 s segments: a 5e5 s wall time, a million ticks
+        profile = BandwidthProfile(((0.0, 1e9),), math.inf)
+        cfg = SimConfig(ladder=BitrateLadder(segment_duration_s=1e5),
+                        max_buffer_s=1e6, total_segments=5)
+        trace = run_session(profile, cfg)
+        assert len(trace.buffer_series) <= 3 * cfg.total_segments + 2
+        assert self.check_expansion(trace, cfg.max_buffer_s) > 1e6
 
 
 RECORD_FIELDS = dict(

@@ -5,8 +5,9 @@ single-client loop it replaced is frozen below as the reference, with the
 piece walk that timed its downloads (the library's `integrate_download`
 now runs the engine, so it cannot be the reference). Both must agree on
 every decision exactly and on every time to 1e-9 s. The buffer replay is
-also checked against its own former version, frozen below too, and must
-match it exactly.
+also checked against its own former version, frozen below too: the
+replay now keeps the trajectory's corners, and `buffer_samples` must
+expand them into exactly the series the frozen version sampled.
 """
 
 import dataclasses
@@ -16,12 +17,14 @@ from bisect import bisect_right
 import pytest
 
 from affsim import (
+    BandwidthProfile,
     EstimatorConfig,
     InvalidParameterError,
     ProfileExhaustedError,
     SegmentRecord,
     SessionTrace,
     SimConfig,
+    buffer_samples,
     decide,
     estimator_new,
     estimator_update,
@@ -219,8 +222,9 @@ def assert_same_session(new, old, ladder):
     for name in ("startup_delay_s", "wall_time_s", "idle_full_s"):
         assert getattr(new, name) == pytest.approx(getattr(old, name),
                                                    abs=TOL), name
-    assert len(new.buffer_series) == len(old.buffer_series)
-    for a, b in zip(new.buffer_series, old.buffer_series):
+    new_series = tuple(buffer_samples(new.buffer_series))
+    assert len(new_series) == len(old.buffer_series)
+    for a, b in zip(new_series, old.buffer_series):
         assert a == pytest.approx(b, abs=TOL)
 
     new_rep, old_rep = summarize(new, ladder), summarize(old, ladder)
@@ -269,9 +273,49 @@ def test_buffer_replay_matches_reference_exactly():
         trace = run_session(profile, cfg)
         room = cfg.max_buffer_s - cfg.ladder.segment_duration_s
         # repr tells -0.0 from 0.0 and prints every float exactly
-        assert repr(trace.buffer_series) == \
+        assert repr(tuple(buffer_samples(trace.buffer_series))) == \
             repr(reference_buffer_series(trace, room))
         stalls += len(trace.stalls)
         waits += trace.idle_full_s > 0.0
     # the cases exercise both branches of the replay
     assert stalls > 100 and waits > 100, (stalls, waits)
+
+
+def test_buffer_replay_holds_and_grid_corners_match_reference():
+    # a rebuffer target above one segment holds the buffer above zero
+    # through a download, and round rates land corners on the tick grid:
+    # the replay keeps those ticks as points of their own
+    rng = random.Random(2025)
+    holds = on_grid = 0
+    for case in range(200):
+        if case % 2:
+            profile = _random_profile(rng)
+        else:
+            profile = synthesize_profile("test3", case, 720.0)
+        seg = 2.0
+        max_buffer_s = rng.choice((10.0, 30.0))
+        cfg = SimConfig(max_buffer_s=max_buffer_s,
+                        rebuffer_target_s=rng.uniform(seg, max_buffer_s),
+                        total_segments=rng.randint(5, 60))
+        trace = run_session(profile, cfg)
+        room = cfg.max_buffer_s - seg
+        expected = reference_buffer_series(trace, room)
+        assert repr(tuple(buffer_samples(trace.buffer_series))) == \
+            repr(expected)
+        # a segment that lands inside a stall leaves it open
+        holds += sum(1 for start, duration in trace.stalls
+                     for r in trace.records
+                     if start < r.t_complete_s < start + duration - TOL)
+    for kbps in (250.0, 500.0, 1000.0, 4000.0):
+        profile = BandwidthProfile(((0.0, kbps), (40.0, kbps / 4),
+                                    (90.0, kbps)), 1e6)
+        for target in (None, 6.0):
+            cfg = SimConfig(total_segments=60, rebuffer_target_s=target)
+            trace = run_session(profile, cfg)
+            expected = reference_buffer_series(trace, cfg.max_buffer_s - 2.0)
+            assert repr(tuple(buffer_samples(trace.buffer_series))) == \
+                repr(expected)
+            times = {t for t, _ in trace.buffer_series}
+            on_grid += sum(1 for t, _ in expected
+                           if t in times and t % BUFFER_TICK_S == 0.0)
+    assert holds > 10 and on_grid > 100, (holds, on_grid)
