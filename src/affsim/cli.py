@@ -48,7 +48,6 @@ def _add_session_args(p):
                    help="comma separated bitrates in kbit/s, ascending")
     p.add_argument("--panic-buffer", type=float, default=8.0)
     p.add_argument("--max-buffer", type=float, default=30.0)
-    p.add_argument("--rebuffer-target", type=float, default=None)
     p.add_argument("--initial-quality", type=int, default=0)
 
 
@@ -82,7 +81,6 @@ def _sim_config(args, name):
             forgetting_max=args.forgetting_max,
             ewma_weight=args.ewma_weight, window=args.avg_window),
         max_buffer_s=args.max_buffer,
-        rebuffer_target_s=args.rebuffer_target,
         total_segments=args.segments)
 
 
@@ -94,8 +92,12 @@ def _build_profile(args, default_synth_duration):
         return synthesize_profile(args.synth, args.seed, duration)
     if args.profile in BUILTIN_PROFILES:
         return BUILTIN_PROFILES[args.profile]()
-    with open(args.profile) as fh:
-        return load_profile(fh, args.duration)
+    try:
+        with open(args.profile, encoding="utf-8") as fh:
+            return load_profile(fh, args.duration)
+    except UnicodeDecodeError:
+        raise AffSimError("profile %r is not UTF-8 text" % (args.profile,)) \
+            from None
 
 
 def _synth_span(args):

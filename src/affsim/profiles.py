@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import (InvalidParameterError, OutOfRangeError,
-                     ProfileParseError, ProfileValidationError)
+                     ProfileParseError, ProfileValidationError, check_int)
 
 
 @dataclass(frozen=True)
@@ -182,6 +182,7 @@ def synthesize_profile(kind, seed, duration_s):
         raise InvalidParameterError(
             "duration_s must lie in [%g, %d], got %r"
             % (MIN_SYNTH_DURATION_S, MAX_SYNTH_DURATION_S, duration_s))
+    check_int("seed", seed, -math.inf)
     if kind == "test4":
         return BandwidthProfile(
             ((0.0, TEST4_HIGH_KBPS), (duration_s / 2.0, TEST4_LOW_KBPS)),

@@ -173,13 +173,23 @@ def export(obj, fmt, destination=None):
 
 
 def parse_csv_export(text):
-    """Read a CSV export back into {section: ...} (inverse of export)."""
+    """Read a CSV export back into {section: ...} (inverse of export).
+
+    Text that is not an export raises InvalidParameterError naming the
+    first bad row.
+    """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
     if header != ["section", "key", "value"]:
-        raise InvalidParameterError("not a toolkit CSV export")
+        raise InvalidParameterError(
+            "not a toolkit CSV export: header %r" % (header,))
     out = {}
-    for section, key, value in reader:
-        out.setdefault(section, [])
-        out[section].append((key, float(value)))
+    for row in reader:
+        try:
+            section, key, value = row
+            out.setdefault(section, []).append((key, float(value)))
+        except ValueError:
+            raise InvalidParameterError(
+                "CSV export line %d is not section,key,number: %r"
+                % (reader.line_num, row)) from None
     return out

@@ -3,17 +3,17 @@
 Deterministic fluid model. Each client requests segments one at a time,
 back to back, but waits while the buffer lacks one segment of room.
 Playback holds until the first segment lands, then drains the buffer one
-media second per wall second; draining to empty mid-download opens a
-stall, which closes at a completion once the buffer refills to the
-rebuffer target. Clients on one trace split its capacity equally among
-those with a download in flight. The engine steps from event to event
+media second per wall second; draining to empty mid-download stalls
+playback until that segment lands, so each stall lies inside one
+download. Clients on one trace split its capacity equally among those
+with a download in flight. The engine steps from event to event
 (request, completion, and a capacity breakpoint while a download is in
 flight) with every rate constant in between, so progress is exact; an
 idle link jumps to the next request. A stall onset is not an event: the
 rate split depends only on which downloads are in flight, so a client
-settles its own buffer drain, and any stall it opened, when its segment
-lands. A single session is the one-client case, and `integrate_download`
-is one download of it.
+settles its own buffer drain, and any stall, when its segment lands. A
+single session is the one-client case, and `integrate_download` is one
+download of it.
 """
 
 from bisect import bisect_right
@@ -46,12 +46,11 @@ class SimConfig:
     abr: AbrConfig = AbrConfig()
     estimator: EstimatorConfig = EstimatorConfig()
     max_buffer_s: float = DEFAULT_MAX_BUFFER_S
-    rebuffer_target_s: float = None  # None means one segment duration
     total_segments: int = 150
 
     def __post_init__(self):
         check_int("total_segments", self.total_segments, 1)
-        seg_dur, target = _durations(self)
+        seg_dur = self.ladder.segment_duration_s
         if not (self.max_buffer_s > self.abr.panic_buffer_s):
             raise InvalidParameterError(
                 "max_buffer_s %g must exceed panic_buffer_s %g"
@@ -60,10 +59,6 @@ class SimConfig:
             raise InvalidParameterError(
                 "max_buffer_s %g cannot hold one %g s segment"
                 % (self.max_buffer_s, seg_dur))
-        if not (0.0 < target <= self.max_buffer_s):
-            raise InvalidParameterError(
-                "rebuffer_target_s must be in (0, max_buffer_s], got %r"
-                % (target,))
         # the wall time is at least the media duration
         _check_samples(self.total_segments * seg_dur)
         decide(self.ladder, self.abr, None, 0.0, True)  # the start rung
@@ -85,18 +80,13 @@ class SegmentRecord(NamedTuple):
 @dataclass(frozen=True)
 class SessionTrace:
     records: tuple
-    stalls: tuple  # ((start_s, duration_s), ...)
+    stalls: tuple  # ((start_s, duration_s), ...), each inside one download
     startup_delay_s: float
     wall_time_s: float
     idle_full_s: float  # request time lost waiting for buffer room
     # ((t_s, level_s), ...): the corners of the buffer trajectory;
     # buffer_samples expands them into the BUFFER_TICK_S series
     buffer_series: tuple
-
-
-def _durations(cfg):
-    seg_dur, target = cfg.ladder.segment_duration_s, cfg.rebuffer_target_s
-    return seg_dur, seg_dur if target is None else target
 
 
 def integrate_download(profile, start_s, size_kbit):
@@ -128,21 +118,19 @@ class _Client:
 
     `buffer` is the level at the current request while a segment is in
     flight, and the level the next request will see otherwise. The drain
-    in between (none while a stall is open) concerns no other client, so
-    it is settled when the segment lands.
+    in between, and any stall it ends in, concerns no other client, so it
+    is settled when the segment lands.
     """
 
     def __init__(self, start_time, cfg):
         self.start_time = start_time
         self.cfg = cfg
-        self.seg_dur, self.target = _durations(cfg)
+        self.seg_dur = cfg.ladder.segment_duration_s
         self.room = cfg.max_buffer_s - self.seg_dur  # most buffer at a request
         self.update = estimator_kinds()[cfg.estimator.kind].update
         self.est_state = cfg.estimator.initial_state
         self.estimate = None
         self.buffer = 0.0
-        self.stalled = False
-        self.stall_start = 0.0
         self.next_index = 1
         self.decision = None
         self.size = 0.0
@@ -174,12 +162,11 @@ class _Client:
                 "too fast for the clock's resolution" % (self.next_index, t))
         inst = self.size / tau
         self.est_state, self.estimate = self.update(self.est_state, inst)
-        if self.next_index > 1 and not self.stalled:
+        if self.next_index > 1:
             # an onset that ties with the arrival goes to the arrival
             empty_at = self.t_request + self.buffer
             if empty_at < t:
-                self.stalled = True
-                self.stall_start = empty_at
+                self.stalls.append((empty_at, t - empty_at))
                 self.buffer = 0.0
             else:
                 self.buffer = max(0.0, self.buffer - tau)
@@ -187,11 +174,6 @@ class _Client:
         last = self.next_index == self.cfg.total_segments
         if self.next_index == 1:
             self.startup_delay = t - self.start_time
-        if self.stalled and (self.buffer >= self.target or last):
-            # a stall can only close when new media lands; at end of
-            # stream the player drains whatever it has
-            self.stalls.append((self.stall_start, t - self.stall_start))
-            self.stalled = False
         # positional: keywords nearly double the cost of building a record
         self.records.append(SegmentRecord(
             self.next_index, self.decision.quality_index, self.size,
@@ -278,56 +260,44 @@ def _buffer_series(trace, room):
     """Replay a one-client trace into the corners of its buffer series.
 
     Corners: the origin, each request, stall onset, completion and the
-    final drain. The buffer holds during stalls and drains otherwise; a
-    deferred request starts at `room`. `buffer_samples` adds the
-    BUFFER_TICK_S ticks, drained from the corner before each, so two
-    kinds of tick are kept here: one on the time of the corner it
-    precedes, and each tick of a hold above zero (a stall that one
-    segment leaves open, when rebuffer_target_s exceeds it).
+    final drain. The buffer drains between corners, from zero through a
+    stall; a deferred request starts at `room`. `buffer_samples` adds
+    the BUFFER_TICK_S ticks, drained from the corner before each, so the
+    only tick kept here is one on the time of the corner it precedes.
     """
     series = [(0.0, 0.0)]
     emit = series.append
     t = level = 0.0
 
-    def advance(to_t, draining):
-        # move the clock; a hold at zero is a drain from zero
+    def advance(to_t):
+        # drain the buffer up to to_t
         nonlocal t, level
         if to_t <= t:
             return
-        if draining or not level > 0.0:
-            # `x if x > 0.0 else 0.0` is max(0.0, x), -0.0 and NaN included
-            x = level - (to_t - t)
-            level = x if x > 0.0 else 0.0
-            if to_t % BUFFER_TICK_S == 0.0:
-                emit((to_t, level))
-        else:
-            tick = (t // BUFFER_TICK_S + 1.0) * BUFFER_TICK_S
-            while tick <= to_t:
-                emit((tick, level))
-                tick += BUFFER_TICK_S
+        # `x if x > 0.0 else 0.0` is max(0.0, x), -0.0 and NaN included
+        x = level - (to_t - t)
+        level = x if x > 0.0 else 0.0
+        if to_t % BUFFER_TICK_S == 0.0:
+            emit((to_t, level))
         t = to_t
 
     stalls = iter(trace.stalls)
-    stall = next(stalls, None)  # the open stall, else the next one
-    stalled = False
+    stall = next(stalls, None)
     for r in trace.records:
         if level > room:
-            advance(r.t_request_s, draining=True)
+            advance(r.t_request_s)
             level = room
         emit((t, level))
-        if not stalled and stall is not None and stall[0] < r.t_complete_s:
-            advance(stall[0], draining=True)
+        if stall is not None and stall[0] < r.t_complete_s:
+            # the stall inside this download
+            advance(stall[0])
             level = 0.0
-            stalled = True
             emit((t, 0.0))
-        advance(r.t_complete_s, draining=not stalled)
-        level = r.buffer_after_s
-        # the engine computed the duration as this same difference
-        if stalled and r.t_complete_s - stall[0] >= stall[1]:
-            stalled = False
             stall = next(stalls, None)
+        advance(r.t_complete_s)
+        level = r.buffer_after_s
         emit((t, level))
-    advance(t + level, draining=True)
+    advance(t + level)
     emit((t, 0.0))
     return tuple(series)
 

@@ -147,6 +147,18 @@ class TestErrorPaths:
         assert captured.err.startswith("error:")
         assert "line 3" in captured.err
 
+    @pytest.mark.parametrize("command", ["run", "compare", "fairness",
+                                         "stats"])
+    def test_profile_not_utf8(self, capsys, tmp_path, command):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"\xff\xfe\x00x\n")
+        rc = main([command, "--profile", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: profile %r is not UTF-8 text" % (str(path),)]
+
     def test_missing_file(self, capsys):
         rc = main(["run", "--profile", "/no/such/trace.csv"])
         captured = capsys.readouterr()
@@ -284,12 +296,9 @@ class TestErrorPaths:
         ["run", "--synth", "test1", "--forgetting-max", "nan"],
         ["run", "--synth", "test1", "--estimator", "ewma",
          "--ewma-weight", "nan"],
-        ["run", "--synth", "test1", "--rebuffer-target", "nan"],
-        ["run", "--synth", "test1", "--rebuffer-target", "inf"],
         ["run", "--synth", "test1", "--max-buffer", "nan"],
     ], ids=["step-size-nan", "forgetting-min-nan", "forgetting-max-nan",
-            "ewma-weight-nan", "rebuffer-target-nan", "rebuffer-target-inf",
-            "max-buffer-nan"])
+            "ewma-weight-nan", "max-buffer-nan"])
     def test_degenerate_option_exits_one(self, capsys, argv):
         rc = main(argv)
         captured = capsys.readouterr()

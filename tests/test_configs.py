@@ -135,7 +135,6 @@ ESTIMATORS = fields({
     "window": (ordinary(3, 1), HOSTILE)})
 SIMS = fields({
     "max_buffer_s": (ordinary(30.0, 10.0), HOSTILE),
-    "rebuffer_target_s": (ordinary(None, 2.0, 4.0), HOSTILE),
     "total_segments": (ordinary(1, 3, 5, 150), HOSTILE)})
 FAIRNESS = fields({
     "n_clients": (ordinary(2, 3, 10), HOSTILE),

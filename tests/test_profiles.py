@@ -254,6 +254,12 @@ class TestSynthesize:
         with pytest.raises(InvalidParameterError):
             synthesize_profile("test9", 0, 600.0)
 
+    @pytest.mark.parametrize("seed", [float("nan"), 1.5, True, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float seed was once formatted with %d, so 1.5 gave seed 1's trace
+        with pytest.raises(InvalidParameterError, match="seed"):
+            synthesize_profile("test1", seed, 600.0)
+
     def test_too_short_duration_rejected(self):
         with pytest.raises(InvalidParameterError):
             synthesize_profile("test1", 0, 59.0)

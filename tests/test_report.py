@@ -254,3 +254,13 @@ class TestExport:
             export(self.report, "yaml")
         with pytest.raises(InvalidParameterError):
             parse_csv_export("foo,bar,baz\n1,2,3\n")
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "header None"),
+        ("section,key,value\nsummary,jfi\n", r"line 2 .*'summary', 'jfi'"),
+        ("section,key,value\nsummary,jfi,0.5\nsummary,jfi,high\n",
+         r"line 3 .*'high'"),
+    ], ids=["empty", "two-fields", "non-numeric"])
+    def test_malformed_csv_export_names_the_row(self, text, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            parse_csv_export(text)

@@ -26,9 +26,14 @@ from affsim import (
     synthesize_profile,
 )
 from affsim.errors import InvalidParameterError
-from affsim.sim import _durations, _run_shared
+from affsim.sim import _run_shared
 
 TOL = 1e-9
+
+
+def _durations(cfg):
+    # the references' segment duration and rebuffer target, one segment
+    return cfg.ladder.segment_duration_s, cfg.ladder.segment_duration_s
 
 
 WAITING = "waiting"
