@@ -62,22 +62,23 @@ class Decision(NamedTuple):
     reason: str
 
 
-def select_bitrate(ladder, estimate):
+def select_bitrate(ladder, estimate_kbps):
     """Highest rung whose bitrate does not exceed the estimate.
 
     An estimate below the whole ladder still returns the lowest rung; there
     is no abstention.
     """
-    rungs, v = ladder.bitrates_kbps, estimate.value_kbps
+    rungs = ladder.bitrates_kbps
     i = len(rungs) - 1
-    while i and not rungs[i] <= v:
+    while i and not rungs[i] <= estimate_kbps:
         i -= 1
     return Decision(i, REASON_THROUGHPUT)
 
 
-def decide(ladder, cfg, estimate, buffer_level_s, is_first_segment):
-    """Full per-request rule: startup rung, then panic floor, then estimate."""
-    if is_first_segment:
+def decide(ladder, cfg, estimate_kbps, buffer_level_s):
+    """Full per-request rule: the start rung while no estimate exists (the
+    first request), then the panic floor, then the estimate."""
+    if estimate_kbps is None:
         if cfg.initial_quality_index >= len(ladder.bitrates_kbps):
             raise InvalidParameterError(
                 "initial_quality_index %d outside ladder of %d rungs"
@@ -85,7 +86,4 @@ def decide(ladder, cfg, estimate, buffer_level_s, is_first_segment):
         return Decision(cfg.initial_quality_index, REASON_STARTUP)
     if buffer_level_s < cfg.panic_buffer_s:
         return Decision(0, REASON_BUFFER_PANIC)
-    if estimate is None:
-        raise InvalidParameterError(
-            "a throughput estimate is required after the first segment")
-    return select_bitrate(ladder, estimate)
+    return select_bitrate(ladder, estimate_kbps)

@@ -3,7 +3,9 @@
 All three estimators, listed in `estimator_kinds`, share one calling
 convention: build an initial state once, then fold it over per-segment
 throughputs, floats in kbit/s. Each update returns the successor state and
-the new estimate, so states are plain values to store, replay and compare.
+the new estimate in kbit/s, so states are plain values to store, replay
+and compare. A sample that would take the estimate (or AFF's factor) past
+the largest float raises InvalidSampleError.
 """
 
 from dataclasses import dataclass, field
@@ -25,9 +27,9 @@ def _check(value):
             "throughput must be positive and finite, got %r" % (value,))
 
 
-# one per sample: a NamedTuple builds faster than a frozen dataclass
-class Estimate(NamedTuple):
-    value_kbps: float
+def _overflow(value):
+    raise InvalidSampleError(
+        "throughput %r overflows the estimator state" % (value,))
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,8 @@ def aff_update(state, value):
     weighted_sum = f * state.weighted_sum + value
     weight = f * state.weight + 1.0
     estimate = weighted_sum / weight
+    if not estimate < inf:
+        _overflow(value)
     error = estimate - value
     # d(estimate)/d(factor) by the quotient rule over the two accumulators
     grad = (sum_grad * weight - weight_grad * weighted_sum) / (weight * weight)
@@ -94,11 +98,13 @@ def aff_update(state, value):
         f_next = state.forgetting_min
     elif f_next > state.forgetting_max:
         f_next = state.forgetting_max
+    elif f_next != f_next:  # NaN passes both clamps
+        _overflow(value)
     # positional: keywords nearly double the cost of a frozen __init__
     next_state = AffState(
         weighted_sum, weight, f_next, sum_grad, weight_grad, state.step_size,
         state.forgetting_min, state.forgetting_max, state.n + 1)
-    return next_state, Estimate(estimate)
+    return next_state, estimate
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,7 @@ def ewma_update(state, value):
         estimate = value
     else:
         estimate = state.weight * value + (1.0 - state.weight) * state.estimate
-    return EwmaState(state.weight, estimate, state.n + 1), Estimate(estimate)
+    return EwmaState(state.weight, estimate, state.n + 1), estimate
 
 
 @dataclass(frozen=True)
@@ -142,8 +148,9 @@ def sliding_mean_update(state, value):
     _check(value)
     window = (state.window + (value,))[-state.capacity:]
     estimate = sum(window) / len(window)
-    return (SlidingMeanState(window, state.capacity, state.n + 1),
-            Estimate(estimate))
+    if not estimate < inf:
+        _overflow(value)
+    return SlidingMeanState(window, state.capacity, state.n + 1), estimate
 
 
 class EstimatorKind(NamedTuple):
@@ -154,7 +161,7 @@ class EstimatorKind(NamedTuple):
     label: str
     state: type
     new: object  # EstimatorConfig -> initial state
-    update: object  # (state, kbit/s) -> (next state, Estimate)
+    update: object  # (state, kbit/s) -> (next state, estimate in kbit/s)
 
 
 def estimator_kinds():
@@ -187,19 +194,16 @@ class EstimatorConfig:
     initial_state: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):  # checks only the knobs this kind reads
-        object.__setattr__(self, "initial_state", estimator_new(self))
+        # compared, not looked up, so an unhashable kind is refused too
+        for key, entry in estimator_kinds().items():
+            if self.kind == key:
+                object.__setattr__(self, "initial_state", entry.new(self))
+                return
+        raise InvalidParameterError("unknown estimator kind %r" % (self.kind,))
 
     @property
     def label(self):
         return estimator_kinds()[self.kind].label.format_map(vars(self))
-
-
-def estimator_new(cfg):
-    # compared, not looked up, so an unhashable kind is refused too
-    for key, entry in estimator_kinds().items():
-        if cfg.kind == key:
-            return entry.new(cfg)
-    raise InvalidParameterError("unknown estimator kind %r" % (cfg.kind,))
 
 
 def estimator_update(state, value):

@@ -84,6 +84,10 @@ def run_fairness(cfg):
         sum(r.size_kbit for r in tr.records
             if w_lo <= r.t_complete_s <= w_hi) / span
         for tr in traces)
+    if not any(per_client):
+        raise InvalidParameterError(
+            "no client completed a segment inside the window [%g, %g]"
+            % (w_lo, w_hi))
     return FairnessResult(
         per_client_avg_kbps=per_client,
         jfi=jain_index(per_client),

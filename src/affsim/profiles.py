@@ -53,7 +53,8 @@ class BandwidthProfile:
 def load_profile(source, duration_s=None):
     """Parse `time_s,bandwidth_kbps` rows into a profile.
 
-    `source` is a string or an iterable of lines. Blank lines and lines
+    `source` is a string or an iterable of lines. One byte order mark
+    (U+FEFF) opening the first line is dropped. Blank lines and lines
     starting with '#' are skipped. A leading header row is tolerated when
     its first field is not numeric. Any other unparseable row raises
     ProfileParseError with its 1-based line number.
@@ -64,6 +65,8 @@ def load_profile(source, duration_s=None):
     inf = math.inf
     header_seen = False
     for line_no, raw in enumerate(lines, 1):
+        if line_no == 1:
+            raw = raw.removeprefix("\ufeff")  # a UTF-8 byte order mark
         line = raw.strip()
         if not line or line[0] == "#":
             continue

@@ -61,7 +61,7 @@ class SimConfig:
                 % (self.max_buffer_s, seg_dur))
         # the wall time is at least the media duration
         _check_samples(self.total_segments * seg_dur)
-        decide(self.ladder, self.abr, None, 0.0, True)  # the start rung
+        decide(self.ladder, self.abr, None, 0.0)  # the start rung
 
 
 # one per segment: a NamedTuple builds faster than a frozen dataclass
@@ -143,7 +143,7 @@ class _Client:
 
     def issue(self, t):
         self.decision = decide(self.cfg.ladder, self.cfg.abr, self.estimate,
-                               self.buffer, self.next_index == 1)
+                               self.buffer)
         rung = self.cfg.ladder.bitrates_kbps[self.decision.quality_index]
         self.size = rung * self.seg_dur
         self.t_request = t
@@ -177,7 +177,7 @@ class _Client:
         # positional: keywords nearly double the cost of building a record
         self.records.append(SegmentRecord(
             self.next_index, self.decision.quality_index, self.size,
-            self.t_request, t, inst, self.estimate.value_kbps, self.buffer,
+            self.t_request, t, inst, self.estimate, self.buffer,
             self.decision.reason))
         self.next_index += 1
         if last:

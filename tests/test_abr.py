@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from affsim import (
     AbrConfig,
     BitrateLadder,
-    Estimate,
     InvalidParameterError,
     REASON_BUFFER_PANIC,
     REASON_STARTUP,
@@ -34,46 +33,50 @@ class TestSelectBitrate:
         (1e9, 3),
     ])
     def test_threshold_table(self, estimate, index):
-        d = select_bitrate(LADDER, Estimate(estimate))
+        d = select_bitrate(LADDER, estimate)
         assert d.quality_index == index
         assert d.reason == REASON_THROUGHPUT
 
     def test_single_rung_ladder(self):
         one = BitrateLadder((800.0,), 2.0)
-        assert select_bitrate(one, Estimate(100.0)).quality_index == 0
-        assert select_bitrate(one, Estimate(9999.0)).quality_index == 0
+        assert select_bitrate(one, 100.0).quality_index == 0
+        assert select_bitrate(one, 9999.0).quality_index == 0
 
 
 class TestDecide:
     def test_first_segment_uses_configured_rung(self):
-        d = decide(LADDER, CFG, None, 0.0, True)
+        d = decide(LADDER, CFG, None, 0.0)
         assert (d.quality_index, d.reason) == (0, REASON_STARTUP)
 
     def test_first_segment_honours_other_initial_rung(self):
         cfg = AbrConfig(initial_quality_index=2)
-        d = decide(LADDER, cfg, None, 0.0, True)
+        d = decide(LADDER, cfg, None, 0.0)
         assert (d.quality_index, d.reason) == (2, REASON_STARTUP)
 
     def test_initial_rung_outside_ladder_rejected(self):
         cfg = AbrConfig(initial_quality_index=4)
         with pytest.raises(InvalidParameterError):
-            decide(LADDER, cfg, None, 0.0, True)
+            decide(LADDER, cfg, None, 0.0)
 
     def test_low_buffer_forces_lowest_rung(self):
-        d = decide(LADDER, CFG, Estimate(2500.0), 7.9, False)
+        d = decide(LADDER, CFG, 2500.0, 7.9)
         assert (d.quality_index, d.reason) == (0, REASON_BUFFER_PANIC)
 
     def test_panic_threshold_is_strict(self):
-        d = decide(LADDER, CFG, Estimate(2500.0), 8.0, False)
+        d = decide(LADDER, CFG, 2500.0, 8.0)
         assert (d.quality_index, d.reason) == (3, REASON_THROUGHPUT)
 
     def test_comfortable_buffer_follows_estimate(self):
-        d = decide(LADDER, CFG, Estimate(2500.0), 12.0, False)
+        d = decide(LADDER, CFG, 2500.0, 12.0)
         assert (d.quality_index, d.reason) == (3, REASON_THROUGHPUT)
 
-    def test_missing_estimate_after_startup_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            decide(LADDER, CFG, None, 20.0, False)
+    def test_no_estimate_gets_start_rung_below_panic_threshold(self):
+        # no estimate exists before the first segment lands, whatever the
+        # buffer level
+        d = decide(LADDER, CFG, None, 0.5)
+        assert (d.quality_index, d.reason) == (0, REASON_STARTUP)
+        d = decide(LADDER, AbrConfig(initial_quality_index=2), None, 0.5)
+        assert (d.quality_index, d.reason) == (2, REASON_STARTUP)
 
 
 class TestLadderValidation:
@@ -128,8 +131,8 @@ class TestProperties:
     @settings(max_examples=300, deadline=None)
     def test_monotone_in_estimate(self, ladder, a, b):
         lo, hi = sorted((a, b))
-        assert select_bitrate(ladder, Estimate(lo)).quality_index \
-            <= select_bitrate(ladder, Estimate(hi)).quality_index
+        assert select_bitrate(ladder, lo).quality_index \
+            <= select_bitrate(ladder, hi).quality_index
 
     @given(ladders, estimates, st.integers(min_value=-6, max_value=6))
     @settings(max_examples=300, deadline=None)
@@ -141,8 +144,8 @@ class TestProperties:
         scaled = BitrateLadder(
             tuple(b * s for b in ladder.bitrates_kbps),
             ladder.segment_duration_s)
-        assert select_bitrate(ladder, Estimate(estimate)).quality_index \
-            == select_bitrate(scaled, Estimate(estimate * s)).quality_index
+        assert select_bitrate(ladder, estimate).quality_index \
+            == select_bitrate(scaled, estimate * s).quality_index
 
     @given(ladders, estimates)
     @settings(max_examples=300, deadline=None)
@@ -151,11 +154,11 @@ class TestProperties:
         for i, b in enumerate(ladder.bitrates_kbps):
             if b <= estimate:
                 best = i
-        assert select_bitrate(ladder, Estimate(estimate)).quality_index == best
+        assert select_bitrate(ladder, estimate).quality_index == best
 
     @given(ladders, estimates,
            st.floats(min_value=0.0, max_value=7.999))
     @settings(max_examples=200, deadline=None)
     def test_panic_dominates_any_estimate(self, ladder, estimate, buffer_s):
-        d = decide(ladder, CFG, Estimate(estimate), buffer_s, False)
+        d = decide(ladder, CFG, estimate, buffer_s)
         assert (d.quality_index, d.reason) == (0, REASON_BUFFER_PANIC)

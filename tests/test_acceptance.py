@@ -54,7 +54,7 @@ def _aff_estimates(samples, **kwargs):
     out = []
     for x in samples:
         state, est = aff_update(state, x)
-        out.append(est.value_kbps)
+        out.append(est)
     return state, out
 
 
@@ -67,7 +67,7 @@ def _pinned_aff_estimate(samples, factor):
     for x in samples:
         state, est = aff_update(state, x)
         state = dataclasses.replace(state, forgetting=factor)
-        value = est.value_kbps
+        value = est
     return state, value
 
 
@@ -123,7 +123,7 @@ class TestEstimatorOracles:
             got = None
             for x in samples:
                 state, est = ewma_update(state, x)
-                got = est.value_kbps
+                got = est
             n = len(samples)
             closed = (1.0 - alpha) ** (n - 1) * samples[0] + alpha * sum(
                 (1.0 - alpha) ** (n - i) * samples[i - 1]
@@ -141,7 +141,7 @@ class TestEstimatorOracles:
             for i, x in enumerate(samples):
                 state, est = sliding_mean_update(state, x)
                 tail = samples[max(0, i + 1 - window):i + 1]
-                if est.value_kbps != sum(tail) / len(tail):
+                if est != sum(tail) / len(tail):
                     problems.append("sliding mean mismatch")
                     break
 
@@ -164,7 +164,7 @@ class TestStepResponse:
         for i, x in enumerate(samples):
             state, est = aff_update(state, x)
             if i >= 20:
-                aff_estimates.append(est.value_kbps)
+                aff_estimates.append(est)
                 if clamp_at is None and state.forgetting == 0.6:
                     clamp_at = i - 20 + 1
 
@@ -173,7 +173,7 @@ class TestStepResponse:
         for i, x in enumerate(samples):
             e_state, est = ewma_update(e_state, x)
             if i >= 20:
-                ewma_estimates.append(est.value_kbps)
+                ewma_estimates.append(est)
 
         aff_n = _settle_count(aff_estimates, 600.0)
         ewma_n = _settle_count(ewma_estimates, 600.0)

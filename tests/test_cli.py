@@ -205,6 +205,22 @@ class TestErrorPaths:
         assert lines[0].startswith("error:")
         assert "zero time" in lines[0]
 
+    @pytest.mark.parametrize("estimator", ["aff", "avg3"])
+    def test_overflowing_estimate_exits_one(self, capsys, tmp_path,
+                                            estimator):
+        # two 1.5e308 kbit/s samples sum past the largest float
+        path = tmp_path / "huge.csv"
+        path.write_text("0,1.5e308\n")
+        trace = tmp_path / "t.csv"
+        rc = main(["run", "--profile", str(path), "--segments", "5",
+                   "--estimator", estimator, "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: throughput 1.5e+308 overflows the estimator state"]
+        assert not trace.exists()
+
     def test_infinite_fairness_window_end(self, capsys, tmp_path):
         path = tmp_path / "open.csv"
         path.write_text("0,2500\n")

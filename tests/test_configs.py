@@ -79,7 +79,7 @@ def test_start_rung_check_keeps_the_message_of_decide():
     with pytest.raises(InvalidParameterError) as built:
         SimConfig(abr=abr, ladder=ladder)
     with pytest.raises(InvalidParameterError) as decided:
-        decide(ladder, abr, None, 0.0, True)
+        decide(ladder, abr, None, 0.0)
     assert str(built.value) == str(decided.value) == (
         "initial_quality_index 1 outside ladder of 1 rungs")
 

@@ -7,6 +7,7 @@ numeric oracle before the package was written and are frozen here.
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from affsim import (
     AffState,
     EstimatorConfig,
-    Estimate,
     EwmaState,
     InvalidParameterError,
     InvalidSampleError,
@@ -23,7 +23,6 @@ from affsim import (
     aff_new,
     aff_update,
     estimator_kinds,
-    estimator_new,
     estimator_update,
     ewma_new,
     ewma_update,
@@ -49,7 +48,7 @@ def run_updates(state, values):
     estimates = []
     for v in values:
         state, est = estimator_update(state, v)
-        estimates.append(est.value_kbps)
+        estimates.append(est)
     return state, estimates
 
 
@@ -104,7 +103,7 @@ class TestAffFixedPoint:
             for i in range(1, 51):
                 state, est = aff_update(state, c)
                 assert state.forgetting == 1.0
-            assert est.value_kbps == pytest.approx(c, rel=1e-12)
+            assert est == pytest.approx(c, rel=1e-12)
 
     def test_integer_constants_give_bit_exact_estimates(self):
         # integer sums divided by integer counts are exact in binary floats
@@ -112,7 +111,7 @@ class TestAffFixedPoint:
             state = aff_new()
             for i in range(1, 101):
                 state, est = aff_update(state, c)
-                assert est.value_kbps == c
+                assert est == c
 
     def test_random_constants_pin_factor_and_estimate(self):
         rng = random.Random(1234)
@@ -122,7 +121,7 @@ class TestAffFixedPoint:
             for i in range(1, 21):
                 state, est = aff_update(state, c)
             assert state.forgetting == 1.0
-            assert est.value_kbps == pytest.approx(c, rel=1e-12)
+            assert est == pytest.approx(c, rel=1e-12)
 
 
 class TestAffGradient:
@@ -138,7 +137,7 @@ class TestAffGradient:
         for v in values:
             state, est = aff_update(state, v)
             state = dataclasses.replace(state, forgetting=factor)
-        return est.value_kbps
+        return est
 
     def test_accumulators_match_central_differences(self):
         eps = 1e-6
@@ -166,7 +165,7 @@ class TestAffGradient:
 class TestEwma:
     def test_seeds_with_first_sample(self):
         _, est = ewma_update(ewma_new(), 1234.5)
-        assert est.value_kbps == 1234.5
+        assert est == 1234.5
 
     def test_matches_closed_form(self):
         rng = random.Random(7)
@@ -208,24 +207,24 @@ class TestSlidingMean:
 
 class TestDispatch:
     def test_config_builds_matching_state(self):
-        assert isinstance(estimator_new(EstimatorConfig(kind="aff")), AffState)
-        assert isinstance(estimator_new(EstimatorConfig(kind="ewma")),
+        assert isinstance(EstimatorConfig(kind="aff").initial_state, AffState)
+        assert isinstance(EstimatorConfig(kind="ewma").initial_state,
                           EwmaState)
         assert isinstance(
-            estimator_new(EstimatorConfig(kind="sliding_mean")),
+            EstimatorConfig(kind="sliding_mean").initial_state,
             SlidingMeanState)
 
     def test_update_routes_on_state_type(self):
         for kind in ("aff", "ewma", "sliding_mean"):
-            state = estimator_new(EstimatorConfig(kind=kind))
+            state = EstimatorConfig(kind=kind).initial_state
             state, est = estimator_update(state, 800.0)
-            assert isinstance(est, Estimate)
-            assert est.value_kbps == 800.0
+            assert type(est) is float
+            assert est == 800.0
             assert state.n == 1
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
-            estimator_new(EstimatorConfig(kind="harmonic"))
+            EstimatorConfig(kind="harmonic")
         with pytest.raises(InvalidParameterError):
             estimator_update(object(), 1.0)
 
@@ -244,7 +243,7 @@ class TestDispatch:
     def test_bare_floats_accepted_as_samples(self):
         state = aff_new()
         state, est = aff_update(state, 1000.0)
-        assert est.value_kbps == 1000.0
+        assert est == 1000.0
         assert state.n == 1
 
 
@@ -288,11 +287,49 @@ class TestBareNumberPath:
     @pytest.mark.parametrize("bad", [
         0.0, -0.0, -5.0, float("nan"), float("inf"), float("-inf")])
     def test_invalid_bare_number_rejected_as_sample(self, kind, bad):
-        state = estimator_new(EstimatorConfig(kind=kind))
+        state = EstimatorConfig(kind=kind).initial_state
         with pytest.raises(InvalidSampleError) as bare:
             estimator_update(state, bad)
         assert str(bare.value) == (
             "throughput must be positive and finite, got %r" % (bad,))
+
+
+class TestOverflow:
+    """A finite sample that would push an estimate, or AFF's factor, past
+    the largest float is refused instead of leaving inf or NaN behind."""
+
+    MESSAGE = "throughput %r overflows the estimator state"
+
+    @pytest.mark.parametrize("kind", ["aff", "sliding_mean"])
+    def test_sum_past_largest_float_rejected(self, kind):
+        # for AFF the factor's step is +inf here and would clamp to 1.0,
+        # so only the estimate shows the overflow
+        state, est = estimator_update(
+            EstimatorConfig(kind=kind).initial_state, 8e307)
+        assert est == 8e307
+        with pytest.raises(InvalidSampleError) as err:
+            estimator_update(state, 1.1e308)
+        assert str(err.value) == self.MESSAGE % (1.1e308,)
+
+    def test_aff_factor_nan_rejected(self):
+        # the estimate stays 1e300, but sum_grad * weight overflows in the
+        # gradient and inf - inf would make the factor NaN
+        state = aff_new()
+        for i in range(1, 7874):
+            state, est = aff_update(state, 1e300)
+            assert est == pytest.approx(1e300, rel=1e-12)
+            assert 0.6 <= state.forgetting <= 1.0
+        with pytest.raises(InvalidSampleError) as err:
+            aff_update(state, 1e300)
+        assert str(err.value) == self.MESSAGE % (1e300,)
+
+    def test_ewma_cannot_overflow(self):
+        # a convex combination of finite samples stays finite
+        big = sys.float_info.max
+        state = ewma_new()
+        for v in (big, big / 2.0, big, big):
+            state, est = ewma_update(state, v)
+            assert est <= big
 
 
 class TestProperties:
@@ -310,13 +347,13 @@ class TestProperties:
     def test_estimates_stay_inside_sample_range(self, values):
         # every estimator is a convex combination of the samples seen
         for kind in ("aff", "ewma", "sliding_mean"):
-            state = estimator_new(EstimatorConfig(kind=kind))
+            state = EstimatorConfig(kind=kind).initial_state
             seen = []
             for v in values:
                 seen.append(v)
                 state, est = estimator_update(state, v)
                 slack = 1e-9 * max(seen)
-                assert min(seen) - slack <= est.value_kbps \
+                assert min(seen) - slack <= est \
                     <= max(seen) + slack
 
     @given(st.lists(positive_rates, min_size=1, max_size=30),
@@ -326,12 +363,12 @@ class TestProperties:
         # powers of two keep float multiplication exact
         s = 2.0 ** log2_scale
         for kind in ("ewma", "sliding_mean"):
-            a = estimator_new(EstimatorConfig(kind=kind))
-            b = estimator_new(EstimatorConfig(kind=kind))
+            a = EstimatorConfig(kind=kind).initial_state
+            b = EstimatorConfig(kind=kind).initial_state
             for v in values:
                 a, ea = estimator_update(a, v)
                 b, eb = estimator_update(b, v * s)
-                assert eb.value_kbps == ea.value_kbps * s
+                assert eb == ea * s
 
     @given(st.lists(positive_rates, min_size=1, max_size=30),
            st.integers(min_value=-8, max_value=8))
@@ -348,16 +385,16 @@ class TestProperties:
             a, ea = aff_update(a, v)
             b, eb = aff_update(b, v * s)
             if i <= 2:
-                assert eb.value_kbps == ea.value_kbps * s
+                assert eb == ea * s
             if a.forgetting != b.forgetting:
                 break
-            assert eb.value_kbps == ea.value_kbps * s
+            assert eb == ea * s
 
     @given(st.lists(positive_rates, min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_update_counters_advance(self, values):
         for kind in ("aff", "ewma", "sliding_mean"):
-            state = estimator_new(EstimatorConfig(kind=kind))
+            state = EstimatorConfig(kind=kind).initial_state
             for i, v in enumerate(values, 1):
                 state, _ = estimator_update(state, v)
                 assert state.n == i

@@ -244,6 +244,16 @@ class TestRunFairness:
             run_fairness(FairnessConfig(profile=open_ended,
                                         window=(50.0, math.inf)))
 
+    def test_window_without_completions_is_named(self):
+        # every client is done before 100 s, so no segment lands in the
+        # window; the window, not the allocations, is to blame
+        cfg = FairnessConfig(window=(100.0, 300.0),
+                             sim=SimConfig(total_segments=20))
+        with pytest.raises(InvalidParameterError) as err:
+            run_fairness(cfg)
+        assert str(err.value) == (
+            "no client completed a segment inside the window [100, 300]")
+
     def test_estimator_homogeneity_respected(self):
         sliding = dataclasses.replace(
             FairnessConfig(rng_seed=3).sim,

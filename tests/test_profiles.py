@@ -53,6 +53,25 @@ class TestLoadProfile:
         p = load_profile(iter(["0,750\n", "4,250\n"]), 8.0)
         assert p.breakpoints == ((0.0, 750.0), (4.0, 250.0))
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        # a mark opening the first data row would make it look like a
+        # header; one mark, on the first line only, is dropped
+        want = ((0.0, 1000.0), (5.0, 2000.0))
+        assert load_profile("\ufeff0,1000\n5,2000\n", 20.0).breakpoints \
+            == want
+        assert load_profile(iter(["\ufeff0,1000\n", "5,2000\n"]),
+                            20.0).breakpoints == want
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf0,1000\n5,2000\n")
+        with open(path, encoding="utf-8") as fh:
+            assert load_profile(fh, 20.0).breakpoints == want
+        with pytest.raises(ProfileValidationError, match="got 5"):
+            # the second mark still makes the first row a header
+            load_profile("\ufeff\ufeff0,1000\n5,2000\n", 20.0)
+        with pytest.raises(ProfileParseError) as err:
+            load_profile("0,1000\n\ufeff5,2000\n", 20.0)
+        assert err.value.line_no == 2
+
     def test_no_duration_means_open_ended(self):
         p = load_profile("0,1000")
         assert p.duration_s == math.inf

@@ -21,7 +21,6 @@ from affsim import (
     SessionTrace,
     SimConfig,
     decide,
-    estimator_new,
     estimator_update,
     synthesize_profile,
 )
@@ -52,7 +51,7 @@ class ReferenceClient:
         self.target = target
         self.room = cfg.max_buffer_s - seg_dur  # deepest buffer at a request
         self.state = WAITING
-        self.est_state = estimator_new(cfg.estimator)
+        self.est_state = cfg.estimator.initial_state
         self.estimate = None
         self.buffer = 0.0
         self.playing = False
@@ -72,7 +71,7 @@ class ReferenceClient:
 
     def issue(self, t):
         self.decision = decide(self.cfg.ladder, self.cfg.abr, self.estimate,
-                               self.buffer, self.next_index == 1)
+                               self.buffer)
         rung = self.cfg.ladder.bitrates_kbps[self.decision.quality_index]
         self.size = rung * self.seg_dur
         self.remaining = self.size
@@ -102,7 +101,7 @@ class ReferenceClient:
             index=self.next_index, quality_index=self.decision.quality_index,
             size_kbit=self.size, t_request_s=self.t_request,
             t_complete_s=t, instant_throughput_kbps=inst,
-            estimate_kbps=self.estimate.value_kbps, buffer_after_s=self.buffer,
+            estimate_kbps=self.estimate, buffer_after_s=self.buffer,
             decision_reason=self.decision.reason))
         self.next_index += 1
         if last:

@@ -14,7 +14,6 @@ from affsim import (
     BandwidthProfile,
     BitrateLadder,
     Decision,
-    Estimate,
     EstimatorConfig,
     FairnessConfig,
     InvalidParameterError,
@@ -352,9 +351,8 @@ class TestValueSemantics:
         (SegmentRecord, RECORD_FIELDS, "buffer_after_s"),
         (Decision, dict(quality_index=0, reason=REASON_STARTUP),
          "quality_index"),
-        (Estimate, dict(value_kbps=1.5), "value_kbps"),
     ]
-    CASE_IDS = ["SegmentRecord", "Decision", "Estimate"]
+    CASE_IDS = ["SegmentRecord", "Decision"]
 
     @pytest.mark.parametrize("cls,fields,name", CASES, ids=CASE_IDS)
     def test_fields_are_read_only(self, cls, fields, name):

@@ -26,7 +26,6 @@ from affsim import (
     SimConfig,
     buffer_samples,
     decide,
-    estimator_new,
     estimator_update,
     export,
     run_session,
@@ -81,7 +80,7 @@ def integrate_download(profile, start_s, size_kbit):
 def reference_run_session(profile, cfg):
     """The single-client loop as it stood before the engine merge."""
     seg_dur, target = _durations(cfg)
-    est_state = estimator_new(cfg.estimator)
+    est_state = cfg.estimator.initial_state
     estimate = None
 
     t = 0.0
@@ -116,7 +115,7 @@ def reference_run_session(profile, cfg):
             idle_full += wait
             advance(t + wait, draining=True)
             buffer = cfg.max_buffer_s - seg_dur
-        decision = decide(cfg.ladder, cfg.abr, estimate, buffer, index == 1)
+        decision = decide(cfg.ladder, cfg.abr, estimate, buffer)
         size = cfg.ladder.bitrates_kbps[decision.quality_index] * seg_dur
         t_request = t
         series.append((t, buffer))
@@ -147,7 +146,7 @@ def reference_run_session(profile, cfg):
         records.append(SegmentRecord(
             index=index, quality_index=decision.quality_index,
             size_kbit=size, t_request_s=t_request, t_complete_s=t_complete,
-            instant_throughput_kbps=inst, estimate_kbps=est.value_kbps,
+            instant_throughput_kbps=inst, estimate_kbps=est,
             buffer_after_s=buffer, decision_reason=decision.reason))
         series.append((t, buffer))
 
