@@ -12,9 +12,8 @@ from .errors import (AffSimError, InvalidParameterError, InvalidSampleError,
                      OutOfRangeError, ProfileExhaustedError,
                      ProfileParseError, ProfileValidationError)
 from .estimators import (AffState, EstimatorConfig, EwmaState,
-                         SlidingMeanState, aff_new, aff_update,
-                         estimator_kinds, estimator_update, ewma_new,
-                         ewma_update, sliding_mean_new, sliding_mean_update)
+                         SlidingMeanState, aff_update, estimator_kinds,
+                         estimator_update, ewma_update, sliding_mean_update)
 from .fairness import (FairnessConfig, FairnessResult, jain_index,
                        run_fairness)
 from .profiles import (BUILTIN_PROFILES, BandwidthProfile, ProfileStats,
@@ -34,11 +33,10 @@ __all__ = [
     "ProfileParseError", "ProfileStats", "REASON_BUFFER_PANIC",
     "REASON_STARTUP", "REASON_THROUGHPUT", "ProfileValidationError",
     "QoeReport", "SegmentRecord", "SessionTrace", "SimConfig",
-    "SlidingMeanState", "aff_new", "aff_update", "bandwidth_at",
-    "buffer_samples", "decide", "dump_profile", "estimator_kinds",
-    "estimator_update", "ewma_new", "ewma_update", "export", "fairness_table3",
-    "integrate_download", "jain_index", "load_profile", "parse_csv_export",
-    "profile_stats", "run_fairness", "run_session", "select_bitrate",
-    "sliding_mean_new", "sliding_mean_update", "summarize",
-    "synthesize_profile", "to_dict",
+    "SlidingMeanState", "aff_update", "bandwidth_at", "buffer_samples",
+    "decide", "dump_profile", "estimator_kinds", "estimator_update",
+    "ewma_update", "export", "fairness_table3", "integrate_download",
+    "jain_index", "load_profile", "parse_csv_export", "profile_stats",
+    "run_fairness", "run_session", "select_bitrate", "sliding_mean_update",
+    "summarize", "synthesize_profile", "to_dict",
 ]

@@ -16,15 +16,11 @@ REASON_THROUGHPUT = "throughput"
 REASON_BUFFER_PANIC = "buffer_panic"
 REASON_STARTUP = "startup"
 
-DEFAULT_BITRATES_KBPS = (250.0, 500.0, 1000.0, 2000.0)
-DEFAULT_SEGMENT_DURATION_S = 2.0
-DEFAULT_PANIC_BUFFER_S = 8.0
-
 
 @dataclass(frozen=True)
 class BitrateLadder:
-    bitrates_kbps: tuple = DEFAULT_BITRATES_KBPS
-    segment_duration_s: float = DEFAULT_SEGMENT_DURATION_S
+    bitrates_kbps: tuple = (250.0, 500.0, 1000.0, 2000.0)
+    segment_duration_s: float = 2.0
 
     def __post_init__(self):
         rungs = tuple(float(b) for b in self.bitrates_kbps)
@@ -45,7 +41,7 @@ class BitrateLadder:
 
 @dataclass(frozen=True)
 class AbrConfig:
-    panic_buffer_s: float = DEFAULT_PANIC_BUFFER_S
+    panic_buffer_s: float = 8.0
     initial_quality_index: int = 0
 
     def __post_init__(self):

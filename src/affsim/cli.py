@@ -41,23 +41,25 @@ def _add_profile_args(p, profile_required=True):
                         "open ended, synthetic ones to a generous span)")
 
 
-def _add_session_args(p):
-    p.add_argument("--segments", type=int, default=150)
-    p.add_argument("--segment-duration", type=float, default=2.0)
-    p.add_argument("--ladder", default="250,500,1000,2000",
+def _add_session_args(p, sim):
+    # each default is read from the default-built config sim
+    ladder, abr, est = sim.ladder, sim.abr, sim.estimator
+    p.add_argument("--segments", type=int, default=sim.total_segments)
+    p.add_argument("--segment-duration", type=float,
+                   default=ladder.segment_duration_s)
+    p.add_argument("--ladder",
+                   default=",".join(map(str, ladder.bitrates_kbps)),
                    help="comma separated bitrates in kbit/s, ascending")
-    p.add_argument("--panic-buffer", type=float, default=8.0)
-    p.add_argument("--max-buffer", type=float, default=30.0)
-    p.add_argument("--initial-quality", type=int, default=0)
-
-
-def _add_estimator_args(p):
-    p.add_argument("--estimator", choices=_estimators(), default="aff")
-    p.add_argument("--step-size", type=float, default=0.1)
-    p.add_argument("--forgetting-min", type=float, default=0.6)
-    p.add_argument("--forgetting-max", type=float, default=1.0)
-    p.add_argument("--ewma-weight", type=float, default=0.2)
-    p.add_argument("--avg-window", type=int, default=3,
+    p.add_argument("--panic-buffer", type=float, default=abr.panic_buffer_s)
+    p.add_argument("--max-buffer", type=float, default=sim.max_buffer_s)
+    p.add_argument("--initial-quality", type=int,
+                   default=abr.initial_quality_index)
+    p.add_argument("--estimator", choices=_estimators(), default=est.label)
+    p.add_argument("--step-size", type=float, default=est.step_size)
+    p.add_argument("--forgetting-min", type=float, default=est.forgetting_min)
+    p.add_argument("--forgetting-max", type=float, default=est.forgetting_max)
+    p.add_argument("--ewma-weight", type=float, default=est.ewma_weight)
+    p.add_argument("--avg-window", type=int, default=est.window,
                    help="sample count for the sliding mean")
 
 
@@ -90,6 +92,8 @@ def _build_profile(args, default_synth_duration):
         if duration is None:
             duration = default_synth_duration
         return synthesize_profile(args.synth, args.seed, duration)
+    if args.profile is None:  # fairness without a trace: the config's link
+        return None
     if args.profile in BUILTIN_PROFILES:
         return BUILTIN_PROFILES[args.profile]()
     try:
@@ -143,8 +147,6 @@ def _cmd_run(args):
 
 
 def _cmd_fairness(args):
-    if args.profile is None and args.synth is None:
-        args.profile = "fairness-table3"
     profile = _build_profile(args, _synth_span(args))
     try:
         window = tuple(float(x) for x in args.window.split(":"))
@@ -213,28 +215,26 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="simulate one playback session")
     _add_profile_args(p_run)
-    _add_session_args(p_run)
-    _add_estimator_args(p_run)
+    _add_session_args(p_run, SimConfig())
     _add_out_args(p_run)
     p_run.add_argument("--trace", help="write the per-segment CSV here")
     p_run.set_defaults(func=_cmd_run)
 
     p_fair = sub.add_parser("fairness",
                             help="simulate clients sharing one link")
+    fair = FairnessConfig()
     _add_profile_args(p_fair, profile_required=False)
-    _add_session_args(p_fair)
-    _add_estimator_args(p_fair)
+    _add_session_args(p_fair, fair.sim)
     _add_out_args(p_fair)
-    p_fair.add_argument("--clients", type=int, default=10)
-    p_fair.add_argument("--jitter", type=float, default=15.0)
-    p_fair.add_argument("--window", default="50:350")
-    p_fair.set_defaults(func=_cmd_fairness, segments=180)
+    p_fair.add_argument("--clients", type=int, default=fair.n_clients)
+    p_fair.add_argument("--jitter", type=float, default=fair.start_jitter_s)
+    p_fair.add_argument("--window", default="%r:%r" % fair.window)
+    p_fair.set_defaults(func=_cmd_fairness)
 
     p_cmp = sub.add_parser("compare",
                            help="run all three estimators on one trace")
     _add_profile_args(p_cmp)
-    _add_session_args(p_cmp)
-    _add_estimator_args(p_cmp)
+    _add_session_args(p_cmp, SimConfig())
     p_cmp.add_argument("--out", help="write per-method reports as JSON")
     p_cmp.set_defaults(func=_cmd_compare)
 

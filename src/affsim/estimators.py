@@ -1,11 +1,13 @@
 """Online throughput estimators for segmented media downloads.
 
 All three estimators, listed in `estimator_kinds`, share one calling
-convention: build an initial state once, then fold it over per-segment
-throughputs, floats in kbit/s. Each update returns the successor state and
-the new estimate in kbit/s, so states are plain values to store, replay
-and compare. A sample that would take the estimate (or AFF's factor) past
-the largest float raises InvalidSampleError.
+convention: `EstimatorConfig(...).initial_state` is the checked fresh
+state, and an update folds it over per-segment throughputs, floats in
+kbit/s. Each update returns the successor state and the new estimate in
+kbit/s, so states are plain values to store, replay and compare. Only AFF
+can overflow: a sample that would take its estimate or factor past the
+largest float raises InvalidSampleError. The EWMA and the sliding mean
+stay within the range of their samples.
 """
 
 from dataclasses import dataclass, field
@@ -13,13 +15,6 @@ from math import inf
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, InvalidSampleError, check_int
-
-DEFAULT_STEP_SIZE = 0.1
-DEFAULT_FORGETTING_MIN = 0.6
-DEFAULT_FORGETTING_MAX = 1.0
-DEFAULT_EWMA_WEIGHT = 0.2
-DEFAULT_WINDOW = 3
-
 
 def _check(value):
     if not 0.0 < value < inf:
@@ -48,30 +43,27 @@ class AffState:
     is what makes the gradient computable online.
     """
 
-    weighted_sum: float = 0.0
-    weight: float = 0.0
-    forgetting: float = DEFAULT_FORGETTING_MAX
-    sum_grad: float = 0.0
-    weight_grad: float = 0.0
-    step_size: float = DEFAULT_STEP_SIZE
-    forgetting_min: float = DEFAULT_FORGETTING_MIN
-    forgetting_max: float = DEFAULT_FORGETTING_MAX
-    n: int = 0
+    weighted_sum: float
+    weight: float
+    forgetting: float
+    sum_grad: float
+    weight_grad: float
+    step_size: float
+    forgetting_min: float
+    forgetting_max: float
 
 
-def aff_new(step_size=DEFAULT_STEP_SIZE,
-            forgetting_min=DEFAULT_FORGETTING_MIN,
-            forgetting_max=DEFAULT_FORGETTING_MAX):
+def _aff_new(cfg):
     """Fresh AFF state; the factor starts at its upper clamp."""
-    if not (0.0 < step_size <= 0.1):
+    lo, hi = cfg.forgetting_min, cfg.forgetting_max
+    if not (0.0 < cfg.step_size <= 0.1):
         raise InvalidParameterError(
-            "step_size must be in (0, 0.1], got %r" % (step_size,))
-    if not (0.0 < forgetting_min < forgetting_max <= 1.0):
+            "step_size must be in (0, 0.1], got %r" % (cfg.step_size,))
+    if not (0.0 < lo < hi <= 1.0):
         raise InvalidParameterError(
             "need 0 < forgetting_min < forgetting_max <= 1, got %r, %r"
-            % (forgetting_min, forgetting_max))
-    return AffState(step_size=step_size, forgetting_min=forgetting_min,
-                    forgetting_max=forgetting_max, forgetting=forgetting_max)
+            % (lo, hi))
+    return AffState(0.0, 0.0, hi, 0.0, 0.0, cfg.step_size, lo, hi)
 
 
 def aff_update(state, value):
@@ -103,22 +95,22 @@ def aff_update(state, value):
     # positional: keywords nearly double the cost of a frozen __init__
     next_state = AffState(
         weighted_sum, weight, f_next, sum_grad, weight_grad, state.step_size,
-        state.forgetting_min, state.forgetting_max, state.n + 1)
+        state.forgetting_min, state.forgetting_max)
     return next_state, estimate
 
 
 @dataclass(frozen=True)
 class EwmaState:
-    weight: float = DEFAULT_EWMA_WEIGHT
-    estimate: float = 0.0
-    n: int = 0
+    weight: float
+    estimate: float
+    n: int
 
 
-def ewma_new(weight=DEFAULT_EWMA_WEIGHT):
-    if not (0.0 < weight < 1.0):
+def _ewma_new(cfg):
+    if not (0.0 < cfg.ewma_weight < 1.0):
         raise InvalidParameterError(
-            "ewma weight must be in (0, 1), got %r" % (weight,))
-    return EwmaState(weight=weight)
+            "ewma weight must be in (0, 1), got %r" % (cfg.ewma_weight,))
+    return EwmaState(cfg.ewma_weight, 0.0, 0)
 
 
 def ewma_update(state, value):
@@ -133,24 +125,26 @@ def ewma_update(state, value):
 
 @dataclass(frozen=True)
 class SlidingMeanState:
-    window: tuple = ()
-    capacity: int = DEFAULT_WINDOW
-    n: int = 0
+    window: tuple
+    capacity: int
 
 
-def sliding_mean_new(window=DEFAULT_WINDOW):
-    check_int("window", window, 1)
-    return SlidingMeanState(capacity=window)
+def _sliding_mean_new(cfg):
+    check_int("window", cfg.window, 1)
+    return SlidingMeanState((), cfg.window)
 
 
 def sliding_mean_update(state, value):
     """Mean of the last few samples; shorter while warming up."""
     _check(value)
     window = (state.window + (value,))[-state.capacity:]
-    estimate = sum(window) / len(window)
-    if not estimate < inf:
-        _overflow(value)
-    return SlidingMeanState(window, state.capacity, state.n + 1), estimate
+    total = sum(window)
+    if total < inf:
+        estimate = total / len(window)
+    else:  # the mean fits: scaled by the largest sample, no term passes 1
+        top = max(window)
+        estimate = top * (sum(v / top for v in window) / len(window))
+    return SlidingMeanState(window, state.capacity), estimate
 
 
 class EstimatorKind(NamedTuple):
@@ -170,13 +164,10 @@ def estimator_kinds():
     each call, so a function swapped in after import (a tracer's counting
     wrapper, say) is the one that runs."""
     return {
-        "aff": EstimatorKind("aff", AffState, lambda c: aff_new(
-            c.step_size, c.forgetting_min, c.forgetting_max), aff_update),
-        "ewma": EstimatorKind("ewma", EwmaState,
-                              lambda c: ewma_new(c.ewma_weight), ewma_update),
-        "sliding_mean": EstimatorKind(
-            "avg{window}", SlidingMeanState,
-            lambda c: sliding_mean_new(c.window), sliding_mean_update),
+        "aff": EstimatorKind("aff", AffState, _aff_new, aff_update),
+        "ewma": EstimatorKind("ewma", EwmaState, _ewma_new, ewma_update),
+        "sliding_mean": EstimatorKind("avg{window}", SlidingMeanState,
+                                      _sliding_mean_new, sliding_mean_update),
     }
 
 
@@ -185,11 +176,11 @@ class EstimatorConfig:
     """Which estimator a simulation should run, plus its knobs."""
 
     kind: str = "aff"
-    step_size: float = DEFAULT_STEP_SIZE
-    forgetting_min: float = DEFAULT_FORGETTING_MIN
-    forgetting_max: float = DEFAULT_FORGETTING_MAX
-    ewma_weight: float = DEFAULT_EWMA_WEIGHT
-    window: int = DEFAULT_WINDOW
+    step_size: float = 0.1
+    forgetting_min: float = 0.6
+    forgetting_max: float = 1.0
+    ewma_weight: float = 0.2
+    window: int = 3
     # built, so checked, once; states are immutable, so sessions share it
     initial_state: object = field(init=False, repr=False, compare=False)
 

@@ -20,7 +20,7 @@ class FairnessConfig:
     n_clients: int = 10
     start_jitter_s: float = 15.0
     window: tuple = (50.0, 350.0)
-    profile: object = None  # BandwidthProfile; None picks the built-in
+    profile: object = None  # BandwidthProfile; None picks fairness_table3
     sim: SimConfig = SimConfig(total_segments=180)
     rng_seed: int = 0
 
@@ -44,6 +44,12 @@ class FairnessConfig:
                 "window must satisfy 0 <= start < end < inf, got %r"
                 % (self.window,)) from None
         check_int("rng_seed", self.rng_seed, -math.inf)
+        if self.profile is None:
+            object.__setattr__(self, "profile", fairness_table3())
+        if self.profile.duration_s < w_hi:
+            raise InvalidParameterError(
+                "profile ends at %g, before the window end %g"
+                % (self.profile.duration_s, w_hi))
 
 
 @dataclass(frozen=True)
@@ -69,16 +75,11 @@ def jain_index(values):
 
 def run_fairness(cfg):
     """Simulate cfg.n_clients identical clients and score the sharing."""
-    profile = cfg.profile if cfg.profile is not None else fairness_table3()
     w_lo, w_hi = cfg.window
-    if profile.duration_s < w_hi:
-        raise InvalidParameterError(
-            "profile ends at %g, before the window end %g"
-            % (profile.duration_s, w_hi))
     rng = random.Random(cfg.rng_seed)
     start_times = [rng.uniform(0.0, cfg.start_jitter_s)
                    for _ in range(cfg.n_clients)]
-    traces = _run_shared(profile, cfg.sim, start_times)
+    traces = _run_shared(cfg.profile, cfg.sim, start_times)
     span = w_hi - w_lo
     per_client = tuple(
         sum(r.size_kbit for r in tr.records

@@ -26,7 +26,6 @@ from .abr import AbrConfig, BitrateLadder, decide
 from .errors import InvalidParameterError, ProfileExhaustedError, check_int
 from .estimators import EstimatorConfig, estimator_kinds
 
-DEFAULT_MAX_BUFFER_S = 30.0
 BUFFER_TICK_S = 0.5
 # most expanded buffer ticks (and buffer CDF thresholds) one session may
 # need; a longer session is refused instead of filling memory
@@ -45,7 +44,7 @@ class SimConfig:
     ladder: BitrateLadder = BitrateLadder()
     abr: AbrConfig = AbrConfig()
     estimator: EstimatorConfig = EstimatorConfig()
-    max_buffer_s: float = DEFAULT_MAX_BUFFER_S
+    max_buffer_s: float = 30.0
     total_segments: int = 150
 
     def __post_init__(self):

@@ -20,16 +20,14 @@ from affsim import (
     EstimatorConfig,
     FairnessConfig,
     SimConfig,
-    ewma_new,
     ewma_update,
     run_fairness,
     run_session,
-    sliding_mean_new,
     sliding_mean_update,
     synthesize_profile,
 )
 from affsim.cli import main as cli_main
-from affsim.estimators import aff_new, aff_update
+from affsim.estimators import aff_update
 from affsim.report import summarize
 
 # Pre-build oracle constants for the step response (2000 kbps for 20
@@ -50,7 +48,7 @@ def _verdict(cap, name, ok, detail=""):
 
 
 def _aff_estimates(samples, **kwargs):
-    state = aff_new(**kwargs)
+    state = EstimatorConfig(**kwargs).initial_state
     out = []
     for x in samples:
         state, est = aff_update(state, x)
@@ -61,8 +59,8 @@ def _aff_estimates(samples, **kwargs):
 def _pinned_aff_estimate(samples, factor):
     # hold the forgetting factor constant through the whole sequence so the
     # final estimate is a clean function of that one factor
-    state = dataclasses.replace(aff_new(forgetting_min=1e-9),
-                                forgetting=factor)
+    state = dataclasses.replace(
+        EstimatorConfig(forgetting_min=1e-9).initial_state, forgetting=factor)
     value = None
     for x in samples:
         state, est = aff_update(state, x)
@@ -119,7 +117,8 @@ class TestEstimatorOracles:
         for _ in range(200):
             samples = [rng.uniform(100.0, 9000.0)
                        for _ in range(rng.randint(1, 40))]
-            state = ewma_new(alpha)
+            state = EstimatorConfig(kind="ewma",
+                                    ewma_weight=alpha).initial_state
             got = None
             for x in samples:
                 state, est = ewma_update(state, x)
@@ -137,7 +136,8 @@ class TestEstimatorOracles:
             window = rng.randint(1, 6)
             samples = [rng.uniform(100.0, 9000.0)
                        for _ in range(rng.randint(1, 30))]
-            state = sliding_mean_new(window)
+            state = EstimatorConfig(kind="sliding_mean",
+                                    window=window).initial_state
             for i, x in enumerate(samples):
                 state, est = sliding_mean_update(state, x)
                 tail = samples[max(0, i + 1 - window):i + 1]
@@ -158,7 +158,7 @@ class TestStepResponse:
     def test_step_response_ordering(self, capfd):
         samples = [2000.0] * 20 + [600.0] * 40
 
-        state = aff_new()
+        state = EstimatorConfig().initial_state
         aff_estimates = []
         clamp_at = None
         for i, x in enumerate(samples):
@@ -168,7 +168,7 @@ class TestStepResponse:
                 if clamp_at is None and state.forgetting == 0.6:
                     clamp_at = i - 20 + 1
 
-        e_state = ewma_new(0.2)
+        e_state = EstimatorConfig(kind="ewma", ewma_weight=0.2).initial_state
         ewma_estimates = []
         for i, x in enumerate(samples):
             e_state, est = ewma_update(e_state, x)

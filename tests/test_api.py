@@ -1,12 +1,14 @@
 """Names and examples other code and readers rely on must work.
 
-`affsim.__all__` is the public surface, and `bench/tracing.py` patches the
-functions it lists in `TRACED` by module and name. A deleted or renamed
-function would otherwise only show up as a failing traced benchmark run.
-The README's Python examples run as written, so they cannot go stale.
+`affsim.__all__` is the public surface. `bench/tracing.py` patches the
+functions it lists in `TRACED` by module and name, and the benchmark
+calls the package as `api.<name>`. A deleted or renamed function would
+otherwise only show up as a failing benchmark run. The README's Python
+examples run as written, so they cannot go stale.
 """
 
 import ast
+import glob
 import importlib
 import os
 import re
@@ -14,9 +16,11 @@ import re
 import pytest
 
 import affsim
+import affsim.cli
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
-TRACING = os.path.join(ROOT, "bench", "tracing.py")
+BENCH = os.path.join(ROOT, "bench")
+TRACING = os.path.join(BENCH, "tracing.py")
 README = os.path.join(ROOT, "README.md")
 
 
@@ -43,6 +47,38 @@ def test_every_public_name_resolves_once():
 @pytest.mark.parametrize("module, name, layer", traced_names())
 def test_traced_function_resolves(module, name, layer):
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def bench_api_chains():
+    """Each dotted `api.<name>...` chain the benchmark's sources use, where
+    `api` is the imported affsim package, read without running them."""
+    chains = set()
+    for path in sorted(glob.glob(os.path.join(BENCH, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        inner = {id(n.value) for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or id(node) in inner:
+                continue
+            names = []
+            while isinstance(node, ast.Attribute):
+                names.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id == "api":
+                chains.add(".".join(reversed(names)))
+    return sorted(chains)
+
+
+def test_bench_reads_the_api():
+    assert {"cli.main", "run_session", "summarize"} <= set(bench_api_chains())
+
+
+@pytest.mark.parametrize("chain", bench_api_chains())
+def test_bench_api_chain_resolves(chain):
+    obj = affsim
+    for name in chain.split("."):
+        obj = getattr(obj, name)
 
 
 def readme_python_blocks():

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import affsim
-from affsim import cli, profile_stats
+from affsim import FairnessConfig, SimConfig, cli, profile_stats
 from affsim.cli import main
 from affsim.profiles import fairness_table3
 
@@ -205,7 +205,7 @@ class TestErrorPaths:
         assert lines[0].startswith("error:")
         assert "zero time" in lines[0]
 
-    @pytest.mark.parametrize("estimator", ["aff", "avg3"])
+    @pytest.mark.parametrize("estimator", ["aff"])  # those that overflow
     def test_overflowing_estimate_exits_one(self, capsys, tmp_path,
                                             estimator):
         # two 1.5e308 kbit/s samples sum past the largest float
@@ -220,6 +220,20 @@ class TestErrorPaths:
         assert captured.err.splitlines() == [
             "error: throughput 1.5e+308 overflows the estimator state"]
         assert not trace.exists()
+
+    def test_sliding_mean_of_huge_samples_exits_zero(self, capsys,
+                                                     tmp_path):
+        # their sum passes the largest float, but their mean fits
+        path = tmp_path / "huge.csv"
+        path.write_text("0,1.5e308\n")
+        trace = tmp_path / "t.csv"
+        rc = main(["run", "--profile", str(path), "--segments", "5",
+                   "--estimator", "avg3", "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        rows = trace.read_text().splitlines()[1:]
+        assert [float(r.split(",")[6]) for r in rows] == [1.5e308] * 5
 
     def test_infinite_fairness_window_end(self, capsys, tmp_path):
         path = tmp_path / "open.csv"
@@ -378,6 +392,23 @@ class TestFairnessCommand:
         payload = json.loads(path.read_text())
         assert payload["jfi"] > 0
         assert len(payload["per_client_avg_kbps"]) == 2
+
+
+class TestDefaults:
+    """Each option default is read from a default-built config."""
+
+    def test_session_defaults_are_sim_config(self):
+        args = cli.build_parser().parse_args(["run", "--synth", "test1"])
+        assert cli._sim_config(args, args.estimator) == SimConfig()
+
+    def test_fairness_defaults_are_fairness_config(self):
+        args = cli.build_parser().parse_args(["fairness"])
+        cfg = FairnessConfig()
+        assert (args.clients, args.jitter) == (cfg.n_clients,
+                                               cfg.start_jitter_s)
+        assert tuple(map(float, args.window.split(":"))) == cfg.window
+        assert args.segments == cfg.sim.total_segments
+        assert cli._sim_config(args, args.estimator) == cfg.sim
 
 
 @pytest.fixture

@@ -238,6 +238,13 @@ class TestRunFairness:
         with pytest.raises(InvalidParameterError):
             run_fairness(FairnessConfig(window=(50.0, 500.0)))  # past end
 
+    def test_default_link_is_owned_by_the_config(self):
+        assert FairnessConfig().profile == fairness_table3()
+        with pytest.raises(InvalidParameterError) as err:
+            FairnessConfig(window=(50.0, 500.0))
+        assert str(err.value) == (
+            "profile ends at 360, before the window end 500")
+
     def test_infinite_window_end_rejected(self):
         open_ended = BandwidthProfile(((0.0, 2500.0),), math.inf)
         with pytest.raises(InvalidParameterError, match="window"):
