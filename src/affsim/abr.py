@@ -7,7 +7,7 @@ before any estimate exists.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, check_int
@@ -17,10 +17,22 @@ REASON_BUFFER_PANIC = "buffer_panic"
 REASON_STARTUP = "startup"
 
 
+# what decide returns; a ladder builds its throughput decisions once, so
+# a request builds none (a session's start rung is the one built per call)
+class Decision(NamedTuple):
+    quality_index: int
+    reason: str
+
+
+_PANIC_FLOOR = Decision(0, REASON_BUFFER_PANIC)
+
+
 @dataclass(frozen=True)
 class BitrateLadder:
     bitrates_kbps: tuple = (250.0, 500.0, 1000.0, 2000.0)
     segment_duration_s: float = 2.0
+    # Decision(i, REASON_THROUGHPUT) per rung i, for select_bitrate
+    decisions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rungs = tuple(float(b) for b in self.bitrates_kbps)
@@ -37,6 +49,8 @@ class BitrateLadder:
             raise InvalidParameterError(
                 "segment_duration_s must be positive and finite, got %r"
                 % (self.segment_duration_s,))
+        object.__setattr__(self, "decisions", tuple(
+            Decision(i, REASON_THROUGHPUT) for i in range(len(rungs))))
 
 
 @dataclass(frozen=True)
@@ -52,12 +66,6 @@ class AbrConfig:
         check_int("initial_quality_index", self.initial_quality_index, 0)
 
 
-# one per request: a NamedTuple builds faster than a frozen dataclass
-class Decision(NamedTuple):
-    quality_index: int
-    reason: str
-
-
 def select_bitrate(ladder, estimate_kbps):
     """Highest rung whose bitrate does not exceed the estimate.
 
@@ -68,7 +76,7 @@ def select_bitrate(ladder, estimate_kbps):
     i = len(rungs) - 1
     while i and not rungs[i] <= estimate_kbps:
         i -= 1
-    return Decision(i, REASON_THROUGHPUT)
+    return ladder.decisions[i]
 
 
 def decide(ladder, cfg, estimate_kbps, buffer_level_s):
@@ -81,5 +89,5 @@ def decide(ladder, cfg, estimate_kbps, buffer_level_s):
                 % (cfg.initial_quality_index, len(ladder.bitrates_kbps)))
         return Decision(cfg.initial_quality_index, REASON_STARTUP)
     if buffer_level_s < cfg.panic_buffer_s:
-        return Decision(0, REASON_BUFFER_PANIC)
+        return _PANIC_FLOOR
     return select_bitrate(ladder, estimate_kbps)

@@ -41,8 +41,9 @@ def _add_profile_args(p, profile_required=True):
                         "open ended, synthetic ones to a generous span)")
 
 
-def _add_session_args(p, sim):
-    # each default is read from the default-built config sim
+def _add_session_args(p, sim, pick_estimator=True):
+    # each default is read from the default-built config sim; compare runs
+    # every kind, so it takes no --estimator
     ladder, abr, est = sim.ladder, sim.abr, sim.estimator
     p.add_argument("--segments", type=int, default=sim.total_segments)
     p.add_argument("--segment-duration", type=float,
@@ -54,7 +55,8 @@ def _add_session_args(p, sim):
     p.add_argument("--max-buffer", type=float, default=sim.max_buffer_s)
     p.add_argument("--initial-quality", type=int,
                    default=abr.initial_quality_index)
-    p.add_argument("--estimator", choices=_estimators(), default=est.label)
+    if pick_estimator:
+        p.add_argument("--estimator", choices=_estimators(), default=est.label)
     p.add_argument("--step-size", type=float, default=est.step_size)
     p.add_argument("--forgetting-min", type=float, default=est.forgetting_min)
     p.add_argument("--forgetting-max", type=float, default=est.forgetting_max)
@@ -234,7 +236,7 @@ def build_parser():
     p_cmp = sub.add_parser("compare",
                            help="run all three estimators on one trace")
     _add_profile_args(p_cmp)
-    _add_session_args(p_cmp, SimConfig())
+    _add_session_args(p_cmp, SimConfig(), pick_estimator=False)
     p_cmp.add_argument("--out", help="write per-method reports as JSON")
     p_cmp.set_defaults(func=_cmd_compare)
 

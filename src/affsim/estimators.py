@@ -27,8 +27,7 @@ def _overflow(value):
         "throughput %r overflows the estimator state" % (value,))
 
 
-@dataclass(frozen=True)
-class AffState:
+class AffState(NamedTuple):
     """State of the adaptive forgetting factor estimator.
 
     The estimate is weighted_sum / weight, where both accumulators decay by
@@ -92,15 +91,14 @@ def aff_update(state, value):
         f_next = state.forgetting_max
     elif f_next != f_next:  # NaN passes both clamps
         _overflow(value)
-    # positional: keywords nearly double the cost of a frozen __init__
+    # positional: keywords more than double the cost of building the tuple
     next_state = AffState(
         weighted_sum, weight, f_next, sum_grad, weight_grad, state.step_size,
         state.forgetting_min, state.forgetting_max)
     return next_state, estimate
 
 
-@dataclass(frozen=True)
-class EwmaState:
+class EwmaState(NamedTuple):
     weight: float
     estimate: float
     n: int
@@ -123,8 +121,7 @@ def ewma_update(state, value):
     return EwmaState(state.weight, estimate, state.n + 1), estimate
 
 
-@dataclass(frozen=True)
-class SlidingMeanState:
+class SlidingMeanState(NamedTuple):
     window: tuple
     capacity: int
 

@@ -123,7 +123,9 @@ class _Client:
 
     def __init__(self, start_time, cfg):
         self.start_time = start_time
-        self.cfg = cfg
+        # bound once: the per-segment methods read these on every call
+        self.ladder, self.abr = cfg.ladder, cfg.abr
+        self.total_segments = cfg.total_segments
         self.seg_dur = cfg.ladder.segment_duration_s
         self.room = cfg.max_buffer_s - self.seg_dur  # most buffer at a request
         self.update = estimator_kinds()[cfg.estimator.kind].update
@@ -141,9 +143,9 @@ class _Client:
         self.stalls = []
 
     def issue(self, t):
-        self.decision = decide(self.cfg.ladder, self.cfg.abr, self.estimate,
+        self.decision = decide(self.ladder, self.abr, self.estimate,
                                self.buffer)
-        rung = self.cfg.ladder.bitrates_kbps[self.decision.quality_index]
+        rung = self.ladder.bitrates_kbps[self.decision.quality_index]
         self.size = rung * self.seg_dur
         self.t_request = t
 
@@ -170,7 +172,7 @@ class _Client:
             else:
                 self.buffer = max(0.0, self.buffer - tau)
         self.buffer += self.seg_dur
-        last = self.next_index == self.cfg.total_segments
+        last = self.next_index == self.total_segments
         if self.next_index == 1:
             self.startup_delay = t - self.start_time
         # positional: keywords nearly double the cost of building a record
@@ -209,6 +211,7 @@ def _run_shared(profile, sim_cfg, start_times):
     """
     clients = [_Client(st, sim_cfg) for st in start_times]
     bps, starts, end = profile.breakpoints, profile.starts, profile.duration_s
+    n_starts = len(starts)
     requests = [(st, cid) for cid, st in enumerate(start_times)]
     heapify(requests)
     finishing = []  # (served target, client id) per download in flight
@@ -218,7 +221,7 @@ def _run_shared(profile, sim_cfg, start_times):
     # skips the walk from t=0; the loop below fixes a start below 0
     bp_idx = bisect_right(starts, min(start_times, default=0.0))
     while requests or finishing:
-        while bp_idx < len(starts) and starts[bp_idx] <= t:
+        while bp_idx < n_starts and starts[bp_idx] <= t:
             bp_idx += 1
         # an idle link moves nothing, so only a download in flight stops
         # at a breakpoint, or at the end so it cannot outrun the trace
@@ -230,7 +233,7 @@ def _run_shared(profile, sim_cfg, start_times):
             rate = bps[bp_idx - 1][1] / len(finishing)
             if rate > 0:
                 t_done = t + (finishing[0][0] - served) / rate
-            t_bp = starts[bp_idx] if bp_idx < len(starts) else end
+            t_bp = starts[bp_idx] if bp_idx < n_starts else end
         t_wake = max(requests[0][0], t) if requests else inf
         t_next = min(t_done, t_bp, t_wake)
         if t_next == inf:

@@ -1,18 +1,28 @@
 """Quality-selection tests."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affsim import abr
 from affsim import (
     AbrConfig,
     BitrateLadder,
+    Decision,
+    FairnessConfig,
     InvalidParameterError,
     REASON_BUFFER_PANIC,
     REASON_STARTUP,
     REASON_THROUGHPUT,
+    SimConfig,
     decide,
+    run_fairness,
+    run_session,
     select_bitrate,
+    synthesize_profile,
 )
 
 LADDER = BitrateLadder((250.0, 500.0, 1000.0, 2000.0), 2.0)
@@ -115,6 +125,57 @@ class TestLadderValidation:
                 AbrConfig(panic_buffer_s=panic)
         with pytest.raises(InvalidParameterError):
             AbrConfig(initial_quality_index=-1)
+
+
+class TestDecisionsBuiltOnce:
+    """Operation counts, exact for any host: a request builds no Decision.
+
+    A ladder builds its throughput decisions when it is built, and the
+    panic floor is one module constant, so only a session's first request,
+    its start rung, builds one.
+    """
+
+    def test_one_decision_per_session_or_client(self, monkeypatch):
+        sim_cfg = SimConfig()
+        fair_cfg = FairnessConfig()
+        profile = synthesize_profile("test1", 0, 800.0)
+        built = []
+
+        class Counted(Decision):
+            __slots__ = ()
+
+            def __new__(cls, *args):
+                built.append(args)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(abr, "Decision", Counted)
+        trace = run_session(profile, sim_cfg)
+        reasons = Counter(r.decision_reason for r in trace.records)
+        # every kind of decision was taken, not only the start rung
+        assert reasons[REASON_THROUGHPUT] and reasons[REASON_BUFFER_PANIC]
+        assert built == [(0, REASON_STARTUP)]
+        del built[:]
+        run_fairness(fair_cfg)
+        assert built == [(0, REASON_STARTUP)] * fair_cfg.n_clients
+
+    def test_repeated_requests_share_one_decision(self):
+        assert decide(LADDER, CFG, 1500.0, 20.0) \
+            is decide(LADDER, CFG, 1500.0, 20.0)
+        assert decide(LADDER, CFG, 1500.0, 1.0) \
+            is decide(LADDER, CFG, 3000.0, 1.0)
+
+    def test_decisions_are_derived_not_fields(self):
+        assert LADDER.decisions == tuple(
+            Decision(i, REASON_THROUGHPUT) for i in range(4))
+        assert repr(LADDER) == ("BitrateLadder(bitrates_kbps=(250.0, 500.0, "
+                                "1000.0, 2000.0), segment_duration_s=2.0)")
+        other = BitrateLadder((250.0, 500.0, 1000.0, 2000.0), 2.0)
+        object.__setattr__(other, "decisions", ())
+        assert other == LADDER and hash(other) == hash(LADDER)
+        short = dataclasses.replace(LADDER, bitrates_kbps=(300.0, 900.0))
+        assert short.decisions == ((0, REASON_THROUGHPUT),
+                                   (1, REASON_THROUGHPUT))
+        assert select_bitrate(short, 1e9) is short.decisions[1]
 
 
 ladders = st.lists(

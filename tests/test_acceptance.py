@@ -7,7 +7,6 @@ verdict is followed by a failing assert; the checks state what the toolkit
 is required to do and are never weakened to match what it happens to do.
 """
 
-import dataclasses
 import random
 import re
 import sys
@@ -59,12 +58,12 @@ def _aff_estimates(samples, **kwargs):
 def _pinned_aff_estimate(samples, factor):
     # hold the forgetting factor constant through the whole sequence so the
     # final estimate is a clean function of that one factor
-    state = dataclasses.replace(
-        EstimatorConfig(forgetting_min=1e-9).initial_state, forgetting=factor)
+    state = EstimatorConfig(forgetting_min=1e-9).initial_state._replace(
+        forgetting=factor)
     value = None
     for x in samples:
         state, est = aff_update(state, x)
-        state = dataclasses.replace(state, forgetting=factor)
+        state = state._replace(forgetting=factor)
         value = est
     return state, value
 

@@ -54,6 +54,17 @@ class TestCompare:
         assert sorted(json.loads(path.read_text())) == \
             ["aff", "avg5", "ewma"]
 
+    def test_estimator_option_refused(self, capsys):
+        # compare runs every kind, so it has no --estimator to ignore
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--synth", "test1", "--segments", "20",
+                  "--estimator", "ewma"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: affsim")
+        assert err.endswith(
+            "error: unrecognized arguments: --estimator ewma\n")
+
 
 class TestRun:
     def test_session_summary_lines(self, capsys):

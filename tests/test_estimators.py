@@ -4,7 +4,6 @@ Regression constants in this file were produced by an independent
 numeric oracle before the package was written and are frozen here.
 """
 
-import dataclasses
 import math
 import random
 import sys
@@ -133,11 +132,11 @@ class TestAffGradient:
         # same recursion, but the factor is frozen between updates so the
         # estimate becomes a differentiable function of a single scalar
         state = fresh(forgetting_min=1e-9, forgetting_max=1.0)
-        state = dataclasses.replace(state, forgetting=factor)
+        state = state._replace(forgetting=factor)
         est = None
         for v in values:
             state, est = aff_update(state, v)
-            state = dataclasses.replace(state, forgetting=factor)
+            state = state._replace(forgetting=factor)
         return est
 
     def test_accumulators_match_central_differences(self):
@@ -148,11 +147,11 @@ class TestAffGradient:
             values = [rng.uniform(100.0, 5000.0) for _ in range(n)]
             factor = rng.uniform(0.6, 0.999)
             state = fresh(forgetting_min=1e-9, forgetting_max=1.0)
-            state = dataclasses.replace(state, forgetting=factor)
+            state = state._replace(forgetting=factor)
             for v in values:
                 state, _ = aff_update(state, v)
                 last = state
-                state = dataclasses.replace(state, forgetting=factor)
+                state = state._replace(forgetting=factor)
             analytic = (last.sum_grad * last.weight
                         - last.weight_grad * last.weighted_sum) \
                 / (last.weight * last.weight)

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from affsim import estimators, sim
 from affsim import (
     AbrConfig,
+    AffState,
     BandwidthProfile,
     BitrateLadder,
     Decision,
     EstimatorConfig,
+    EwmaState,
     FairnessConfig,
     InvalidParameterError,
     ProfileExhaustedError,
@@ -22,7 +24,9 @@ from affsim import (
     REASON_STARTUP,
     SegmentRecord,
     SimConfig,
+    SlidingMeanState,
     buffer_samples,
+    estimator_update,
     integrate_download,
     run_fairness,
     run_session,
@@ -342,6 +346,9 @@ RECORD_FIELDS = dict(
     index=1, quality_index=2, size_kbit=1000.0, t_request_s=0.5,
     t_complete_s=1.25, instant_throughput_kbps=800.0, estimate_kbps=750.0,
     buffer_after_s=4.0, decision_reason="throughput")
+AFF_FIELDS = dict(
+    weighted_sum=1800.0, weight=1.9, forgetting=0.9, sum_grad=1000.0,
+    weight_grad=1.0, step_size=0.1, forgetting_min=0.6, forgetting_max=1.0)
 
 
 class TestValueSemantics:
@@ -351,8 +358,13 @@ class TestValueSemantics:
         (SegmentRecord, RECORD_FIELDS, "buffer_after_s"),
         (Decision, dict(quality_index=0, reason=REASON_STARTUP),
          "quality_index"),
+        (AffState, AFF_FIELDS, "forgetting"),
+        (EwmaState, dict(weight=0.2, estimate=750.0, n=2), "estimate"),
+        (SlidingMeanState, dict(window=(600.0, 900.0), capacity=3),
+         "window"),
     ]
-    CASE_IDS = ["SegmentRecord", "Decision"]
+    CASE_IDS = ["SegmentRecord", "Decision", "AffState", "EwmaState",
+                "SlidingMeanState"]
 
     @pytest.mark.parametrize("cls,fields,name", CASES, ids=CASE_IDS)
     def test_fields_are_read_only(self, cls, fields, name):
@@ -375,6 +387,25 @@ class TestValueSemantics:
             "t_request_s=0.5, t_complete_s=1.25, "
             "instant_throughput_kbps=800.0, estimate_kbps=750.0, "
             "buffer_after_s=4.0, decision_reason='throughput')")
+
+    @pytest.mark.parametrize("kind,text", [
+        ("aff", "AffState(weighted_sum=0.0, weight=0.0, forgetting=1.0, "
+                "sum_grad=0.0, weight_grad=0.0, step_size=0.1, "
+                "forgetting_min=0.6, forgetting_max=1.0)"),
+        ("ewma", "EwmaState(weight=0.2, estimate=0.0, n=0)"),
+        ("sliding_mean", "SlidingMeanState(window=(), capacity=3)"),
+    ])
+    def test_initial_state_repr(self, kind, text):
+        # the text the states printed as frozen dataclasses
+        assert repr(EstimatorConfig(kind=kind).initial_state) == text
+
+    def test_plain_tuple_is_not_a_state(self):
+        state = AffState(**AFF_FIELDS)
+        plain = tuple(state)
+        assert plain == state
+        with pytest.raises(InvalidParameterError):
+            estimator_update(plain, 800.0)
+        assert estimator_update(state, 800.0)[1] > 0.0
 
 
 class TestRecordInvariants:
