@@ -79,14 +79,18 @@ def select_bitrate(ladder, estimate_kbps):
     return ladder.decisions[i]
 
 
+def _check_start_rung(ladder, cfg):  # for decide and SimConfig alike
+    if cfg.initial_quality_index >= len(ladder.bitrates_kbps):
+        raise InvalidParameterError(
+            "initial_quality_index %d outside ladder of %d rungs"
+            % (cfg.initial_quality_index, len(ladder.bitrates_kbps)))
+
+
 def decide(ladder, cfg, estimate_kbps, buffer_level_s):
     """Full per-request rule: the start rung while no estimate exists (the
     first request), then the panic floor, then the estimate."""
     if estimate_kbps is None:
-        if cfg.initial_quality_index >= len(ladder.bitrates_kbps):
-            raise InvalidParameterError(
-                "initial_quality_index %d outside ladder of %d rungs"
-                % (cfg.initial_quality_index, len(ladder.bitrates_kbps)))
+        _check_start_rung(ladder, cfg)
         return Decision(cfg.initial_quality_index, REASON_STARTUP)
     if buffer_level_s < cfg.panic_buffer_s:
         return _PANIC_FLOOR

@@ -16,10 +16,11 @@ from typing import NamedTuple
 
 from .errors import InvalidParameterError, InvalidSampleError, check_int
 
-def _check(value):
-    if not 0.0 < value < inf:
-        raise InvalidSampleError(
-            "throughput must be positive and finite, got %r" % (value,))
+
+# each update tests its sample inline and calls this only when it fails
+def _invalid(value):
+    raise InvalidSampleError(
+        "throughput must be positive and finite, got %r" % (value,))
 
 
 def _overflow(value):
@@ -72,30 +73,31 @@ def aff_update(state, value):
     previous weighted sums, then the sums advance, then the estimate is
     read, and only then does the forgetting factor take its gradient step.
     """
-    _check(value)
-    f = state.forgetting
-    sum_grad = f * state.sum_grad + state.weighted_sum
-    weight_grad = f * state.weight_grad + state.weight
-    weighted_sum = f * state.weighted_sum + value
-    weight = f * state.weight + 1.0
+    if not 0.0 < value < inf:
+        _invalid(value)
+    (weighted_sum, weight, f, sum_grad, weight_grad, step_size, f_min,
+     f_max) = state
+    sum_grad = f * sum_grad + weighted_sum
+    weight_grad = f * weight_grad + weight
+    weighted_sum = f * weighted_sum + value
+    weight = f * weight + 1.0
     estimate = weighted_sum / weight
     if not estimate < inf:
         _overflow(value)
     error = estimate - value
     # d(estimate)/d(factor) by the quotient rule over the two accumulators
     grad = (sum_grad * weight - weight_grad * weighted_sum) / (weight * weight)
-    f_next = f - state.step_size * 2.0 * error * grad
-    if f_next < state.forgetting_min:
-        f_next = state.forgetting_min
-    elif f_next > state.forgetting_max:
-        f_next = state.forgetting_max
+    f_next = f - step_size * 2.0 * error * grad
+    if f_next < f_min:
+        f_next = f_min
+    elif f_next > f_max:
+        f_next = f_max
     elif f_next != f_next:  # NaN passes both clamps
         _overflow(value)
-    # positional: keywords more than double the cost of building the tuple
-    next_state = AffState(
-        weighted_sum, weight, f_next, sum_grad, weight_grad, state.step_size,
-        state.forgetting_min, state.forgetting_max)
-    return next_state, estimate
+    # AffState's own __new__ costs twice as much as tuple's
+    return tuple.__new__(AffState, (
+        weighted_sum, weight, f_next, sum_grad, weight_grad, step_size,
+        f_min, f_max)), estimate
 
 
 class EwmaState(NamedTuple):
@@ -113,12 +115,11 @@ def _ewma_new(cfg):
 
 def ewma_update(state, value):
     """Fixed-weight exponential average, seeded with the first sample."""
-    _check(value)
-    if state.n == 0:
-        estimate = value
-    else:
-        estimate = state.weight * value + (1.0 - state.weight) * state.estimate
-    return EwmaState(state.weight, estimate, state.n + 1), estimate
+    if not 0.0 < value < inf:
+        _invalid(value)
+    weight, estimate, n = state
+    estimate = weight * value + (1.0 - weight) * estimate if n else value
+    return tuple.__new__(EwmaState, (weight, estimate, n + 1)), estimate
 
 
 class SlidingMeanState(NamedTuple):
@@ -133,15 +134,17 @@ def _sliding_mean_new(cfg):
 
 def sliding_mean_update(state, value):
     """Mean of the last few samples; shorter while warming up."""
-    _check(value)
-    window = (state.window + (value,))[-state.capacity:]
+    if not 0.0 < value < inf:
+        _invalid(value)
+    window, capacity = state
+    window = (window + (value,))[-capacity:]
     total = sum(window)
     if total < inf:
         estimate = total / len(window)
     else:  # the mean fits: scaled by the largest sample, no term passes 1
         top = max(window)
         estimate = top * (sum(v / top for v in window) / len(window))
-    return SlidingMeanState(window, state.capacity), estimate
+    return tuple.__new__(SlidingMeanState, (window, capacity)), estimate
 
 
 class EstimatorKind(NamedTuple):

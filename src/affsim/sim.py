@@ -11,9 +11,11 @@ with a download in flight. The engine steps from event to event
 flight) with every rate constant in between, so progress is exact; an
 idle link jumps to the next request. A stall onset is not an event: the
 rate split depends only on which downloads are in flight, so a client
-settles its own buffer drain, and any stall, when its segment lands. A
-single session is the one-client case, and `integrate_download` is one
-download of it.
+settles its own buffer drain, and any stall, when its segment lands.
+Each client is a coroutine that keeps its state in locals: the engine
+sends it a request time, answered by the segment size, and then the
+completion time, answered by the next request time. A single session is
+the one-client case, and `integrate_download` is one download of it.
 """
 
 from bisect import bisect_right
@@ -22,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from math import inf
 from typing import NamedTuple
 
-from .abr import AbrConfig, BitrateLadder, decide
+from .abr import AbrConfig, BitrateLadder, _check_start_rung, decide
 from .errors import InvalidParameterError, ProfileExhaustedError, check_int
 from .estimators import EstimatorConfig, estimator_kinds
 
@@ -60,7 +62,7 @@ class SimConfig:
                 % (self.max_buffer_s, seg_dur))
         # the wall time is at least the media duration
         _check_samples(self.total_segments * seg_dur)
-        decide(self.ladder, self.abr, None, 0.0)  # the start rung
+        _check_start_rung(self.ladder, self.abr)
 
 
 # one per segment: a NamedTuple builds faster than a frozen dataclass
@@ -112,90 +114,68 @@ def integrate_download(profile, start_s, size_kbit):
     return trace.records[0].t_complete_s - start_s
 
 
-class _Client:
-    """Mutable per-client engine state; results come out as SessionTrace.
+def _client(start_time, cfg, out):
+    """One client of `_run_shared`, a coroutine primed by next(); its
+    SessionTrace goes to `out` after the last segment.
 
     `buffer` is the level at the current request while a segment is in
     flight, and the level the next request will see otherwise. The drain
     in between, and any stall it ends in, concerns no other client, so it
     is settled when the segment lands.
     """
-
-    def __init__(self, start_time, cfg):
-        self.start_time = start_time
-        # bound once: the per-segment methods read these on every call
-        self.ladder, self.abr = cfg.ladder, cfg.abr
-        self.total_segments = cfg.total_segments
-        self.seg_dur = cfg.ladder.segment_duration_s
-        self.room = cfg.max_buffer_s - self.seg_dur  # most buffer at a request
-        self.update = estimator_kinds()[cfg.estimator.kind].update
-        self.est_state = cfg.estimator.initial_state
-        self.estimate = None
-        self.buffer = 0.0
-        self.next_index = 1
-        self.decision = None
-        self.size = 0.0
-        self.t_request = 0.0
-        self.startup_delay = 0.0
-        self.idle_full = 0.0
-        self.wall_time = 0.0
-        self.records = []
-        self.stalls = []
-
-    def issue(self, t):
-        self.decision = decide(self.ladder, self.abr, self.estimate,
-                               self.buffer)
-        rung = self.ladder.bitrates_kbps[self.decision.quality_index]
-        self.size = rung * self.seg_dur
-        self.t_request = t
-
-    def complete(self, t):
-        """Land the segment in flight at t.
-
-        Returns the time of the next request, or None after the last
-        segment.
-        """
-        tau = t - self.t_request
+    ladder, abr = cfg.ladder, cfg.abr
+    rungs, seg_dur = ladder.bitrates_kbps, ladder.segment_duration_s
+    room = cfg.max_buffer_s - seg_dur  # most buffer at a request
+    last = cfg.total_segments
+    update = estimator_kinds()[cfg.estimator.kind].update
+    state = cfg.estimator.initial_state
+    estimate = None
+    buffer = idle_full = 0.0
+    records, stalls = [], []
+    t_request = yield
+    for index in range(1, last + 1):
+        quality_index, reason = decide(ladder, abr, estimate, buffer)
+        size = rungs[quality_index] * seg_dur
+        t = yield size
+        tau = t - t_request
         if tau <= 0.0:
             # the transfer time fell below one ulp of the clock
             raise InvalidParameterError(
                 "segment %d downloaded in zero time at t=%r; the link is "
-                "too fast for the clock's resolution" % (self.next_index, t))
-        inst = self.size / tau
-        self.est_state, self.estimate = self.update(self.est_state, inst)
-        if self.next_index > 1:
+                "too fast for the clock's resolution" % (index, t))
+        inst = size / tau
+        state, estimate = update(state, inst)
+        if index == 1:
+            startup_delay = t - start_time
+        else:
             # an onset that ties with the arrival goes to the arrival
-            empty_at = self.t_request + self.buffer
+            empty_at = t_request + buffer
             if empty_at < t:
-                self.stalls.append((empty_at, t - empty_at))
-                self.buffer = 0.0
+                stalls.append((empty_at, t - empty_at))
+                buffer = 0.0
             else:
-                self.buffer = max(0.0, self.buffer - tau)
-        self.buffer += self.seg_dur
-        last = self.next_index == self.total_segments
-        if self.next_index == 1:
-            self.startup_delay = t - self.start_time
-        # positional: keywords nearly double the cost of building a record
-        self.records.append(SegmentRecord(
-            self.next_index, self.decision.quality_index, self.size,
-            self.t_request, t, inst, self.estimate, self.buffer,
-            self.decision.reason))
-        self.next_index += 1
-        if last:
-            self.wall_time = t + self.buffer  # remaining media plays out
-            return None
-        if self.buffer > self.room:
-            wait = self.buffer - self.room
-            self.idle_full += wait
-            self.buffer = self.room  # the level once the wait is over
-            return t + wait
-        return t
-
-    def trace(self):
-        return SessionTrace(
-            records=tuple(self.records), stalls=tuple(self.stalls),
-            startup_delay_s=self.startup_delay, wall_time_s=self.wall_time,
-            idle_full_s=self.idle_full, buffer_series=())
+                # max(0.0, buffer - tau), without the builtin's call
+                buffer = buffer - tau if buffer > tau else 0.0
+        buffer += seg_dur
+        # SegmentRecord's own __new__ costs twice as much
+        records.append(tuple.__new__(SegmentRecord, (
+            index, quality_index, size, t_request, t, inst, estimate,
+            buffer, reason)))
+        if index == last:
+            break
+        if buffer > room:
+            wait = buffer - room
+            idle_full += wait
+            buffer = room  # the level once the wait is over
+            t += wait
+        t_request = yield t
+    out.append(SessionTrace(
+        records=tuple(records), stalls=tuple(stalls),
+        startup_delay_s=startup_delay,
+        wall_time_s=t + buffer,  # remaining media plays out
+        idle_full_s=idle_full, buffer_series=()))
+    del records, stalls  # the trace holds their items now
+    yield None
 
 
 def _run_shared(profile, sim_cfg, start_times):
@@ -208,8 +188,17 @@ def _run_shared(profile, sim_cfg, start_times):
     and each client's next request (its start, the end of a room wait, or
     right after a completion) in a heap keyed on wall time, so each event
     costs O(log N) for N clients. Only the clients popped at a step change.
+    Each client is a `_client` coroutine, sent two times per segment: the
+    request time, which returns the segment size in kbit, and then the
+    completion time, which returns the next request time, or None after
+    the last segment, when the client's SessionTrace is in its `out` list.
     """
-    clients = [_Client(st, sim_cfg) for st in start_times]
+    traces = [[] for _ in start_times]
+    sends = []
+    for st, out in zip(start_times, traces):
+        client = _client(st, sim_cfg, out)
+        next(client)
+        sends.append(client.send)
     bps, starts, end = profile.breakpoints, profile.starts, profile.duration_s
     n_starts = len(starts)
     requests = [(st, cid) for cid, st in enumerate(start_times)]
@@ -248,14 +237,13 @@ def _run_shared(profile, sim_cfg, start_times):
         t = t_next
         while finishing and finishing[0][0] <= served:
             cid = heappop(finishing)[1]
-            due = clients[cid].complete(t)
+            due = sends[cid](t)
             if due is not None:
                 heappush(requests, (due, cid))
         while requests and requests[0][0] <= t:
             cid = heappop(requests)[1]
-            clients[cid].issue(t)
-            heappush(finishing, (served + clients[cid].size, cid))
-    return [c.trace() for c in clients]
+            heappush(finishing, (served + sends[cid](t), cid))
+    return [out[0] for out in traces]
 
 
 def _buffer_series(trace, room):

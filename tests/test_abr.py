@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affsim import abr
+from affsim import abr, sim
 from affsim import (
     AbrConfig,
     BitrateLadder,
@@ -125,6 +125,40 @@ class TestLadderValidation:
                 AbrConfig(panic_buffer_s=panic)
         with pytest.raises(InvalidParameterError):
             AbrConfig(initial_quality_index=-1)
+
+
+class TestStartRungCheck:
+    """A config checks its start rung without taking a decision, so a
+    tracer counting `decide` sees only the requests of sessions."""
+
+    @pytest.fixture
+    def decisions(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return decide(*args)
+        monkeypatch.setattr(abr, "decide", counted)
+        monkeypatch.setattr(sim, "decide", counted)
+        return calls
+
+    def test_building_a_config_makes_no_decision(self, decisions):
+        SimConfig()
+        SimConfig(abr=AbrConfig(initial_quality_index=3))
+        FairnessConfig(sim=SimConfig(total_segments=20))
+        assert decisions == []
+
+    def test_out_of_range_start_rung_refused_with_one_message(
+            self, decisions):
+        text = "initial_quality_index 4 outside ladder of 4 rungs"
+        bad = AbrConfig(initial_quality_index=4)
+        with pytest.raises(InvalidParameterError) as built:
+            SimConfig(ladder=LADDER, abr=bad)
+        assert decisions == []
+        with pytest.raises(InvalidParameterError) as decided:
+            abr.decide(LADDER, bad, None, 0.0)
+        assert len(decisions) == 1
+        assert str(built.value) == str(decided.value) == text
 
 
 class TestDecisionsBuiltOnce:

@@ -17,7 +17,7 @@ from affsim import (
     run_fairness,
     run_session,
 )
-from affsim import sim
+from affsim import estimators, sim
 from affsim.fairness import _run_shared
 
 
@@ -146,10 +146,12 @@ class TestEngineOperationCount:
 
     Each segment is one request and one completion. Both pass through one
     heap each way, except that the N start times are heapified, not pushed.
+    Each request makes one decision and each completion one estimator
+    update, both looked up where a tracer can wrap them.
     """
 
     def test_heap_and_client_calls_per_segment(self, monkeypatch):
-        counts = dict.fromkeys(("push", "pop", "issue", "complete"), 0)
+        counts = dict.fromkeys(("push", "pop", "decide", "update"), 0)
 
         def counted(key, fn):
             def wrapper(*args):
@@ -159,10 +161,9 @@ class TestEngineOperationCount:
 
         monkeypatch.setattr(sim, "heappush", counted("push", sim.heappush))
         monkeypatch.setattr(sim, "heappop", counted("pop", sim.heappop))
-        monkeypatch.setattr(sim._Client, "issue",
-                            counted("issue", sim._Client.issue))
-        monkeypatch.setattr(sim._Client, "complete",
-                            counted("complete", sim._Client.complete))
+        monkeypatch.setattr(sim, "decide", counted("decide", sim.decide))
+        monkeypatch.setattr(estimators, "aff_update",
+                            counted("update", estimators.aff_update))
         n, segments, runs = 40, 180, 4
         base = fairness_table3()
         link = BandwidthProfile(  # the 10-client link scaled to 40 clients
@@ -172,7 +173,7 @@ class TestEngineOperationCount:
             run_fairness(FairnessConfig(
                 n_clients=n, profile=link,
                 sim=SimConfig(total_segments=segments), rng_seed=seed))
-        assert counts["issue"] == counts["complete"] == runs * segments * n
+        assert counts["decide"] == counts["update"] == runs * segments * n
         assert counts["pop"] == runs * 2 * segments * n
         assert counts["push"] == runs * (2 * segments * n - n)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affsim import estimators, sim
+from affsim import estimators, fairness, sim
 from affsim import (
     AbrConfig,
     AffState,
@@ -398,6 +398,44 @@ class TestValueSemantics:
     def test_initial_state_repr(self, kind, text):
         # the text the states printed as frozen dataclasses
         assert repr(EstimatorConfig(kind=kind).initial_state) == text
+
+    @staticmethod
+    def built(source, monkeypatch):
+        """Values that updates and the engine build with tuple.__new__."""
+        kinds = estimators.estimator_kinds()
+        if source in kinds:
+            state = EstimatorConfig(kind=source).initial_state
+            states = []
+            for kbps in (800.0, 1200.0, 600.0, 900.0, 700.0):
+                state, _ = kinds[source].update(state, kbps)
+                states.append(state)
+            return states
+        if source == "run_session":
+            profile = synthesize_profile("test1", 3, 200.0)
+            return list(run_session(
+                profile, SimConfig(total_segments=40)).records)
+        traces = []
+
+        def keep(*args):
+            traces.extend(sim._run_shared(*args))
+            return traces
+        monkeypatch.setattr(fairness, "_run_shared", keep)
+        run_fairness(FairnessConfig(n_clients=3))
+        return [r for tr in traces for r in tr.records]
+
+    @pytest.mark.parametrize("source,cls", [
+        ("aff", AffState), ("ewma", EwmaState),
+        ("sliding_mean", SlidingMeanState), ("run_session", SegmentRecord),
+        ("run_fairness", SegmentRecord)])
+    def test_built_values_match_constructed(self, source, cls, monkeypatch):
+        values = self.built(source, monkeypatch)
+        assert len(values) >= 5
+        for v in values:
+            assert type(v) is cls
+            twin = cls(**v._asdict())
+            assert v == twin
+            assert hash(v) == hash(twin)
+            assert repr(v) == repr(twin)
 
     def test_plain_tuple_is_not_a_state(self):
         state = AffState(**AFF_FIELDS)
