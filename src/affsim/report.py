@@ -15,7 +15,7 @@ from itertools import accumulate
 
 from .errors import InvalidParameterError
 from .fairness import FairnessResult
-from .sim import MAX_BUFFER_SAMPLES, buffer_samples
+from .sim import BUFFER_TICK_S, MAX_BUFFER_SAMPLES
 
 BUFFER_CDF_STEP_S = 0.5
 
@@ -35,11 +35,10 @@ def summarize(trace, ladder):
 
     Each CDF takes one pass. The rungs strictly increase, so a bitrate is
     at or below rung i exactly when its quality index is at most i. The
-    buffer CDF counts the BUFFER_TICK_S samples that buffer_samples
-    streams from the series' corners, without a list of them; its top
-    threshold comes from the corners, which no tick exceeds. A buffer
-    level goes to the first threshold at or above it, so a level equal
-    to a threshold counts there.
+    buffer CDF counts the corners and, by sim.buffer_samples' rule, the
+    BUFFER_TICK_S ticks between them in one loop; its top threshold comes
+    from the corners, which no tick exceeds. A buffer level goes to the
+    first threshold at or above it, so a level equal to one counts there.
     A level above MAX_BUFFER_SAMPLES thresholds raises
     InvalidParameterError, as a non-finite one does, and so do a time
     beyond MAX_BUFFER_SAMPLES ticks, a trace with no records and a
@@ -76,13 +75,26 @@ def summarize(trace, ladder):
         while thresholds[-1] < top:
             thresholds.append(thresholds[-1] + BUFFER_CDF_STEP_S)
         per_bin = [0] * len(thresholds)
-        for _, level in buffer_samples(series):
+        step = tick = BUFFER_TICK_S
+        last, t0, level0 = MAX_BUFFER_SAMPLES * step, 0.0, 0.0
+        for t, level in series:
+            if not t <= last:
+                raise InvalidParameterError(
+                    "buffer series times must be finite and at most %g s, "
+                    "got %r" % (last, t))
+            while tick < t:
+                x = level0 - (tick - t0)
+                per_bin[bisect_left(thresholds, x) if x > 0.0 else 0] += 1
+                tick += step
+            if tick == t:
+                tick += step
             i = bisect_left(thresholds, level)
             # NaN and -inf also land in bin 0
             if not i and not level > -math.inf:
                 raise InvalidParameterError(
                     "buffer levels must be finite, got %r" % (level,))
             per_bin[i] += 1
+            t0, level0 = t, level
         m = sum(per_bin)
         buffer_cdf = tuple(
             (th, count / m)

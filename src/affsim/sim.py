@@ -12,10 +12,10 @@ flight) with every rate constant in between, so progress is exact; an
 idle link jumps to the next request. A stall onset is not an event: the
 rate split depends only on which downloads are in flight, so a client
 settles its own buffer drain, and any stall, when its segment lands.
-Each client is a coroutine that keeps its state in locals: the engine
-sends it a request time, answered by the segment size, and then the
-completion time, answered by the next request time. A single session is
-the one-client case, and `integrate_download` is one download of it.
+Each client is a coroutine that keeps its state in locals: sent each
+completion time, it answers with its next request time and segment size.
+A single session is the one-client case, and `integrate_download` is one
+download of it.
 """
 
 from bisect import bisect_right
@@ -115,13 +115,14 @@ def integrate_download(profile, start_s, size_kbit):
 
 
 def _client(start_time, cfg, out):
-    """One client of `_run_shared`, a coroutine primed by next(); its
-    SessionTrace goes to `out` after the last segment.
-
-    `buffer` is the level at the current request while a segment is in
-    flight, and the level the next request will see otherwise. The drain
-    in between, and any stall it ends in, concerns no other client, so it
-    is settled when the segment lands.
+    """One client of `_run_shared`, a coroutine: next() primes it and returns
+    the first segment's size in kbit, and each completion time sent returns
+    the next (request time, size), or None after the last segment, by when
+    its SessionTrace is in `out`. `buffer` is the level at the current
+    request while a segment is in flight; the drain in between, any stall
+    it ends in, and the next decision (from the estimate and the level at
+    the next request) concern no other client, so they are settled when
+    the segment lands.
     """
     ladder, abr = cfg.ladder, cfg.abr
     rungs, seg_dur = ladder.bitrates_kbps, ladder.segment_duration_s
@@ -129,14 +130,19 @@ def _client(start_time, cfg, out):
     last = cfg.total_segments
     update = estimator_kinds()[cfg.estimator.kind].update
     state = cfg.estimator.initial_state
-    estimate = None
     buffer = idle_full = 0.0
     records, stalls = [], []
-    t_request = yield
+    estimate, t = None, start_time
     for index in range(1, last + 1):
+        if buffer > room:
+            wait = buffer - room
+            idle_full += wait
+            buffer = room  # the level once the wait is over
+            t += wait
         quality_index, reason = decide(ladder, abr, estimate, buffer)
         size = rungs[quality_index] * seg_dur
-        t = yield size
+        t_request = t
+        t = yield (t, size) if index > 1 else size
         tau = t - t_request
         if tau <= 0.0:
             # the transfer time fell below one ulp of the clock
@@ -161,14 +167,6 @@ def _client(start_time, cfg, out):
         records.append(tuple.__new__(SegmentRecord, (
             index, quality_index, size, t_request, t, inst, estimate,
             buffer, reason)))
-        if index == last:
-            break
-        if buffer > room:
-            wait = buffer - room
-            idle_full += wait
-            buffer = room  # the level once the wait is over
-            t += wait
-        t_request = yield t
     out.append(SessionTrace(
         records=tuple(records), stalls=tuple(stalls),
         startup_delay_s=startup_delay,
@@ -184,47 +182,52 @@ def _run_shared(profile, sim_cfg, start_times):
     Every download in flight gets the same share of the capacity, so one
     clock, `served`, counts the kbit each of them has received since t=0,
     and a download is done when `served` reaches its value at the request
-    plus the segment size. Completions wait in a heap keyed on that target
-    and each client's next request (its start, the end of a room wait, or
-    right after a completion) in a heap keyed on wall time, so each event
-    costs O(log N) for N clients. Only the clients popped at a step change.
-    Each client is a `_client` coroutine, sent two times per segment: the
-    request time, which returns the segment size in kbit, and then the
-    completion time, which returns the next request time, or None after
-    the last segment, when the client's SessionTrace is in its `out` list.
+    plus the segment size. Downloads in flight wait in a heap keyed on
+    that target, and the start times and ends of room waits in one keyed
+    on wall time, so each event costs O(log N) for N clients. Each client
+    is a `_client` coroutine, sent its completion time once per segment;
+    a next request due at once goes straight into flight. A start time
+    must be finite and at least 0, the start of the trace, since clients
+    record their own request times; another raises InvalidParameterError.
     """
     traces = [[] for _ in start_times]
     sends = []
-    for st, out in zip(start_times, traces):
+    requests = []  # (due, client id, size): starts and ends of room waits
+    for cid, (st, out) in enumerate(zip(start_times, traces)):
+        if not 0.0 <= st < inf:
+            raise InvalidParameterError(
+                "start times must be finite and at least 0, got %r" % (st,))
         client = _client(st, sim_cfg, out)
-        next(client)
+        requests.append((st, cid, next(client)))
         sends.append(client.send)
+    heapify(requests)
     bps, starts, end = profile.breakpoints, profile.starts, profile.duration_s
     n_starts = len(starts)
-    requests = [(st, cid) for cid, st in enumerate(start_times)]
-    heapify(requests)
     finishing = []  # (served target, client id) per download in flight
     served = 0.0
-    t = 0.0
-    # the first breakpoint after the earliest request, so a late start
-    # skips the walk from t=0; the loop below fixes a start below 0
-    bp_idx = bisect_right(starts, min(start_times, default=0.0))
-    while requests or finishing:
-        while bp_idx < n_starts and starts[bp_idx] <= t:
-            bp_idx += 1
-        # an idle link moves nothing, so only a download in flight stops
-        # at a breakpoint, or at the end so it cannot outrun the trace
-        rate, t_done, t_bp = 0.0, inf, inf
-        if finishing:
-            if t >= end:
+    # the clock starts at the earliest request, and a bisection finds its
+    # piece, so a late start skips the walk from t=0
+    t = t_bp = min(start_times, default=0.0)
+    bp_idx = bisect_right(starts, t)
+    while finishing or requests:
+        if t >= t_bp:
+            while bp_idx < n_starts and starts[bp_idx] <= t:
+                bp_idx += 1
+            cap = bps[bp_idx - 1][1]
+            t_bp = starts[bp_idx] if bp_idx < n_starts else end
+            if finishing and t >= end:
                 raise ProfileExhaustedError(
                     "trace ends at %g with downloads in flight" % (end,))
-            rate = bps[bp_idx - 1][1] / len(finishing)
+        # an idle link moves nothing, so only a download in flight stops
+        # at a breakpoint, or at the end so it cannot outrun the trace
+        t_next = t_done = inf
+        if finishing:
+            rate = cap / len(finishing)
             if rate > 0:
                 t_done = t + (finishing[0][0] - served) / rate
-            t_bp = starts[bp_idx] if bp_idx < n_starts else end
-        t_wake = max(requests[0][0], t) if requests else inf
-        t_next = min(t_done, t_bp, t_wake)
+            t_next = t_bp if t_bp < t_done else t_done
+        if requests and requests[0][0] < t_next:
+            t_next = requests[0][0]
         if t_next == inf:
             raise ProfileExhaustedError(
                 "no capacity left for the remaining downloads")
@@ -232,17 +235,21 @@ def _run_shared(profile, sim_cfg, start_times):
         # keeps rounding from delaying it
         if t_next == t_done:
             served = finishing[0][0]
-        else:
+        elif finishing:
             served += rate * (t_next - t)
         t = t_next
         while finishing and finishing[0][0] <= served:
             cid = heappop(finishing)[1]
-            due = sends[cid](t)
-            if due is not None:
-                heappush(requests, (due, cid))
+            request = sends[cid](t)
+            if request is not None:
+                due, size = request
+                if due == t:
+                    heappush(finishing, (served + size, cid))
+                else:
+                    heappush(requests, (due, cid, size))
         while requests and requests[0][0] <= t:
-            cid = heappop(requests)[1]
-            heappush(finishing, (served + sends[cid](t), cid))
+            _, cid, size = heappop(requests)
+            heappush(finishing, (served + size, cid))
     return [out[0] for out in traces]
 
 

@@ -17,7 +17,7 @@ from affsim import (
     run_fairness,
     run_session,
 )
-from affsim import estimators, sim
+from affsim import estimators, fairness, sim
 from affsim.fairness import _run_shared
 
 
@@ -129,6 +129,17 @@ class TestSharedEngine:
         assert traces[0].records[0].t_request_s == 0.0
         assert traces[1].records[0].t_request_s == 3.0
 
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf,
+                                     -math.inf])
+    def test_start_time_negative_or_not_finite_rejected(self, bad):
+        # the trace starts at 0 and each client records its own request
+        # times, so a start before 0 would be logged at a time never served
+        with pytest.raises(InvalidParameterError,
+                           match="start times must be finite and at least "
+                                 "0, got"):
+            _run_shared(constant(5000.0), SimConfig(total_segments=5),
+                        [0.0, bad])
+
 
 def offered_kbit(profile, until):
     """Capacity the profile offers over [0, until], in kbit."""
@@ -144,14 +155,18 @@ def offered_kbit(profile, until):
 class TestEngineOperationCount:
     """Operation counts of the shared-link engine, exact for any host.
 
-    Each segment is one request and one completion. Both pass through one
-    heap each way, except that the N start times are heapified, not pushed.
-    Each request makes one decision and each completion one estimator
-    update, both looked up where a tracer can wrap them.
+    Each client is sent one value per segment, its completion time, and
+    makes one decision and one estimator update per segment, both looked
+    up where a tracer can wrap them. Each download enters and leaves the
+    in-flight heap once. Only the N start times, heapified rather than
+    pushed, and the D requests deferred by a room wait pass through the
+    request heap; a request due at its completion goes straight into
+    flight.
     """
 
     def test_heap_and_client_calls_per_segment(self, monkeypatch):
-        counts = dict.fromkeys(("push", "pop", "decide", "update"), 0)
+        keys = ("push", "pop", "send", "decide", "update")
+        counts = dict.fromkeys(keys, 0)
 
         def counted(key, fn):
             def wrapper(*args):
@@ -159,23 +174,49 @@ class TestEngineOperationCount:
                 return fn(*args)
             return wrapper
 
+        client = sim._client
+
+        class CountedClient:
+            def __init__(self, *args):
+                self.gen = client(*args)
+                self.send = counted("send", self.gen.send)
+
+            def __next__(self):
+                return next(self.gen)
+
+        traces = []
+
+        def keep(*args):
+            traces[:] = sim._run_shared(*args)
+            return traces
+
         monkeypatch.setattr(sim, "heappush", counted("push", sim.heappush))
         monkeypatch.setattr(sim, "heappop", counted("pop", sim.heappop))
         monkeypatch.setattr(sim, "decide", counted("decide", sim.decide))
         monkeypatch.setattr(estimators, "aff_update",
                             counted("update", estimators.aff_update))
-        n, segments, runs = 40, 180, 4
+        monkeypatch.setattr(sim, "_client", CountedClient)
+        monkeypatch.setattr(fairness, "_run_shared", keep)
+        n, segments = 40, 180
         base = fairness_table3()
         link = BandwidthProfile(  # the 10-client link scaled to 40 clients
             tuple((t, kbps * n / 10.0) for t, kbps in base.breakpoints),
             base.duration_s)
-        for seed in range(runs):
+        for seed in range(4):
+            counts.update(dict.fromkeys(keys, 0))
             run_fairness(FairnessConfig(
                 n_clients=n, profile=link,
                 sim=SimConfig(total_segments=segments), rng_seed=seed))
-        assert counts["decide"] == counts["update"] == runs * segments * n
-        assert counts["pop"] == runs * 2 * segments * n
-        assert counts["push"] == runs * (2 * segments * n - n)
+            assert len(traces) == n
+            deferred = sum(b.t_request_s != a.t_complete_s
+                           for tr in traces
+                           for a, b in zip(tr.records, tr.records[1:]))
+            assert deferred > 0
+            sn = segments * n
+            assert counts["send"] == counts["decide"] == \
+                counts["update"] == sn
+            assert counts["pop"] == sn + n + deferred
+            assert counts["push"] == sn + deferred
 
 
 class TestRunFairness:

@@ -3,8 +3,10 @@
 The summarize that rescanned every sample for every CDF threshold is frozen
 below as the reference. The one-pass version must give an equal QoeReport
 and byte-identical JSON and CSV exports on every input. It reads a buffer
-series as corners and streams their expansion, so the reference is handed
-the expanded series.
+series as corners and counts the ticks between them as it goes, so the
+reference is handed the series that `buffer_samples` expands. Corners off
+the tick grid leave ticks strictly between two corners, which only that
+count sees.
 """
 
 import dataclasses
@@ -27,7 +29,9 @@ from affsim import (
     summarize,
     synthesize_profile,
 )
+from affsim.errors import InvalidParameterError
 from affsim.report import BUFFER_CDF_STEP_S
+from affsim.sim import BUFFER_TICK_S, MAX_BUFFER_SAMPLES
 
 
 def reference_summarize(trace, ladder):
@@ -114,6 +118,34 @@ def cases(draw):
     return session_trace(qualities, stalls, levels), ladder
 
 
+def with_corners(trace, corners):
+    return dataclasses.replace(trace, buffer_series=tuple(corners))
+
+
+# corner times on a tick, one ulp either side of one, and anywhere; sorted,
+# about 40 of them over 120 s leave gaps of several ticks
+ON_TICK = st.integers(0, 240).map(lambda k: k * BUFFER_TICK_S)
+TIMES = st.one_of(
+    ON_TICK,
+    ON_TICK.map(lambda x: math.nextafter(x, math.inf)),
+    ON_TICK.map(lambda x: math.nextafter(x, -math.inf)),
+    st.floats(0.0, 120.0),
+)
+
+
+@st.composite
+def off_grid_cases(draw):
+    ladder = draw(ladders())
+    qualities = draw(st.lists(
+        st.integers(0, len(ladder.bitrates_kbps) - 1), min_size=1,
+        max_size=10))
+    times = sorted(draw(st.lists(TIMES, max_size=40)))
+    levels = draw(st.lists(LEVELS, min_size=len(times),
+                           max_size=len(times)))
+    trace = session_trace(qualities, (), ())
+    return with_corners(trace, zip(times, levels)), ladder
+
+
 class TestSummarizeMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(cases())
@@ -138,6 +170,28 @@ class TestSummarizeMatchesReference:
         qualities = list(range(len(rungs))) + [0]
         assert_same_summary(session_trace(qualities, (), levels), ladder)
 
+    @settings(max_examples=400, deadline=None)
+    @given(off_grid_cases())
+    def test_off_grid_corners(self, case):
+        trace, ladder = case
+        assert_same_summary(trace, ladder)
+
+    @pytest.mark.parametrize("corners", [
+        [(0.25, 3.0), (1.75, 2.5), (4.1, 0.2)],
+        [(0.0, 0.0), (0.1, 5.0), (5.3, 0.0)],
+        [(0.3, 2.0), (1.0, 1.7), (2.5, 3.0), (2.5, 0.0)],
+        [(0.25, math.nextafter(2.75, math.inf)), (3.1, 1.0)],
+        [(0.25, math.nextafter(2.75, -math.inf)), (3.1, 1.0)],
+    ], ids=["off-grid", "gap-of-ticks", "corner-on-tick", "ulp-above-drain",
+            "ulp-below-drain"])
+    def test_ticks_between_corners(self, corners):
+        # each series has ticks strictly between two corners; the last two
+        # drain to one ulp either side of the 2.5 s threshold at t=0.5
+        trace = with_corners(session_trace([0, 1], (), ()), corners)
+        assert len(tuple(buffer_samples(trace.buffer_series))) > \
+            len(corners)
+        assert_same_summary(trace, BitrateLadder((250.0, 500.0)))
+
     @pytest.mark.parametrize("kind", ["test1", "test2", "test3", "test4"])
     def test_synthetic_sessions(self, kind):
         # the sessions of test_sim_differential.py
@@ -152,3 +206,46 @@ class TestSummarizeMatchesReference:
         profile = synthesize_profile("test1", 31, 24000.0)
         cfg = SimConfig(total_segments=1000)
         assert_same_summary(run_session(profile, cfg), cfg.ladder)
+
+
+LAST_S = MAX_BUFFER_SAMPLES * BUFFER_TICK_S
+
+
+class TestSummarizeRefusals:
+    """The counted expansion refuses what `buffer_samples` refuses, in the
+    order the corners come, with the messages they had."""
+
+    @pytest.mark.parametrize("corners,message", [
+        ([(0.0, 0.0), (math.nan, 1.0)],
+         "buffer series times must be finite and at most 524288 s, got nan"),
+        ([(0.0, 0.0), (LAST_S + 0.5, 1.0)],
+         "buffer series times must be finite and at most 524288 s, "
+         "got 524288.5"),
+        ([(0.0, 0.0), (math.inf, 1.0)],
+         "buffer series times must be finite and at most 524288 s, "
+         "got inf"),
+        ([(0.0, 0.0), (0.7, 1.0), (1.3, math.nan)],
+         "buffer levels must be finite, got nan"),
+        ([(0.0, 0.0), (0.7, -math.inf), (1.3, 1.0)],
+         "buffer levels must be finite, got -inf"),
+        ([(0.0, math.nan), (0.7, 1.0)],
+         "buffer levels must be finite and at most 524288 s, got nan"),
+        ([(0.0, 0.0), (0.7, math.nan), (math.nan, 1.0)],
+         "buffer levels must be finite, got nan"),
+        ([(0.0, 0.0), (math.nan, 1.0), (1.3, math.nan)],
+         "buffer series times must be finite and at most 524288 s, got nan"),
+    ], ids=["nan-time", "time-past-cap", "inf-time", "nan-level",
+            "-inf-level", "nan-top", "level-before-time",
+            "time-before-level"])
+    def test_message(self, corners, message):
+        assert LAST_S == 524288.0
+        trace = with_corners(session_trace([0], (), ()), corners)
+        with pytest.raises(InvalidParameterError) as exc:
+            summarize(trace, BitrateLadder())
+        assert str(exc.value) == message
+
+    def test_last_tick_accepted(self):
+        trace = with_corners(session_trace([0], (), ()),
+                             [(0.0, 0.0), (LAST_S, 1.0)])
+        report = summarize(trace, BitrateLadder())
+        assert report.buffer_cdf[-1] == (1.0, 1.0)
