@@ -124,15 +124,13 @@ def _print_session(trace, report):
 
 
 def _write_trace_csv(trace, path):
+    # a SegmentRecord is a tuple in column order, so one % formats its row
+    row = "%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%s\n"
+    text = ("index,quality_index,size_kbit,t_request_s,t_complete_s,"
+            "instant_throughput_kbps,estimate_kbps,buffer_after_s,"
+            "decision_reason\n" + "".join(row % r for r in trace.records))
     with open(path, "w") as fh:
-        fh.write("index,quality_index,size_kbit,t_request_s,t_complete_s,"
-                 "instant_throughput_kbps,estimate_kbps,buffer_after_s,"
-                 "decision_reason\n")
-        for r in trace.records:
-            fh.write("%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%s\n" % (
-                r.index, r.quality_index, r.size_kbit, r.t_request_s,
-                r.t_complete_s, r.instant_throughput_kbps, r.estimate_kbps,
-                r.buffer_after_s, r.decision_reason))
+        fh.write(text)
 
 
 def _cmd_run(args):

@@ -8,10 +8,10 @@ with 4 decimal places in CSV; JSON keeps full precision.
 import csv
 import io
 import json
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+from math import ceil, inf
+from operator import itemgetter, ne
 
 from .errors import InvalidParameterError
 from .fairness import FairnessResult
@@ -38,7 +38,10 @@ def summarize(trace, ladder):
     buffer CDF counts the corners and, by sim.buffer_samples' rule, the
     BUFFER_TICK_S ticks between them in one loop; its top threshold comes
     from the corners, which no tick exceeds. A buffer level goes to the
-    first threshold at or above it, so a level equal to one counts there.
+    first threshold at or above it, so a level equal to one counts there:
+    bin ceil(level / BUFFER_CDF_STEP_S), and bin 0 at or below zero. The
+    step is a power of two, so the k-th threshold, built by adding the
+    step k times, is exactly k steps, and the division is exact too.
     A level above MAX_BUFFER_SAMPLES thresholds raises
     InvalidParameterError, as a non-finite one does, and so do a time
     beyond MAX_BUFFER_SAMPLES ticks, a trace with no records and a
@@ -47,26 +50,25 @@ def summarize(trace, ladder):
     qualities = [r.quality_index for r in trace.records]
     if not qualities:
         raise InvalidParameterError("cannot summarize a trace with no records")
+    rungs = ladder.bitrates_kbps
     # one set per call, not a branch per record
-    outside = set(qualities).difference(range(len(ladder.bitrates_kbps)))
+    outside = set(qualities).difference(range(len(rungs)))
     if outside:
         raise InvalidParameterError(
             "quality_index %r is outside the %d-rung ladder"
-            % (min(outside), len(ladder.bitrates_kbps)))
-    changes = sum(1 for a, b in zip(qualities, qualities[1:]) if a != b)
-    bitrates = [ladder.bitrates_kbps[q] for q in qualities]
-    mean_bitrate = sum(bitrates) / len(bitrates)
-    n = len(bitrates)
-    per_rung = [0] * len(ladder.bitrates_kbps)
+            % (min(outside), len(rungs)))
+    changes = sum(map(ne, qualities, qualities[1:]))
+    n = len(qualities)
+    mean_bitrate = sum(map(rungs.__getitem__, qualities)) / n
+    per_rung = [0] * len(rungs)
     for q in qualities:
         per_rung[q] += 1
     bitrate_cdf = tuple(
-        (rung, count / n)
-        for rung, count in zip(ladder.bitrates_kbps, accumulate(per_rung)))
+        (rung, count / n) for rung, count in zip(rungs, accumulate(per_rung)))
     series = trace.buffer_series
     buffer_cdf = ()
     if series:
-        top = max(level for _, level in series)
+        top = max(map(itemgetter(1), series))
         if not top / BUFFER_CDF_STEP_S <= MAX_BUFFER_SAMPLES:
             raise InvalidParameterError(
                 "buffer levels must be finite and at most %g s, got %r"
@@ -75,6 +77,7 @@ def summarize(trace, ladder):
         while thresholds[-1] < top:
             thresholds.append(thresholds[-1] + BUFFER_CDF_STEP_S)
         per_bin = [0] * len(thresholds)
+        bin_s = BUFFER_CDF_STEP_S
         step = tick = BUFFER_TICK_S
         last, t0, level0 = MAX_BUFFER_SAMPLES * step, 0.0, 0.0
         for t, level in series:
@@ -83,17 +86,20 @@ def summarize(trace, ladder):
                     "buffer series times must be finite and at most %g s, "
                     "got %r" % (last, t))
             while tick < t:
+                # no tick exceeds the corner before it, so none exceeds top
                 x = level0 - (tick - t0)
-                per_bin[bisect_left(thresholds, x) if x > 0.0 else 0] += 1
+                per_bin[ceil(x / bin_s) if x > 0.0 else 0] += 1
                 tick += step
             if tick == t:
                 tick += step
-            i = bisect_left(thresholds, level)
-            # NaN and -inf also land in bin 0
-            if not i and not level > -math.inf:
+            if level > 0.0:
+                per_bin[ceil(level / bin_s)] += 1
+            elif level > -inf:
+                per_bin[0] += 1
+            else:
+                # NaN and -inf
                 raise InvalidParameterError(
                     "buffer levels must be finite, got %r" % (level,))
-            per_bin[i] += 1
             t0, level0 = t, level
         m = sum(per_bin)
         buffer_cdf = tuple(

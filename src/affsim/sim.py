@@ -261,40 +261,55 @@ def _buffer_series(trace, room):
     stall; a deferred request starts at `room`. `buffer_samples` adds
     the BUFFER_TICK_S ticks, drained from the corner before each, so the
     only tick kept here is one on the time of the corner it precedes.
+    `summarize` puts each level, corner or tick, in CDF bin
+    ceil(level / step), bin 0 at or below zero: the first threshold at
+    or above it, since the step is a power of two and each threshold is
+    an exact multiple of it.
     """
     series = [(0.0, 0.0)]
     emit = series.append
+    step = BUFFER_TICK_S
     t = level = 0.0
-
-    def advance(to_t):
-        # drain the buffer up to to_t
-        nonlocal t, level
-        if to_t <= t:
-            return
-        # `x if x > 0.0 else 0.0` is max(0.0, x), -0.0 and NaN included
-        x = level - (to_t - t)
-        level = x if x > 0.0 else 0.0
-        if to_t % BUFFER_TICK_S == 0.0:
-            emit((to_t, level))
-        t = to_t
-
     stalls = iter(trace.stalls)
     stall = next(stalls, None)
+    # each drain to a later time `to` keeps the level it leaves only as a
+    # tick on that time; `x if x > 0.0 else 0.0` is max(0.0, x), -0.0 and
+    # NaN included, and the level set after the drain replaces it
     for r in trace.records:
         if level > room:
-            advance(r.t_request_s)
+            to = r.t_request_s
+            if to > t:
+                x = level - (to - t)
+                if to % step == 0.0:
+                    emit((to, x if x > 0.0 else 0.0))
+                t = to
             level = room
         emit((t, level))
         if stall is not None and stall[0] < r.t_complete_s:
             # the stall inside this download
-            advance(stall[0])
+            to = stall[0]
+            if to > t:
+                x = level - (to - t)
+                if to % step == 0.0:
+                    emit((to, x if x > 0.0 else 0.0))
+                t = to
             level = 0.0
             emit((t, 0.0))
             stall = next(stalls, None)
-        advance(r.t_complete_s)
+        to = r.t_complete_s
+        if to > t:
+            x = level - (to - t)
+            if to % step == 0.0:
+                emit((to, x if x > 0.0 else 0.0))
+            t = to
         level = r.buffer_after_s
         emit((t, level))
-    advance(t + level)
+    to = t + level
+    if to > t:
+        x = level - (to - t)
+        if to % step == 0.0:
+            emit((to, x if x > 0.0 else 0.0))
+        t = to
     emit((t, 0.0))
     return tuple(series)
 

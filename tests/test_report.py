@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import math
+from bisect import bisect_left
+from collections import Counter
 
 import pytest
 
@@ -21,7 +23,8 @@ from affsim import (
 )
 from affsim import report as report_module
 from affsim.fairness import FairnessResult
-from affsim.sim import SegmentRecord, SessionTrace
+from affsim.report import BUFFER_CDF_STEP_S
+from affsim.sim import MAX_BUFFER_SAMPLES, SegmentRecord, SessionTrace
 
 LADDER = BitrateLadder()
 
@@ -180,6 +183,84 @@ class TestSummarizeOperationCount:
         t = len(report.buffer_cdf)
         assert t == 61
         assert compared[0] <= m * (math.ceil(math.log2(t + 1)) + 2)
+
+
+def _around(k):
+    # a threshold and one ulp either side of it
+    x = k * BUFFER_CDF_STEP_S
+    return [x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]
+
+
+SPECIAL_LEVELS = [5e-324, 0.0, -0.0, -1.0]
+CAP = MAX_BUFFER_SAMPLES
+# the top two thresholds, and one ulp either side that does not pass the top
+CAP_LEVELS = _around(CAP - 1) + [CAP * BUFFER_CDF_STEP_S,
+                                 math.nextafter(CAP * BUFFER_CDF_STEP_S, 0.0)]
+
+
+class TestBufferBins:
+    """A level goes to bin ceil(level / step), or bin 0 at or below zero:
+    the first threshold at or above it, as bisect_left finds it."""
+
+    @pytest.fixture(scope="class")
+    def thresholds(self):
+        # built as summarize builds them, up to MAX_BUFFER_SAMPLES steps
+        thresholds = [0.0]
+        while len(thresholds) <= MAX_BUFFER_SAMPLES:
+            thresholds.append(thresholds[-1] + BUFFER_CDF_STEP_S)
+        return thresholds
+
+    def summarized_bins(self, series, samples):
+        # the bin counts summarize gives, read back from its CDF
+        report = summarize(make_trace([0], buffer_series=series), LADDER)
+        m = len(samples)
+        below = 0
+        counts = Counter()
+        for i, (_, fraction) in enumerate(report.buffer_cdf):
+            at_or_below = round(fraction * m)
+            if at_or_below > below:
+                counts[i] = at_or_below - below
+            below = at_or_below
+        return counts
+
+    def test_step_is_a_power_of_two(self):
+        # otherwise repeated addition would drift from k * step
+        mantissa, _ = math.frexp(BUFFER_CDF_STEP_S)
+        assert mantissa == 0.5
+
+    def test_thresholds_are_exact_multiples(self, thresholds):
+        assert all(th == k * BUFFER_CDF_STEP_S
+                   for k, th in enumerate(thresholds))
+
+    def test_ceil_is_bisect_left(self, thresholds):
+        levels = [x for k in range(201) for x in _around(k)]
+        for x in levels + SPECIAL_LEVELS + CAP_LEVELS:
+            ceiled = math.ceil(x / BUFFER_CDF_STEP_S) if x > 0.0 else 0
+            assert ceiled == bisect_left(thresholds, x), x
+
+    def assert_summarized_bins(self, thresholds, levels):
+        # level j comes 2**j times, so equal counts put each in its bin
+        samples = [x for j, x in enumerate(levels) for _ in range(2 ** j)]
+        series = tuple((BUFFER_CDF_STEP_S * (i + 1), x)
+                       for i, x in enumerate(samples))
+        expected = Counter(bisect_left(thresholds, x) for x in samples)
+        assert self.summarized_bins(series, samples) == expected, levels
+
+    def test_summarize_bins_corners(self, thresholds):
+        for k in range(201):
+            self.assert_summarized_bins(thresholds, _around(k))
+        self.assert_summarized_bins(thresholds, SPECIAL_LEVELS)
+        self.assert_summarized_bins(thresholds, CAP_LEVELS)
+
+    def test_summarize_bins_ticks(self, thresholds):
+        # the tick at 0.5 s drains the corner at 0 s by 0.5 s
+        for x in [x for k in range(201) for x in _around(k)] + \
+                SPECIAL_LEVELS:
+            level0 = x + 0.5
+            samples = [level0, level0 - 0.5, -1.0]
+            series = ((0.0, level0), (1.0, -1.0))
+            expected = Counter(bisect_left(thresholds, y) for y in samples)
+            assert self.summarized_bins(series, samples) == expected, x
 
 
 class TestToDict:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affsim import (
+    BandwidthProfile,
     BitrateLadder,
     EstimatorConfig,
     QoeReport,
@@ -200,6 +201,22 @@ class TestSummarizeMatchesReference:
             for estimator in ("aff", "ewma", "sliding_mean"):
                 cfg = SimConfig(estimator=EstimatorConfig(kind=estimator))
                 assert_same_summary(run_session(profile, cfg), cfg.ladder)
+
+    def test_round_rate_sessions(self):
+        # the links of test_sim_differential.py's grid-corner replay test:
+        # round rates land corners and ticks on the tick grid, and levels
+        # exactly on CDF thresholds
+        on_threshold = 0
+        for kbps in (250.0, 500.0, 1000.0, 4000.0):
+            profile = BandwidthProfile(((0.0, kbps), (40.0, kbps / 4),
+                                        (90.0, kbps)), 1e6)
+            cfg = SimConfig(total_segments=60)
+            trace = run_session(profile, cfg)
+            assert_same_summary(trace, cfg.ladder)
+            on_threshold += sum(
+                1 for _, level in buffer_samples(trace.buffer_series)
+                if level > 0.0 and level % BUFFER_CDF_STEP_S == 0.0)
+        assert on_threshold > 1000, on_threshold
 
     def test_long_session(self):
         # 1,000 segments on a 24,000 s trace: about 6,000 buffer samples
