@@ -156,7 +156,7 @@ class TestSummarize:
 
 
 class TestSummarizeOperationCount:
-    def test_buffer_cdf_comparisons_are_logarithmic_in_thresholds(self):
+    def test_buffer_cdf_comparisons_are_constant_per_sample(self):
         compared = [0]
 
         class Level(float):
@@ -182,7 +182,9 @@ class TestSummarizeOperationCount:
         report = summarize(make_trace([0], buffer_series=series), LADDER)
         t = len(report.buffer_cdf)
         assert t == 61
-        assert compared[0] <= m * (math.ceil(math.log2(t + 1)) + 2)
+        # max() and the sign test compare each level, and no search over
+        # the thresholds does; a binary search took about 7 per level
+        assert compared[0] <= 3 * m
 
 
 def _around(k):
