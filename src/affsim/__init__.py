@@ -20,8 +20,8 @@ from .profiles import (BUILTIN_PROFILES, BandwidthProfile, ProfileStats,
                        bandwidth_at, dump_profile, fairness_table3,
                        load_profile, profile_stats, synthesize_profile)
 from .report import QoeReport, export, parse_csv_export, summarize, to_dict
-from .sim import (SegmentRecord, SessionTrace, SimConfig, buffer_samples,
-                  integrate_download, run_session)
+from .sim import (SegmentRecord, SessionTrace, SimConfig, integrate_download,
+                  run_session)
 
 __version__ = "0.1.0"
 
@@ -33,10 +33,10 @@ __all__ = [
     "ProfileParseError", "ProfileStats", "REASON_BUFFER_PANIC",
     "REASON_STARTUP", "REASON_THROUGHPUT", "ProfileValidationError",
     "QoeReport", "SegmentRecord", "SessionTrace", "SimConfig",
-    "SlidingMeanState", "aff_update", "bandwidth_at", "buffer_samples",
-    "decide", "dump_profile", "estimator_kinds", "estimator_update",
-    "ewma_update", "export", "fairness_table3", "integrate_download",
-    "jain_index", "load_profile", "parse_csv_export", "profile_stats",
-    "run_fairness", "run_session", "select_bitrate", "sliding_mean_update",
-    "summarize", "synthesize_profile", "to_dict",
+    "SlidingMeanState", "aff_update", "bandwidth_at", "decide",
+    "dump_profile", "estimator_kinds", "estimator_update", "ewma_update",
+    "export", "fairness_table3", "integrate_download", "jain_index",
+    "load_profile", "parse_csv_export", "profile_stats", "run_fairness",
+    "run_session", "select_bitrate", "sliding_mean_update", "summarize",
+    "synthesize_profile", "to_dict",
 ]

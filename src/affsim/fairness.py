@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError, check_int
 from .profiles import fairness_table3
-from .sim import MAX_BUFFER_SAMPLES, SimConfig, _run_shared
+from .sim import MAX_ROWS, SimConfig, _run_shared
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,10 @@ class FairnessConfig:
 
     def __post_init__(self):
         check_int("n_clients", self.n_clients, 2)
-        if self.n_clients * self.sim.total_segments > MAX_BUFFER_SAMPLES:
+        if self.n_clients * self.sim.total_segments > MAX_ROWS:
             raise InvalidParameterError(  # one record per client segment
-                "n_clients %d x total_segments %d is over %d records" % (
-                    self.n_clients, self.sim.total_segments,
-                    MAX_BUFFER_SAMPLES))
+                "n_clients %d x total_segments %d is over %d records"
+                % (self.n_clients, self.sim.total_segments, MAX_ROWS))
         if not (0 <= self.start_jitter_s < math.inf):
             raise InvalidParameterError(
                 "start_jitter_s must be finite and >= 0, got %r"

@@ -167,8 +167,10 @@ TEST4_HIGH_KBPS = 2390.0
 TEST4_LOW_KBPS = 600.0
 
 MIN_SYNTH_DURATION_S = 60.0
-# About 24 days: room for the CLI's default span (2 x media + 120 s) of any
-# session run_session accepts, whose media is at most 2^19 s.
+# About 24 days: room for the CLI's default span (2 x media + 120 s) of a
+# session with up to 2^19 s of media. A session's media has no such bound
+# (up to 2^20 segments of any duration), so a longer span is refused here
+# instead of generated.
 MAX_SYNTH_DURATION_S = 2 ** 21
 
 

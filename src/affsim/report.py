@@ -2,20 +2,22 @@
 
 The CSV layout is long-form `section,key,value` rows so that one flat file
 can carry scalar metrics and CDF tables side by side. Floats are printed
-with 4 decimal places in CSV; JSON keeps full precision.
+with 4 decimal places in CSV; JSON keeps full precision. The buffer CDF
+weighs the level by wall time: each row is the fraction of the session's
+wall time that the buffer spends at or below its threshold.
 """
 
 import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import ceil, inf
-from operator import itemgetter, ne
+from operator import attrgetter, ne
 
 from .errors import InvalidParameterError
 from .fairness import FairnessResult
-from .sim import BUFFER_TICK_S, MAX_BUFFER_SAMPLES
+from .sim import MAX_ROWS
 
 BUFFER_CDF_STEP_S = 0.5
 
@@ -27,7 +29,7 @@ class QoeReport:
     stall_durations_s: tuple
     mean_bitrate_kbps: float
     bitrate_cdf: tuple  # ((kbps, fraction of segments at or below), ...)
-    buffer_cdf: tuple   # ((seconds, fraction of samples at or below), ...)
+    buffer_cdf: tuple   # ((seconds, fraction of wall time at or below), ...)
 
 
 def summarize(trace, ladder):
@@ -35,19 +37,22 @@ def summarize(trace, ladder):
 
     Each CDF takes one pass. The rungs strictly increase, so a bitrate is
     at or below rung i exactly when its quality index is at most i. The
-    buffer CDF counts the corners and, by sim.buffer_samples' rule, the
-    BUFFER_TICK_S ticks between them in one loop; its top threshold comes
-    from the corners, which no tick exceeds. A buffer level goes to the
-    first threshold at or above it, so a level equal to one counts there:
-    bin ceil(level / BUFFER_CDF_STEP_S), and bin 0 at or below zero. The
-    step is a power of two, so the k-th threshold, built by adding the
-    step k times, is exactly k steps, and the division is exact too.
-    A level above MAX_BUFFER_SAMPLES thresholds raises
-    InvalidParameterError, as a non-finite one does, and so do a time
-    beyond MAX_BUFFER_SAMPLES ticks, a trace with no records and a
-    quality index outside the ladder.
+    buffer CDF gives the fraction of wall time, from the first request to
+    wall_time_s, that the buffer level spends at or below each threshold
+    k * BUFFER_CDF_STEP_S, up to the first at or above the top level. The
+    level is 0 until the first completion, then drains at slope 1 from
+    each buffer_after_s, floored at 0, until the next completion or
+    wall_time_s. A stretch of g seconds from level a spends
+    g - min(g, max(0, a - th)) at or below th: its time goes to the bins
+    ceil(level / step) of its two end levels (bin 0 at or below zero) and
+    one whole step to each bin between, and two running sums give every
+    row; the last is exactly 1.0. A level above MAX_ROWS steps raises
+    InvalidParameterError, as a non-finite one does, and so do non-finite
+    or out-of-order times, a trace with no records and a quality index
+    outside the ladder.
     """
-    qualities = [r.quality_index for r in trace.records]
+    records = trace.records
+    qualities = [r.quality_index for r in records]
     if not qualities:
         raise InvalidParameterError("cannot summarize a trace with no records")
     rungs = ladder.bitrates_kbps
@@ -65,46 +70,52 @@ def summarize(trace, ladder):
         per_rung[q] += 1
     bitrate_cdf = tuple(
         (rung, count / n) for rung, count in zip(rungs, accumulate(per_rung)))
-    series = trace.buffer_series
-    buffer_cdf = ()
-    if series:
-        top = max(map(itemgetter(1), series))
-        if not top / BUFFER_CDF_STEP_S <= MAX_BUFFER_SAMPLES:
+    step = BUFFER_CDF_STEP_S
+    t0, wall = records[0].t_request_s, trace.wall_time_s
+    if not 0.0 < wall - t0 < inf:
+        raise InvalidParameterError(
+            "wall_time_s must be finite and after the first request at %r, "
+            "got %r" % (t0, wall))
+    # each stretch drains from its start level until its end time
+    levels = chain((0.0,), map(attrgetter("buffer_after_s"), records))
+    ends = chain(map(attrgetter("t_complete_s"), records), (wall,))
+    # max() skips a NaN that is not first; the loop refuses it
+    top = max(chain((0.0,), map(attrgetter("buffer_after_s"), records)))
+    if not top / step <= MAX_ROWS:
+        raise InvalidParameterError(
+            "buffer levels must be finite and at most %g s, got %r"
+            % (MAX_ROWS * step, top))
+    spent = [0.0] * (ceil(top / step) + 1)  # besides whole bins crossed
+    crossed = [0] * len(spent)  # +1 at a drain's first, -1 after
+    for a, t in zip(levels, ends):
+        g = t - t0
+        if not g >= 0.0:
             raise InvalidParameterError(
-                "buffer levels must be finite and at most %g s, got %r"
-                % (MAX_BUFFER_SAMPLES * BUFFER_CDF_STEP_S, top))
-        thresholds = [0.0]
-        while thresholds[-1] < top:
-            thresholds.append(thresholds[-1] + BUFFER_CDF_STEP_S)
-        per_bin = [0] * len(thresholds)
-        bin_s = BUFFER_CDF_STEP_S
-        step = tick = BUFFER_TICK_S
-        last, t0, level0 = MAX_BUFFER_SAMPLES * step, 0.0, 0.0
-        for t, level in series:
-            if not t <= last:
-                raise InvalidParameterError(
-                    "buffer series times must be finite and at most %g s, "
-                    "got %r" % (last, t))
-            while tick < t:
-                # no tick exceeds the corner before it, so none exceeds top
-                x = level0 - (tick - t0)
-                per_bin[ceil(x / bin_s) if x > 0.0 else 0] += 1
-                tick += step
-            if tick == t:
-                tick += step
-            if level > 0.0:
-                per_bin[ceil(level / bin_s)] += 1
-            elif level > -inf:
-                per_bin[0] += 1
-            else:
-                # NaN and -inf
-                raise InvalidParameterError(
-                    "buffer levels must be finite, got %r" % (level,))
-            t0, level0 = t, level
-        m = sum(per_bin)
-        buffer_cdf = tuple(
-            (th, count / m)
-            for th, count in zip(thresholds, accumulate(per_bin)))
+                "completion times and wall_time_s must be finite and in "
+                "order, got %r after %r" % (t, t0))
+        t0 = t
+        if a > 0.0:
+            hi = ceil(a / step)
+            low = a - g  # where the drain ends, before the floor at 0
+            lo = ceil(low / step) if low > 0.0 else 0
+            if lo == hi:
+                spent[hi] += g
+                continue
+            spent[lo] += lo * step - low  # in bin 0: the time empty
+            spent[hi] += a - (hi - 1) * step
+            crossed[lo + 1] += 1
+            crossed[hi] -= 1
+        elif a > -inf:
+            spent[0] += g
+        else:  # NaN and -inf
+            raise InvalidParameterError(
+                "buffer levels must be finite, got %r" % (a,))
+    # every term is at least 0, so the rows never fall
+    covered = list(accumulate(
+        s + step * c for s, c in zip(spent, accumulate(crossed))))
+    del spent, crossed  # the rows reuse their memory
+    total = covered[-1]
+    buffer_cdf = tuple((k * step, v / total) for k, v in enumerate(covered))
     return QoeReport(
         bitrate_changes=changes,
         stall_events=len(trace.stalls),

@@ -15,11 +15,14 @@ settles its own buffer drain, and any stall, when its segment lands.
 Each client is a coroutine that keeps its state in locals: sent each
 completion time, it answers with its next request time and segment size.
 A single session is the one-client case, and `integrate_download` is one
-download of it.
+download of it. A trace stores no buffer series: its records fix the
+level at every time (0 until the first segment lands, then a drain from
+each completion's level), and `affsim.report.summarize` gives the
+fraction of wall time the level spends at or below each threshold.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import inf
 from typing import NamedTuple
@@ -28,17 +31,9 @@ from .abr import AbrConfig, BitrateLadder, _check_start_rung, decide
 from .errors import InvalidParameterError, ProfileExhaustedError, check_int
 from .estimators import EstimatorConfig, estimator_kinds
 
-BUFFER_TICK_S = 0.5
-# most expanded buffer ticks (and buffer CDF thresholds) one session may
-# need; a longer session is refused instead of filling memory
-MAX_BUFFER_SAMPLES = 1 << 20
-
-
-def _check_samples(wall_s):
-    if wall_s / BUFFER_TICK_S > MAX_BUFFER_SAMPLES:
-        raise InvalidParameterError(
-            "a %g s session needs more than %d buffer samples"
-            % (wall_s, MAX_BUFFER_SAMPLES))
+# most records one run may hold (and buffer CDF rows one summary may
+# give); a longer run is refused instead of filling memory
+MAX_ROWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -60,8 +55,10 @@ class SimConfig:
             raise InvalidParameterError(
                 "max_buffer_s %g cannot hold one %g s segment"
                 % (self.max_buffer_s, seg_dur))
-        # the wall time is at least the media duration
-        _check_samples(self.total_segments * seg_dur)
+        if self.total_segments > MAX_ROWS:
+            raise InvalidParameterError(
+                "total_segments %d is over %d records"
+                % (self.total_segments, MAX_ROWS))
         _check_start_rung(self.ladder, self.abr)
 
 
@@ -85,8 +82,7 @@ class SessionTrace:
     startup_delay_s: float
     wall_time_s: float
     idle_full_s: float  # request time lost waiting for buffer room
-    # ((t_s, level_s), ...): the corners of the buffer trajectory;
-    # buffer_samples expands them into the BUFFER_TICK_S series
+    # always (): the records fix the buffer trajectory (see summarize)
     buffer_series: tuple
 
 
@@ -253,111 +249,20 @@ def _run_shared(profile, sim_cfg, start_times):
     return [out[0] for out in traces]
 
 
-def _buffer_series(trace, room):
-    """Replay a one-client trace into the corners of its buffer series.
-
-    Corners: the origin, each request, stall onset, completion and the
-    final drain. The buffer drains between corners, from zero through a
-    stall; a deferred request starts at `room`. `buffer_samples` adds
-    the BUFFER_TICK_S ticks, drained from the corner before each, so the
-    only tick kept here is one on the time of the corner it precedes.
-    `summarize` puts each level, corner or tick, in CDF bin
-    ceil(level / step), bin 0 at or below zero: the first threshold at
-    or above it, since the step is a power of two and each threshold is
-    an exact multiple of it.
-    """
-    series = [(0.0, 0.0)]
-    emit = series.append
-    step = BUFFER_TICK_S
-    t = level = 0.0
-    stalls = iter(trace.stalls)
-    stall = next(stalls, None)
-    # each drain to a later time `to` keeps the level it leaves only as a
-    # tick on that time; `x if x > 0.0 else 0.0` is max(0.0, x), -0.0 and
-    # NaN included, and the level set after the drain replaces it
-    for r in trace.records:
-        if level > room:
-            to = r.t_request_s
-            if to > t:
-                x = level - (to - t)
-                if to % step == 0.0:
-                    emit((to, x if x > 0.0 else 0.0))
-                t = to
-            level = room
-        emit((t, level))
-        if stall is not None and stall[0] < r.t_complete_s:
-            # the stall inside this download
-            to = stall[0]
-            if to > t:
-                x = level - (to - t)
-                if to % step == 0.0:
-                    emit((to, x if x > 0.0 else 0.0))
-                t = to
-            level = 0.0
-            emit((t, 0.0))
-            stall = next(stalls, None)
-        to = r.t_complete_s
-        if to > t:
-            x = level - (to - t)
-            if to % step == 0.0:
-                emit((to, x if x > 0.0 else 0.0))
-            t = to
-        level = r.buffer_after_s
-        emit((t, level))
-    to = t + level
-    if to > t:
-        x = level - (to - t)
-        if to % step == 0.0:
-            emit((to, x if x > 0.0 else 0.0))
-        t = to
-    emit((t, 0.0))
-    return tuple(series)
-
-
-def buffer_samples(corners):
-    """Expand ((t_s, level_s), ...) corners, lazily, into BUFFER_TICK_S ticks.
-
-    Each corner comes out as it is, after the grid points strictly
-    between it and the corner before, each drained from that corner:
-    max(0, level - (tick - t)). The buffer is empty at t=0, and a series
-    that already holds every tick comes out unchanged. A corner later
-    than MAX_BUFFER_SAMPLES ticks, or at a NaN time, raises
-    InvalidParameterError instead of expanding without end.
-    """
-    step = tick = BUFFER_TICK_S
-    last = MAX_BUFFER_SAMPLES * step
-    t0 = level0 = 0.0
-    for point in corners:
-        t, level = point
-        if not t <= last:
-            raise InvalidParameterError(
-                "buffer series times must be finite and at most %g s, got %r"
-                % (last, t))
-        while tick < t:
-            x = level0 - (tick - t0)
-            yield tick, x if x > 0.0 else 0.0
-            tick += step
-        if tick == t:
-            tick += step
-        yield point
-        t0, level0 = t, level
-
-
 def run_session(profile, cfg):
     """Play cfg.total_segments segments against the profile.
 
     Runs the shared-link engine with one client that owns the whole link.
-    Returns the full per-segment trace plus stall and buffer accounting;
-    the buffer series holds the trajectory's corners (see buffer_samples).
+    Returns the full per-segment trace plus stall and buffer accounting.
+    The records fix the buffer level at every time: 0 from the first
+    request until the first completion, then from each completion's
+    buffer_after_s a drain of one media second per wall second, floored
+    at 0, until the next completion, and after the last one until
+    wall_time_s; summarize's buffer CDF weighs that level by wall time.
     The closing identity, checked by the test suite to nanosecond scale:
     wall_time = startup_delay + total media duration + total stall time.
     Time lost to buffer-full waits overlaps playback, so it appears as
     idle_full_s instead of extending the wall clock. cfg was checked when
-    built; only a wall time of more than MAX_BUFFER_SAMPLES ticks raises
-    InvalidParameterError here (a longer media duration cannot be built),
-    so the expanded series and its CDF stay bounded.
+    built, so a run holds at most MAX_ROWS records.
     """
-    trace = _run_shared(profile, cfg, [0.0])[0]
-    _check_samples(trace.wall_time_s)
-    room = cfg.max_buffer_s - cfg.ladder.segment_duration_s
-    return replace(trace, buffer_series=_buffer_series(trace, room))
+    return _run_shared(profile, cfg, [0.0])[0]

@@ -261,8 +261,8 @@ class TestSimulatorAccounting:
                                 % (case, identity_gap))
 
             cap = cfg.max_buffer_s + 1e-9
+            # the records fix the level: each drain starts at one of these
             levels = [r.buffer_after_s for r in trace.records]
-            levels += [level for _, level in trace.buffer_series]
             if any(level < -1e-9 or level > cap for level in levels):
                 problems.append("case %d: buffer out of bounds" % case)
 

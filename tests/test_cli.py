@@ -259,7 +259,8 @@ class TestErrorPaths:
 
     def test_long_wall_time_exits_one(self, capped_python, tmp_path):
         # the buffer replay of this 5e6 s session once ran out of memory,
-        # so it runs in a child with capped memory
+        # so it runs in a child with capped memory; its levels, above
+        # 2^19 s, would need more than 2^20 buffer CDF rows
         path = tmp_path / "fast.csv"
         path.write_text("0,1e9\n")
         code = ("import sys\n"
@@ -272,13 +273,14 @@ class TestErrorPaths:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith("error:")
-        assert "buffer samples" in lines[0]
+        assert lines[0].startswith(
+            "error: buffer levels must be finite and at most 524288 s")
 
     def test_long_media_exits_one_before_the_engine(self, capped_python,
                                                     tmp_path):
         # 3e6 two-second segments play for at least 6e6 s; this session
-        # once ran for tens of seconds and then out of memory in the engine
+        # once ran for tens of seconds and then out of memory in the engine.
+        # It holds more than 2^20 records, so its config is refused
         path = tmp_path / "fast.csv"
         path.write_text("0,5000\n")
         code = ("import sys\n"
@@ -290,7 +292,8 @@ class TestErrorPaths:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith("error: a 6e+06 s session needs")
+        assert lines[0] == (
+            "error: total_segments 3000000 is over 1048576 records")
 
     def test_over_cap_fairness_exits_one(self, capped_python):
         # 1e8 clients once ran for seconds and then out of memory
@@ -375,13 +378,27 @@ class TestErrorPaths:
         assert main([command, "--synth", "test1", "--segments", "30"]) == 0
         assert len(calls) == 1  # the counter sees a synthesis
         capsys.readouterr()
-        rc = main([command, "--synth", "test1", "--segments", "300000"])
+        rc = main([command, "--synth", "test1", "--segments", "1048577"])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err == ("error: a 600000 s session needs more than "
-                                "1048576 buffer samples\n")
+        assert captured.err == ("error: total_segments 1048577 is over "
+                                "1048576 records\n")
         assert len(calls) == 1
+
+    def test_short_segments_over_the_record_cap_exit_one(self, capsys,
+                                                         monkeypatch):
+        # 5e8 one-millisecond segments: a 1,000,120 s synthetic span is
+        # under its cap, so only the count of records refuses them, before
+        # any trace is synthesized
+        monkeypatch.setattr(cli, "synthesize_profile", None)
+        rc = main(["run", "--synth", "test1", "--segments", "500000000",
+                   "--segment-duration", "0.001"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == ("error: total_segments 500000000 is over "
+                                "1048576 records\n")
 
 
 class TestFairnessCommand:

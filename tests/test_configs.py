@@ -30,7 +30,7 @@ from affsim import (
     run_session,
 )
 from affsim.cli import main
-from affsim.sim import MAX_BUFFER_SAMPLES
+from affsim.sim import MAX_ROWS
 
 CONSTANT = BandwidthProfile(((0.0, 1000.0),), math.inf)
 SHORT_SEGMENTS = 5
@@ -52,13 +52,18 @@ SHORT_CLIENTS = 3
     ("step_size", lambda: EstimatorConfig(step_size=0)),
     ("n_clients", lambda: FairnessConfig(
         n_clients=10 ** 8, sim=SimConfig(total_segments=5))),
+    # its media (5e5 s) would pass a cap on wall time; its records do not
+    ("total_segments", lambda: SimConfig(
+        ladder=BitrateLadder(segment_duration_s=0.001),
+        total_segments=500_000_000)),
     ("initial_quality_index", lambda: SimConfig(
         abr=AbrConfig(initial_quality_index=1),
         ladder=BitrateLadder((800.0,)))),
 ], ids=["segments-float", "segments-bool", "initial-float", "initial-bool",
         "avg-window-bool", "clients-float", "window-triple", "window-text",
         "seed-nan", "unknown-kind", "unhashable-kind", "zero-step",
-        "clients-over-record-cap", "initial-outside-ladder"])
+        "clients-over-record-cap", "segments-over-record-cap",
+        "initial-outside-ladder"])
 def test_probe_refused_when_built(field, build):
     with pytest.raises(InvalidParameterError, match=field):
         build()
@@ -66,9 +71,9 @@ def test_probe_refused_when_built(field, build):
 
 def test_record_cap_boundary():
     # 2^19 half-second segments stay under the session cap; two clients
-    # of them hold exactly MAX_BUFFER_SAMPLES records, three do not
+    # of them hold exactly MAX_ROWS records, three do not
     sim = SimConfig(ladder=BitrateLadder(segment_duration_s=0.5),
-                    total_segments=MAX_BUFFER_SAMPLES // 2)
+                    total_segments=MAX_ROWS // 2)
     assert FairnessConfig(n_clients=2, sim=sim)
     with pytest.raises(InvalidParameterError, match="n_clients 3 x "):
         FairnessConfig(n_clients=3, sim=sim)

@@ -24,7 +24,6 @@ from affsim import (
 )
 from affsim.cli import _synth_span
 from affsim.profiles import MAX_SYNTH_DURATION_S
-from affsim.sim import BUFFER_TICK_S, MAX_BUFFER_SAMPLES
 
 TABLE3_CSV = "0,22000\n100,12000\n200,6000\n300,22000"
 
@@ -284,10 +283,10 @@ class TestSynthesize:
             synthesize_profile("test1", 0, 59.0)
 
     def test_duration_bound(self):
-        # the bound admits the CLI's default span for the longest session
-        # run_session accepts, and refuses the next float up before any
-        # generation (test1 at 1e300 once looped until memory ran out)
-        longest_media = MAX_BUFFER_SAMPLES * BUFFER_TICK_S
+        # the bound admits the CLI's default span for 2^19 s of media, and
+        # refuses the next float up before any generation (test1 at 1e300
+        # once looped until memory ran out)
+        longest_media = 2.0 ** 19
         args = argparse.Namespace(segments=int(longest_media / 2.0),
                                   segment_duration=2.0)
         assert _synth_span(args) <= MAX_SYNTH_DURATION_S

@@ -5,7 +5,6 @@ import io
 import json
 import math
 from bisect import bisect_left
-from collections import Counter
 
 import pytest
 
@@ -24,26 +23,29 @@ from affsim import (
 from affsim import report as report_module
 from affsim.fairness import FairnessResult
 from affsim.report import BUFFER_CDF_STEP_S
-from affsim.sim import MAX_BUFFER_SAMPLES, SegmentRecord, SessionTrace
+from affsim.sim import MAX_ROWS, SegmentRecord, SessionTrace
 
 LADDER = BitrateLadder()
 
 
-def make_trace(qualities, stalls=(), buffer_series=()):
+def make_trace(qualities, stalls=(), levels=None, wall_time_s=None):
+    # a request every 2 s from t=0, each landing 1 s later at its level
+    if levels is None:
+        levels = [10.0] * len(qualities)
     records = tuple(
         SegmentRecord(
             index=i + 1, quality_index=q,
             size_kbit=LADDER.bitrates_kbps[q] * 2.0,
             t_request_s=2.0 * i, t_complete_s=2.0 * i + 1.0,
             instant_throughput_kbps=LADDER.bitrates_kbps[q] * 2.0,
-            estimate_kbps=1000.0, buffer_after_s=10.0,
+            estimate_kbps=1000.0, buffer_after_s=level,
             decision_reason="throughput")
-        for i, q in enumerate(qualities))
+        for i, (q, level) in enumerate(zip(qualities, levels)))
+    if wall_time_s is None:
+        wall_time_s = 2.0 * len(qualities)
     return SessionTrace(records=records, stalls=tuple(stalls),
-                        startup_delay_s=1.0,
-                        wall_time_s=2.0 * len(qualities),
-                        idle_full_s=0.0,
-                        buffer_series=tuple(buffer_series))
+                        startup_delay_s=1.0, wall_time_s=wall_time_s,
+                        idle_full_s=0.0, buffer_series=())
 
 
 class TestSummarize:
@@ -71,14 +73,15 @@ class TestSummarize:
             (250.0, 0.5), (500.0, 0.75), (1000.0, 0.75), (2000.0, 1.0))
 
     def test_buffer_cdf_half_second_grid(self):
-        # the corners expand to levels 0.0, 0.0 (0.5 s), 0.6, 0.1 (1.5 s)
-        # and 1.2
-        series = ((0.0, 0.0), (1.0, 0.6), (2.0, 1.2))
-        report = summarize(make_trace([0], buffer_series=series), LADDER)
+        # over 4 s of wall time: 0 until 1 s, a drain from 0.6 that empties
+        # 0.6 s later and lasts to 3 s, then a drain from 1.2 to 0.2 at 4 s
+        trace = make_trace([0, 0], levels=(0.6, 1.2))
+        report = summarize(trace, LADDER)
         thresholds = [th for th, _ in report.buffer_cdf]
         fractions = [fr for _, fr in report.buffer_cdf]
         assert thresholds == [0.0, 0.5, 1.0, 1.5]
-        assert fractions == pytest.approx([2 / 5, 3 / 5, 4 / 5, 1.0])
+        assert fractions == pytest.approx([2.4 / 4, 3.2 / 4, 3.8 / 4, 1.0])
+        assert fractions[-1] == 1.0
 
     def test_trace_without_records_rejected(self):
         with pytest.raises(InvalidParameterError, match="no records"):
@@ -94,9 +97,9 @@ class TestSummarize:
                            match=r"quality_index %d .*4-rung" % bad):
             summarize(dataclasses.replace(trace, records=records), LADDER)
 
-    def test_empty_buffer_series_gives_empty_cdf(self):
-        report = summarize(make_trace([0]), LADDER)
-        assert report.buffer_cdf == ()
+    def test_an_empty_buffer_gives_one_row(self):
+        report = summarize(make_trace([0, 1], levels=(0.0, -0.0)), LADDER)
+        assert report.buffer_cdf == ((0.0, 1.0),)
 
     def test_cdfs_monotone_and_complete_on_real_session(self):
         profile = BandwidthProfile(((0.0, 2500.0),), 1e6)
@@ -105,18 +108,18 @@ class TestSummarize:
         for cdf in (report.bitrate_cdf, report.buffer_cdf):
             fractions = [fr for _, fr in cdf]
             assert fractions == sorted(fractions)
-            assert fractions[-1] == pytest.approx(1.0)
+            assert fractions[-1] == 1.0
         assert 250.0 <= report.mean_bitrate_kbps <= 2000.0
 
     @pytest.mark.parametrize("position", [0, 1, 2])
-    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")],
-                             ids=["nan", "-inf"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"),
+                                     float("inf")], ids=["nan", "-inf", "inf"])
     def test_non_finite_buffer_level_rejected(self, bad, position):
+        # max() skips a NaN that is not first, so each level is checked
         levels = [0.0, 1.0, 2.0]
         levels[position] = bad
-        series = tuple((0.5 * i, lv) for i, lv in enumerate(levels))
         with pytest.raises(InvalidParameterError, match="finite"):
-            summarize(make_trace([0], buffer_series=series), LADDER)
+            summarize(make_trace([0, 0, 0], levels=levels), LADDER)
 
     # a level of inf once made the threshold loop grow a list without end,
     # and 1e9 s (2e9 thresholds) ran out of memory; each runs in a child
@@ -126,9 +129,9 @@ class TestSummarize:
         "from affsim import BitrateLadder, InvalidParameterError\n"
         "from affsim import SessionTrace, summarize\n"
         "from affsim.sim import SegmentRecord\n"
-        "rec = SegmentRecord(1, 0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 'x')\n"
-        "trace = SessionTrace((rec,), (), 0.0, 1.0, 0.0,\n"
-        "                     ((0.0, 0.0), (0.5, float(sys.argv[1]))))\n"
+        "rec = SegmentRecord(1, 0, 1.0, 0.0, 1.0, 1.0, 1.0,\n"
+        "                    float(sys.argv[1]), 'x')\n"
+        "trace = SessionTrace((rec,), (), 0.0, 2.0, 0.0, ())\n"
         "try:\n"
         "    summarize(trace, BitrateLadder())\n"
         "except InvalidParameterError as exc:\n"
@@ -145,18 +148,19 @@ class TestSummarize:
 
     def test_threshold_cap_boundary(self, monkeypatch):
         # a 2.0 s top level needs thresholds 0.0..2.0, four steps of 0.5 s
-        series = ((0.0, 0.0), (0.5, 2.0))
-        monkeypatch.setattr(report_module, "MAX_BUFFER_SAMPLES", 4)
-        report = summarize(make_trace([0], buffer_series=series), LADDER)
+        trace = make_trace([0], levels=(2.0,))
+        monkeypatch.setattr(report_module, "MAX_ROWS", 4)
+        report = summarize(trace, LADDER)
         assert [th for th, _ in report.buffer_cdf] == [0.0, 0.5, 1.0, 1.5,
                                                        2.0]
-        monkeypatch.setattr(report_module, "MAX_BUFFER_SAMPLES", 3)
+        monkeypatch.setattr(report_module, "MAX_ROWS", 3)
         with pytest.raises(InvalidParameterError, match="at most 1.5 s"):
-            summarize(make_trace([0], buffer_series=series), LADDER)
+            summarize(trace, LADDER)
 
 
 class TestSummarizeOperationCount:
     def test_buffer_cdf_comparisons_are_constant_per_sample(self):
+        # the samples are the records' levels, one per segment
         compared = [0]
 
         class Level(float):
@@ -176,15 +180,20 @@ class TestSummarizeOperationCount:
                 compared[0] += 1
                 return float.__ge__(self, other)
 
-        m = 6002
-        series = tuple((0.5 * i, Level(30.0 * i / (m - 1)))
-                       for i in range(m))
-        report = summarize(make_trace([0], buffer_series=series), LADDER)
-        t = len(report.buffer_cdf)
-        assert t == 61
-        # max() and the sign test compare each level, and no search over
-        # the thresholds does; a binary search took about 7 per level
-        assert compared[0] <= 3 * m
+        m = 2000
+        counts = []
+        for top in (30.0, 30000.0):
+            compared[0] = 0
+            levels = [Level(top * (i + 1) / m) for i in range(m)]
+            trace = make_trace([0] * m, levels=levels,
+                               wall_time_s=2.0 * m - 1.0 + top)
+            report = summarize(trace, LADDER)
+            assert len(report.buffer_cdf) == 2 * top + 1
+            counts.append(compared[0])
+        # max() and the branches compare each level a fixed number of
+        # times, and nothing compares it per threshold: a thousand times
+        # the thresholds take the same count, two per record
+        assert counts[0] == counts[1] == 2 * m, counts
 
 
 def _around(k):
@@ -194,10 +203,16 @@ def _around(k):
 
 
 SPECIAL_LEVELS = [5e-324, 0.0, -0.0, -1.0]
-CAP = MAX_BUFFER_SAMPLES
+CAP = MAX_ROWS
 # the top two thresholds, and one ulp either side that does not pass the top
 CAP_LEVELS = _around(CAP - 1) + [CAP * BUFFER_CDF_STEP_S,
                                  math.nextafter(CAP * BUFFER_CDF_STEP_S, 0.0)]
+
+
+def one_level_trace(level):
+    # empty for 1 s, then a drain from `level` that ends at the wall time
+    return make_trace([0], levels=(level,),
+                      wall_time_s=1.0 + max(level, 0.0))
 
 
 class TestBufferBins:
@@ -206,31 +221,17 @@ class TestBufferBins:
 
     @pytest.fixture(scope="class")
     def thresholds(self):
-        # built as summarize builds them, up to MAX_BUFFER_SAMPLES steps
-        thresholds = [0.0]
-        while len(thresholds) <= MAX_BUFFER_SAMPLES:
-            thresholds.append(thresholds[-1] + BUFFER_CDF_STEP_S)
-        return thresholds
-
-    def summarized_bins(self, series, samples):
-        # the bin counts summarize gives, read back from its CDF
-        report = summarize(make_trace([0], buffer_series=series), LADDER)
-        m = len(samples)
-        below = 0
-        counts = Counter()
-        for i, (_, fraction) in enumerate(report.buffer_cdf):
-            at_or_below = round(fraction * m)
-            if at_or_below > below:
-                counts[i] = at_or_below - below
-            below = at_or_below
-        return counts
+        # summarize's own, up to MAX_ROWS steps
+        report = summarize(one_level_trace(CAP * BUFFER_CDF_STEP_S), LADDER)
+        return [th for th, _ in report.buffer_cdf]
 
     def test_step_is_a_power_of_two(self):
-        # otherwise repeated addition would drift from k * step
+        # otherwise level / step would round, and ceil could miss a bin
         mantissa, _ = math.frexp(BUFFER_CDF_STEP_S)
         assert mantissa == 0.5
 
     def test_thresholds_are_exact_multiples(self, thresholds):
+        assert len(thresholds) == CAP + 1
         assert all(th == k * BUFFER_CDF_STEP_S
                    for k, th in enumerate(thresholds))
 
@@ -240,41 +241,26 @@ class TestBufferBins:
             ceiled = math.ceil(x / BUFFER_CDF_STEP_S) if x > 0.0 else 0
             assert ceiled == bisect_left(thresholds, x), x
 
-    def assert_summarized_bins(self, thresholds, levels):
-        # level j comes 2**j times, so equal counts put each in its bin
-        samples = [x for j, x in enumerate(levels) for _ in range(2 ** j)]
-        series = tuple((BUFFER_CDF_STEP_S * (i + 1), x)
-                       for i, x in enumerate(samples))
-        expected = Counter(bisect_left(thresholds, x) for x in samples)
-        assert self.summarized_bins(series, samples) == expected, levels
-
     def test_summarize_bins_corners(self, thresholds):
-        for k in range(201):
-            self.assert_summarized_bins(thresholds, _around(k))
-        self.assert_summarized_bins(thresholds, SPECIAL_LEVELS)
-        self.assert_summarized_bins(thresholds, CAP_LEVELS)
-
-    def test_summarize_bins_ticks(self, thresholds):
-        # the tick at 0.5 s drains the corner at 0 s by 0.5 s
+        # the top level at a completion gets the last row, exactly 1.0
         for x in [x for k in range(201) for x in _around(k)] + \
-                SPECIAL_LEVELS:
-            level0 = x + 0.5
-            samples = [level0, level0 - 0.5, -1.0]
-            series = ((0.0, level0), (1.0, -1.0))
-            expected = Counter(bisect_left(thresholds, y) for y in samples)
-            assert self.summarized_bins(series, samples) == expected, x
+                SPECIAL_LEVELS + CAP_LEVELS:
+            cdf = summarize(one_level_trace(x), LADDER).buffer_cdf
+            assert len(cdf) == bisect_left(thresholds, x) + 1, x
+            assert cdf[-1] == (thresholds[len(cdf) - 1], 1.0), x
 
 
 class TestToDict:
     def test_report_dict(self):
         report = summarize(make_trace([0, 3], stalls=((1.0, 0.5),),
-                                      buffer_series=((0.0, 1.0),)), LADDER)
+                                      levels=(0.0, 1.0)), LADDER)
         d = to_dict(report)
         assert d["bitrate_changes"] == 1
         assert d["stall_events"] == 1
         assert d["stall_durations_s"] == [0.5]
         assert d["bitrate_cdf"][0] == [250.0, 0.5]
-        assert d["buffer_cdf"] == [[0.0, 0.0], [0.5, 0.0], [1.0, 1.0]]
+        # 3 s empty, then 1 s draining from 1.0 to 0
+        assert d["buffer_cdf"] == [[0.0, 0.75], [0.5, 0.875], [1.0, 1.0]]
 
     def test_fairness_dict(self):
         result = FairnessResult(per_client_avg_kbps=(1000.0, 1200.0),
@@ -291,8 +277,7 @@ class TestToDict:
 class TestExport:
     def setup_method(self):
         self.report = summarize(
-            make_trace([0] + [3] * 149, stalls=((7.0, 0.125),),
-                       buffer_series=((0.0, 0.3), (0.5, 0.9))), LADDER)
+            make_trace([0] + [3] * 149, stalls=((7.0, 0.125),)), LADDER)
 
     def test_json_round_trip_full_precision(self):
         text = export(self.report, "json")

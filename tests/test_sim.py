@@ -25,11 +25,11 @@ from affsim import (
     SegmentRecord,
     SimConfig,
     SlidingMeanState,
-    buffer_samples,
     estimator_update,
     integrate_download,
     run_fairness,
     run_session,
+    summarize,
     synthesize_profile,
 )
 
@@ -245,101 +245,49 @@ class TestDegenerateSession:
     def test_long_wall_time_rejected(self, capped_python):
         # five 1e6 s segments play for about 5e6 s; the buffer replay once
         # ran out of memory on its 1e7 samples, so this runs in a child.
-        # The config itself is refused, so it is built inside the try.
+        # The session runs, and summarize refuses its levels: above 2^19 s
+        # they need more than MAX_ROWS CDF rows.
         code = (
             "import sys\n"
             "from affsim import BandwidthProfile, BitrateLadder, SimConfig\n"
             "from affsim import InvalidParameterError, run_session\n"
+            "from affsim import summarize\n"
             "profile = BandwidthProfile(((0.0, 1e9),), float('inf'))\n"
+            "ladder = BitrateLadder(segment_duration_s=1e6)\n"
+            "cfg = SimConfig(ladder=ladder, max_buffer_s=1e7,\n"
+            "                total_segments=5)\n"
+            "trace = run_session(profile, cfg)\n"
             "try:\n"
-            "    ladder = BitrateLadder(segment_duration_s=1e6)\n"
-            "    cfg = SimConfig(ladder=ladder, max_buffer_s=1e7,\n"
-            "                    total_segments=5)\n"
-            "    run_session(profile, cfg)\n"
+            "    summarize(trace, ladder)\n"
             "except InvalidParameterError as exc:\n"
-            "    sys.exit(0 if 'buffer samples' in str(exc) else 3)\n"
+            "    sys.exit(0 if 'at most 524288 s' in str(exc) else 3)\n"
             "sys.exit(4)\n")
         proc = capped_python(code)
         assert proc.returncode == 0, proc.stderr
 
     def test_buffer_sample_cap_boundary(self, monkeypatch):
+        # the records cap: a session of MAX_ROWS segments builds and runs,
+        # one more is refused when built
+        monkeypatch.setattr(sim, "MAX_ROWS", 10)
         cfg = SimConfig(total_segments=10)
-        wall = run_session(constant(1000.0), cfg).wall_time_s
-        ticks = math.ceil(wall / sim.BUFFER_TICK_S)
-        monkeypatch.setattr(sim, "MAX_BUFFER_SAMPLES", ticks)
-        assert run_session(constant(1000.0), cfg).wall_time_s == wall
-        monkeypatch.setattr(sim, "MAX_BUFFER_SAMPLES", ticks - 1)
-        with pytest.raises(InvalidParameterError, match="buffer samples"):
-            run_session(constant(1000.0), cfg)
+        assert len(run_session(constant(1000.0), cfg).records) == 10
+        monkeypatch.setattr(sim, "MAX_ROWS", 9)
+        with pytest.raises(InvalidParameterError,
+                           match="total_segments 10 is over 9 records"):
+            SimConfig(total_segments=10)
 
     def test_long_media_refused_before_the_engine(self, monkeypatch):
-        # ten 2 s segments need 40 ticks at least; the trace ends before
-        # they land, so the error tells whether the engine ran; the
-        # config is refused when built, so each is built under its cap
+        # ten 2 s segments outlast a 5 s trace, so the error tells whether
+        # the engine ran; the config is refused when built, so each is
+        # built under its cap
         short = constant(1000.0, duration_s=5.0)
-        monkeypatch.setattr(sim, "MAX_BUFFER_SAMPLES", 40)
+        monkeypatch.setattr(sim, "MAX_ROWS", 10)
         with pytest.raises(ProfileExhaustedError):
             run_session(short, SimConfig(total_segments=10))
-        monkeypatch.setattr(sim, "MAX_BUFFER_SAMPLES", 39)
+        monkeypatch.setattr(sim, "MAX_ROWS", 9)
         with pytest.raises(InvalidParameterError,
-                           match="a 20 s session needs more than 39 buffer"):
+                           match="total_segments 10 is over 9 records"):
             run_session(short, SimConfig(total_segments=10))
-
-
-class TestBufferCorners:
-    """The buffer series holds corners, and buffer_samples adds the ticks."""
-
-    def test_expansion_hand_example(self):
-        corners = ((0.0, 0.0), (1.0, 2.0), (2.25, 0.0))
-        assert list(buffer_samples(corners)) == [
-            (0.0, 0.0), (0.5, 0.0), (1.0, 2.0), (1.5, 1.5), (2.0, 1.0),
-            (2.25, 0.0)]
-
-    def test_a_drain_below_zero_holds_at_zero(self):
-        corners = ((0.0, 0.0), (0.2, 0.6), (2.2, 0.0))
-        assert [level for _, level in buffer_samples(corners)] == [
-            0.0, 0.6, 0.3, 0.0, 0.0, 0.0, 0.0]
-
-    def test_a_full_series_expands_to_itself(self, varied_trace):
-        full = tuple(buffer_samples(varied_trace.buffer_series))
-        assert len(full) > 2 * len(varied_trace.buffer_series)
-        assert tuple(buffer_samples(full)) == full
-
-    @pytest.mark.parametrize("t", [math.inf, math.nan, 1e12])
-    def test_time_beyond_the_cap_refused(self, t):
-        samples = buffer_samples(((0.0, 0.0), (t, 1.0)))
-        assert next(samples) == (0.0, 0.0)
-        with pytest.raises(InvalidParameterError, match="finite and at most"):
-            next(samples)
-
-    def check_expansion(self, trace, max_buffer_s):
-        # streamed: the near-cap expansion holds a million points
-        previous = -math.inf
-        count = 0
-        for t, level in buffer_samples(trace.buffer_series):
-            assert previous <= t
-            assert 0.0 <= level <= max_buffer_s + 1e-9
-            previous = t
-            count += 1
-        assert previous == trace.wall_time_s
-        return count
-
-    def test_corners_per_segment_on_a_long_session(self):
-        profile = synthesize_profile("test1", 1, 24000.0)
-        cfg = SimConfig(total_segments=1000)
-        trace = run_session(profile, cfg)
-        assert len(trace.buffer_series) <= 3 * cfg.total_segments + 2
-        assert self.check_expansion(trace, cfg.max_buffer_s) > \
-            trace.wall_time_s / sim.BUFFER_TICK_S
-
-    def test_corners_per_segment_near_the_sample_cap(self):
-        # five 1e5 s segments: a 5e5 s wall time, a million ticks
-        profile = BandwidthProfile(((0.0, 1e9),), math.inf)
-        cfg = SimConfig(ladder=BitrateLadder(segment_duration_s=1e5),
-                        max_buffer_s=1e6, total_segments=5)
-        trace = run_session(profile, cfg)
-        assert len(trace.buffer_series) <= 3 * cfg.total_segments + 2
-        assert self.check_expansion(trace, cfg.max_buffer_s) > 1e6
 
 
 RECORD_FIELDS = dict(
@@ -474,13 +422,14 @@ class TestRecordInvariants:
         cfg = SimConfig()
         for r in trace.records:
             assert 0.0 <= r.buffer_after_s <= cfg.max_buffer_s + 1e-9
-        for _, level in trace.buffer_series:
-            assert 0.0 <= level <= cfg.max_buffer_s + 1e-9
 
-    def test_buffer_series_is_time_ordered(self, trace):
-        times = [t for t, _ in trace.buffer_series]
-        assert times == sorted(times)
-        assert times[-1] <= trace.wall_time_s + 1e-9
+    def test_buffer_series_is_time_ordered(self, trace, stalling_traces):
+        # no series is stored: the records fix the trajectory, whose
+        # stretches end at each completion and at the wall time, in order
+        for tr in [trace] + stalling_traces:
+            assert tr.buffer_series == ()
+            times = [r.t_complete_s for r in tr.records] + [tr.wall_time_s]
+            assert times == sorted(times)
 
     def test_stalls_inside_wall_time_and_disjoint(self, trace,
                                                   stalling_traces):
@@ -612,7 +561,8 @@ class TestScaleEquivariance:
             [(r.size_kbit * s, r.instant_throughput_kbps * s,
               r.estimate_kbps * s) for r in a.records]
         assert repr(b.stalls) == repr(a.stalls)
-        assert repr(b.buffer_series) == repr(a.buffer_series)
+        assert summarize(b, cfg.ladder).buffer_cdf == \
+            summarize(a, cfg.ladder).buffer_cdf
         assert (b.startup_delay_s, b.wall_time_s, b.idle_full_s) == \
             (a.startup_delay_s, a.wall_time_s, a.idle_full_s)
 

@@ -4,15 +4,15 @@
 single-client loop it replaced is frozen below as the reference, with the
 piece walk that timed its downloads (the library's `integrate_download`
 now runs the engine, so it cannot be the reference). Both must agree on
-every decision exactly and on every time to 1e-9 s. The buffer replay is
-also checked against its own former version, frozen below too: the
-replay now keeps the trajectory's corners, and `buffer_samples` must
-expand them into exactly the series the frozen version sampled.
+every decision exactly and on every time to 1e-9 s. The frozen loop also
+sampled the buffer level every 0.5 s and at each event; a trace now
+stores no series, since its records fix the level at every time, and
+each of those samples must lie on that trajectory to 1e-9 s.
 """
 
 import dataclasses
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -24,18 +24,16 @@ from affsim import (
     SegmentRecord,
     SessionTrace,
     SimConfig,
-    buffer_samples,
     decide,
     estimator_update,
-    export,
     run_session,
     summarize,
     synthesize_profile,
 )
-from affsim.sim import BUFFER_TICK_S
 from test_acceptance import _random_config, _random_profile
 
 TOL = 1e-9
+BUFFER_TICK_S = 0.5  # the frozen loop's sampling step
 
 
 def _durations(cfg):
@@ -159,53 +157,33 @@ def reference_run_session(profile, cfg):
         idle_full_s=idle_full, buffer_series=tuple(series))
 
 
-def reference_buffer_series(trace, room):
-    """Replay a one-client trace into its ((t_s, level_s), ...) series.
+def record_levels(trace, completions, t):
+    """The levels the records fix at t, on either side of any completion
+    within TOL of t; `completions` holds the records' completion times.
 
-    Points: the origin, a sample every BUFFER_TICK_S, and each request,
-    stall onset, completion and the final drain. The buffer holds during
-    stalls and drains otherwise; a deferred request starts at `room`.
+    0 from the first request until the first completion, then a drain
+    at slope 1 from each completion's buffer_after_s, floored at 0, until
+    the next completion or wall_time_s.
     """
-    series = [(0.0, 0.0)]
-    t = level = 0.0
-    next_tick = BUFFER_TICK_S
+    out = []
+    for i in range(bisect_left(completions, t - TOL),
+                   bisect_right(completions, t + TOL) + 1):
+        if i == 0:
+            out.append(0.0)
+        else:
+            r = trace.records[i - 1]
+            out.append(max(0.0, r.buffer_after_s - (t - r.t_complete_s)))
+    return out
 
-    def advance(to_t, draining):
-        # move the clock, emitting buffer samples along the way
-        nonlocal t, level, next_tick
-        if to_t <= t:
-            return
-        while next_tick <= to_t:
-            sample = level - (next_tick - t) if draining else level
-            series.append((next_tick, max(0.0, sample)))
-            next_tick += BUFFER_TICK_S
-        if draining:
-            level = max(0.0, level - (to_t - t))
-        t = to_t
 
-    stalls = iter(trace.stalls)
-    stall = next(stalls, None)  # the open stall, else the next one
-    stalled = False
-    for r in trace.records:
-        if level > room:
-            advance(r.t_request_s, draining=True)
-            level = room
-        series.append((t, level))
-        if not stalled and stall is not None and stall[0] < r.t_complete_s:
-            advance(stall[0], draining=True)
-            level = 0.0
-            stalled = True
-            series.append((t, 0.0))
-        advance(r.t_complete_s, draining=not stalled)
-        level = r.buffer_after_s
-        # the engine computed the duration as this same difference
-        if stalled and r.t_complete_s - stall[0] >= stall[1]:
-            stalled = False
-            stall = next(stalls, None)
-        series.append((t, level))
-    advance(t + level, draining=True)
-    series.append((t, 0.0))
-    return tuple(series)
+def assert_series_on_records(trace, series):
+    # each sample of the frozen loop, on the new trace's trajectory
+    assert series[-1][0] == pytest.approx(trace.wall_time_s, abs=TOL)
+    completions = [r.t_complete_s for r in trace.records]
+    for t, level in series:
+        assert 0.0 <= t <= trace.wall_time_s + TOL
+        levels = record_levels(trace, completions, t)
+        assert min(abs(level - x) for x in levels) <= TOL, (t, level, levels)
 
 
 def assert_same_session(new, old, ladder):
@@ -226,17 +204,19 @@ def assert_same_session(new, old, ladder):
     for name in ("startup_delay_s", "wall_time_s", "idle_full_s"):
         assert getattr(new, name) == pytest.approx(getattr(old, name),
                                                    abs=TOL), name
-    new_series = tuple(buffer_samples(new.buffer_series))
-    assert len(new_series) == len(old.buffer_series)
-    for a, b in zip(new_series, old.buffer_series):
-        assert a == pytest.approx(b, abs=TOL)
+    assert new.buffer_series == ()
+    assert_series_on_records(new, old.buffer_series)
 
     new_rep, old_rep = summarize(new, ladder), summarize(old, ladder)
     assert new_rep.stall_durations_s == pytest.approx(
         old_rep.stall_durations_s, abs=TOL)
-    assert dataclasses.replace(new_rep, stall_durations_s=()) == \
-        dataclasses.replace(old_rep, stall_durations_s=())
-    assert export(new_rep, "csv") == export(old_rep, "csv")
+    assert [th for th, _ in new_rep.buffer_cdf] == \
+        [th for th, _ in old_rep.buffer_cdf]
+    assert [fr for _, fr in new_rep.buffer_cdf] == pytest.approx(
+        [fr for _, fr in old_rep.buffer_cdf], abs=TOL)
+    assert dataclasses.replace(new_rep, stall_durations_s=(),
+                               buffer_cdf=()) == \
+        dataclasses.replace(old_rep, stall_durations_s=(), buffer_cdf=())
 
 
 def test_matches_reference_on_acceptance_generator():
@@ -261,6 +241,8 @@ def test_matches_reference_on_synthetic_traces(kind):
 
 
 def test_buffer_replay_matches_reference_exactly():
+    # the level the records fix, replayed at every sample of the frozen
+    # loop, on sessions that wait for room and stall often
     rng = random.Random(2024)
     cases = [(_random_profile(rng), _random_config(rng)) for _ in range(250)]
     for kind in ("test1", "test2", "test3", "test4"):
@@ -275,29 +257,26 @@ def test_buffer_replay_matches_reference_exactly():
     stalls = waits = 0
     for profile, cfg in cases:
         trace = run_session(profile, cfg)
-        room = cfg.max_buffer_s - cfg.ladder.segment_duration_s
-        # repr tells -0.0 from 0.0 and prints every float exactly
-        assert repr(tuple(buffer_samples(trace.buffer_series))) == \
-            repr(reference_buffer_series(trace, room))
+        assert_series_on_records(
+            trace, reference_run_session(profile, cfg).buffer_series)
         stalls += len(trace.stalls)
         waits += trace.idle_full_s > 0.0
-    # the cases exercise both branches of the replay
+    # the cases exercise stalls and room waits
     assert stalls > 100 and waits > 100, (stalls, waits)
 
 
 def test_buffer_replay_grid_corners_match_reference():
-    # round rates land corners on the tick grid: the replay keeps those
-    # ticks as points of their own
+    # round rates land completions on the tick grid, where the frozen
+    # loop sampled the level both before and after the segment landed
     on_grid = 0
     for kbps in (250.0, 500.0, 1000.0, 4000.0):
         profile = BandwidthProfile(((0.0, kbps), (40.0, kbps / 4),
                                     (90.0, kbps)), 1e6)
         cfg = SimConfig(total_segments=60)
         trace = run_session(profile, cfg)
-        expected = reference_buffer_series(trace, cfg.max_buffer_s - 2.0)
-        assert repr(tuple(buffer_samples(trace.buffer_series))) == \
-            repr(expected)
-        times = {t for t, _ in trace.buffer_series}
-        on_grid += sum(1 for t, _ in expected
-                       if t in times and t % BUFFER_TICK_S == 0.0)
+        series = reference_run_session(profile, cfg).buffer_series
+        assert_series_on_records(trace, series)
+        completions = {r.t_complete_s for r in trace.records}
+        on_grid += sum(1 for t, _ in series
+                       if t in completions and t % BUFFER_TICK_S == 0.0)
     assert on_grid > 100, on_grid
