@@ -17,7 +17,7 @@ from .fairness import FairnessConfig, run_fairness
 from .profiles import BUILTIN_PROFILES, load_profile, profile_stats, \
     synthesize_profile
 from .report import export, summarize, to_dict
-from .sim import SimConfig, run_session
+from .sim import SegmentRecord, SimConfig, run_session
 
 SYNTH_KINDS = ("test1", "test2", "test3", "test4")
 
@@ -90,10 +90,8 @@ def _sim_config(args, name):
 
 def _build_profile(args, default_synth_duration):
     if args.synth:
-        duration = args.duration
-        if duration is None:
-            duration = default_synth_duration
-        return synthesize_profile(args.synth, args.seed, duration)
+        return synthesize_profile(args.synth, args.seed, default_synth_duration
+                                  if args.duration is None else args.duration)
     if args.profile is None:  # fairness without a trace: the config's link
         return None
     if args.profile in BUILTIN_PROFILES:
@@ -126,9 +124,8 @@ def _print_session(trace, report):
 def _write_trace_csv(trace, path):
     # a SegmentRecord is a tuple in column order, so one % formats its row
     row = "%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%s\n"
-    text = ("index,quality_index,size_kbit,t_request_s,t_complete_s,"
-            "instant_throughput_kbps,estimate_kbps,buffer_after_s,"
-            "decision_reason\n" + "".join(row % r for r in trace.records))
+    text = ",".join(SegmentRecord._fields) + "\n" + "".join(
+        row % r for r in trace.records)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -147,7 +144,7 @@ def _cmd_run(args):
 
 
 def _cmd_fairness(args):
-    profile = _build_profile(args, _synth_span(args))
+    sim = _sim_config(args, args.estimator)  # checked before the trace
     try:
         window = tuple(float(x) for x in args.window.split(":"))
     except ValueError:
@@ -155,7 +152,7 @@ def _cmd_fairness(args):
                           % (args.window,)) from None
     cfg = FairnessConfig(
         n_clients=args.clients, start_jitter_s=args.jitter, window=window,
-        profile=profile, sim=_sim_config(args, args.estimator),
+        profile=_build_profile(args, _synth_span(args)), sim=sim,
         rng_seed=args.seed)
     result = run_fairness(cfg)
     print("clients: %d" % args.clients)
@@ -197,12 +194,9 @@ def _cmd_compare(args):
 
 
 def _cmd_stats(args):
-    profile = _build_profile(args, 600.0)
-    stats = profile_stats(profile)
-    print("max_mbps: %.4f" % stats.max_mbps)
-    print("min_mbps: %.4f" % stats.min_mbps)
-    print("avg_mbps: %.4f" % stats.avg_mbps)
-    print("stddev_mbps: %.4f" % stats.stddev_mbps)
+    stats = profile_stats(_build_profile(args, 600.0))
+    for name, mbps in vars(stats).items():  # in field order
+        print("%s: %.4f" % (name, mbps))
     return 0
 
 

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, check_int
-from .profiles import fairness_table3
+from .profiles import fairness_table3, unit_scale
 from .sim import MAX_ROWS, SimConfig, _run_shared
 
 
@@ -59,17 +59,19 @@ class FairnessResult:
 
 
 def jain_index(values):
-    """Jain's fairness index: (sum x)^2 / (n * sum x^2), in (0, 1]."""
+    """Jain's fairness index: (sum x)^2 / (n * sum x^2), in (0, 1]; the sums
+    run on values scaled by `unit_scale`, so no square under/overflows."""
     vals = list(values)
     if not vals:
         raise InvalidParameterError("jain_index needs at least one value")
     if not all(0 <= v < math.inf for v in vals):
         raise InvalidParameterError("allocations must be finite and >= 0")
-    sq = sum(v * v for v in vals)
-    if sq == 0.0:
+    if not any(vals):
         raise InvalidParameterError("at least one allocation must be > 0")
+    scale = unit_scale(max(vals))
+    vals = [v * scale for v in vals]
     s = sum(vals)
-    return (s * s) / (len(vals) * sq)
+    return min(1.0, (s * s) / (len(vals) * sum(v * v for v in vals)))
 
 
 def run_fairness(cfg):

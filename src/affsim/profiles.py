@@ -11,6 +11,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import (InvalidParameterError, OutOfRangeError,
                      ProfileParseError, ProfileValidationError, check_int)
@@ -102,10 +103,8 @@ def load_profile(source, duration_s=None):
 
 def dump_profile(profile):
     """Serialize back to CSV text that load_profile accepts."""
-    out = ["time_s,bandwidth_kbps"]
-    for t, b in profile.breakpoints:
-        out.append("%r,%r" % (t, b))
-    return "\n".join(out) + "\n"
+    return "time_s,bandwidth_kbps\n" + "".join(
+        "%r,%r\n" % bp for bp in profile.breakpoints)
 
 
 def bandwidth_at(profile, t):
@@ -124,26 +123,35 @@ class ProfileStats:
     stddev_mbps: float
 
 
+def unit_scale(top):
+    """The power of two that brings finite top >= 0 into [0.5, 1) (at most
+    2**1021); scaling by it is exact while the products stay normal."""
+    return math.ldexp(1.0, -max(math.frexp(top)[1], -1021))
+
+
+def _moments(pieces):
+    """Time-weighted mean and stddev of (length_s, value) pieces, summed on
+    values scaled by unit_scale so that no square overflows."""
+    scale = unit_scale(max(abs(v) for _, v in pieces))
+    total = sum(length for length, _ in pieces)
+    mean = sum(length * (v * scale) for length, v in pieces) / total
+    var = sum(length * (v * scale - mean) ** 2 for length, v in pieces) / total
+    return mean / scale, math.sqrt(var) / scale
+
+
 def profile_stats(profile):
     """Time-weighted stats over the whole profile, in Mbit/s."""
     if not math.isfinite(profile.duration_s) or profile.duration_s <= 0:
         raise InvalidParameterError(
             "stats need a finite positive duration, got %r"
             % (profile.duration_s,))
-    pieces = []  # (length_s, kbps)
-    bps = profile.breakpoints
-    for i, (start, kbps) in enumerate(bps):
-        end = bps[i + 1][0] if i + 1 < len(bps) else profile.duration_s
-        if end > start:
-            pieces.append((end - start, kbps))
-    total = sum(length for length, _ in pieces)
-    mean = sum(length * b for length, b in pieces) / total
-    var = sum(length * (b - mean) ** 2 for length, b in pieces) / total
-    return ProfileStats(
-        max_mbps=max(b for _, b in pieces) / 1000.0,
-        min_mbps=min(b for _, b in pieces) / 1000.0,
-        avg_mbps=mean / 1000.0,
-        stddev_mbps=math.sqrt(var) / 1000.0)
+    ends = profile.starts[1:] + (profile.duration_s,)
+    pieces = [(end - start, kbps)  # (length_s, kbps)
+              for (start, kbps), end in zip(profile.breakpoints, ends)
+              if end > start]
+    rates = [b for _, b in pieces]
+    return ProfileStats(*(kbps / 1000.0 for kbps in (
+        max(rates), min(rates), *_moments(pieces))))
 
 
 def fairness_table3():
@@ -205,15 +213,13 @@ def synthesize_profile(kind, seed, duration_s):
     # Recenter so the realized time-weighted stats hit the targets, then
     # clip; a few rounds absorb the distortion clipping introduces.
     for _ in range(4):
-        total = sum(length for length, _ in segments)
-        mean = sum(length * v for length, v in segments) / total
-        var = sum(length * (v - mean) ** 2 for length, v in segments) / total
-        sd = math.sqrt(var)
+        mean, sd = _moments(segments)
         if sd == 0.0:
             break
         scale = target_sd / sd
         for seg in segments:
-            seg[1] = min(hi, max(lo, target_mean + scale * (seg[1] - mean)))
+            v = target_mean + scale * (seg[1] - mean)
+            seg[1] = lo if v < lo else hi if v > hi else v  # without calls
     # Guarantee the extremes appear. Touches are kept short so they do not
     # disturb the calibrated stats, and scale down with short durations.
     touch_len = min(1.0, duration_s / 600.0)
@@ -227,9 +233,6 @@ def synthesize_profile(kind, seed, duration_s):
                 segments.insert(i + 1, [touch_len, value])
             else:
                 segments[i] = [length, value]
-    breakpoints = []
-    t = 0.0
-    for length, v in segments:
-        breakpoints.append((t, v))
-        t += length
-    return BandwidthProfile(tuple(breakpoints), duration_s)
+    starts = accumulate((length for length, _ in segments), initial=0.0)
+    return BandwidthProfile(
+        tuple(zip(starts, (v for _, v in segments))), duration_s)

@@ -144,17 +144,19 @@ def _fairness_dict(result):
     }
 
 
-def to_dict(obj):
-    if isinstance(obj, QoeReport):
-        return _report_dict(obj)
-    if isinstance(obj, FairnessResult):
-        return _fairness_dict(obj)
+def _is_report(obj):  # the one type check of both export formats
+    if isinstance(obj, (QoeReport, FairnessResult)):
+        return isinstance(obj, QoeReport)
     raise InvalidParameterError("cannot export %r" % (type(obj).__name__,))
+
+
+def to_dict(obj):
+    return _report_dict(obj) if _is_report(obj) else _fairness_dict(obj)
 
 
 def _csv_rows(obj):
     rows = [("section", "key", "value")]
-    if isinstance(obj, QoeReport):
+    if _is_report(obj):
         rows.append(("summary", "bitrate_changes", str(obj.bitrate_changes)))
         rows.append(("summary", "stall_events", str(obj.stall_events)))
         rows.append(("summary", "mean_bitrate_kbps",
@@ -165,15 +167,12 @@ def _csv_rows(obj):
             rows.append(("bitrate_cdf", "%.4f" % kbps, "%.4f" % frac))
         for seconds, frac in obj.buffer_cdf:
             rows.append(("buffer_cdf", "%.4f" % seconds, "%.4f" % frac))
-    elif isinstance(obj, FairnessResult):
+    else:
         rows.append(("summary", "jfi", "%.4f" % obj.jfi))
         rows.append(("summary", "total_avg_kbps",
                      "%.4f" % obj.total_avg_kbps))
         for i, v in enumerate(obj.per_client_avg_kbps):
             rows.append(("per_client_avg_kbps", str(i), "%.4f" % v))
-    else:
-        raise InvalidParameterError(
-            "cannot export %r" % (type(obj).__name__,))
     return rows
 
 

@@ -12,13 +12,14 @@ flight) with every rate constant in between, so progress is exact; an
 idle link jumps to the next request. A stall onset is not an event: the
 rate split depends only on which downloads are in flight, so a client
 settles its own buffer drain, and any stall, when its segment lands.
-Each client is a coroutine that keeps its state in locals: sent each
-completion time, it answers with its next request time and segment size.
-A single session is the one-client case, and `integrate_download` is one
-download of it. A trace stores no buffer series: its records fix the
-level at every time (0 until the first segment lands, then a drain from
-each completion's level), and `affsim.report.summarize` gives the
-fraction of wall time the level spends at or below each threshold.
+Each client is a coroutine that keeps its state in locals: it yields each
+request as (request time, segment size), is sent its completion time, and
+returns its SessionTrace. A single session is the one-client case, and
+`integrate_download` is one download of it. A trace stores no buffer
+series: its records fix the level at every time (0 until the first
+segment lands, then a drain from each completion's level), and
+`affsim.report.summarize` gives the fraction of wall time the level
+spends at or below each threshold.
 """
 
 from bisect import bisect_right
@@ -82,8 +83,7 @@ class SessionTrace:
     startup_delay_s: float
     wall_time_s: float
     idle_full_s: float  # request time lost waiting for buffer room
-    # always (): the records fix the buffer trajectory (see summarize)
-    buffer_series: tuple
+    buffer_series = ()  # not a field; only bench/ reads it (ROADMAP item 1)
 
 
 def integrate_download(profile, start_s, size_kbit):
@@ -110,15 +110,15 @@ def integrate_download(profile, start_s, size_kbit):
     return trace.records[0].t_complete_s - start_s
 
 
-def _client(start_time, cfg, out):
-    """One client of `_run_shared`, a coroutine: next() primes it and returns
-    the first segment's size in kbit, and each completion time sent returns
-    the next (request time, size), or None after the last segment, by when
-    its SessionTrace is in `out`. `buffer` is the level at the current
-    request while a segment is in flight; the drain in between, any stall
-    it ends in, and the next decision (from the estimate and the level at
-    the next request) concern no other client, so they are settled when
-    the segment lands.
+def _client(start_time, cfg):
+    """One client of `_run_shared`, a coroutine: it yields each segment's
+    (request time, size in kbit), next() the first and each completion
+    time sent the rest, and after the last completion it returns its
+    SessionTrace. `buffer` is the level at the current request while a
+    segment is in flight; the drain in between, any stall it ends in, and
+    the next decision (from the estimate and the level at the next
+    request) concern no other client, so they are settled when the
+    segment lands.
     """
     ladder, abr = cfg.ladder, cfg.abr
     rungs, seg_dur = ladder.bitrates_kbps, ladder.segment_duration_s
@@ -138,7 +138,7 @@ def _client(start_time, cfg, out):
         quality_index, reason = decide(ladder, abr, estimate, buffer)
         size = rungs[quality_index] * seg_dur
         t_request = t
-        t = yield (t, size) if index > 1 else size
+        t = yield t, size
         tau = t - t_request
         if tau <= 0.0:
             # the transfer time fell below one ulp of the clock
@@ -163,13 +163,11 @@ def _client(start_time, cfg, out):
         records.append(tuple.__new__(SegmentRecord, (
             index, quality_index, size, t_request, t, inst, estimate,
             buffer, reason)))
-    out.append(SessionTrace(
+    return SessionTrace(
         records=tuple(records), stalls=tuple(stalls),
         startup_delay_s=startup_delay,
         wall_time_s=t + buffer,  # remaining media plays out
-        idle_full_s=idle_full, buffer_series=()))
-    del records, stalls  # the trace holds their items now
-    yield None
+        idle_full_s=idle_full)
 
 
 def _run_shared(profile, sim_cfg, start_times):
@@ -182,19 +180,21 @@ def _run_shared(profile, sim_cfg, start_times):
     that target, and the start times and ends of room waits in one keyed
     on wall time, so each event costs O(log N) for N clients. Each client
     is a `_client` coroutine, sent its completion time once per segment;
-    a next request due at once goes straight into flight. A start time
-    must be finite and at least 0, the start of the trace, since clients
-    record their own request times; another raises InvalidParameterError.
+    a next request due at once goes straight into flight, and the trace
+    it returns is its entry in the result. A start time must be finite
+    and at least 0, the start of the trace, since clients record their
+    own request times; another raises InvalidParameterError.
     """
-    traces = [[] for _ in start_times]
+    traces = [None] * len(start_times)
     sends = []
     requests = []  # (due, client id, size): starts and ends of room waits
-    for cid, (st, out) in enumerate(zip(start_times, traces)):
+    for cid, st in enumerate(start_times):
         if not 0.0 <= st < inf:
             raise InvalidParameterError(
                 "start times must be finite and at least 0, got %r" % (st,))
-        client = _client(st, sim_cfg, out)
-        requests.append((st, cid, next(client)))
+        client = _client(st, sim_cfg)
+        due, size = next(client)
+        requests.append((due, cid, size))
         sends.append(client.send)
     heapify(requests)
     bps, starts, end = profile.breakpoints, profile.starts, profile.duration_s
@@ -236,17 +236,19 @@ def _run_shared(profile, sim_cfg, start_times):
         t = t_next
         while finishing and finishing[0][0] <= served:
             cid = heappop(finishing)[1]
-            request = sends[cid](t)
-            if request is not None:
-                due, size = request
-                if due == t:
-                    heappush(finishing, (served + size, cid))
-                else:
-                    heappush(requests, (due, cid, size))
+            try:
+                due, size = sends[cid](t)
+            except StopIteration as done:
+                traces[cid] = done.value
+                continue
+            if due == t:
+                heappush(finishing, (served + size, cid))
+            else:
+                heappush(requests, (due, cid, size))
         while requests and requests[0][0] <= t:
             _, cid, size = heappop(requests)
             heappush(finishing, (served + size, cid))
-    return [out[0] for out in traces]
+    return traces
 
 
 def run_session(profile, cfg):

@@ -110,7 +110,9 @@ class TestRun:
                    "--segments", "25", "--trace", str(path)])
         assert rc == 0
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("index,quality_index,size_kbit,")
+        assert lines[0] == ("index,quality_index,size_kbit,t_request_s,"
+                            "t_complete_s,instant_throughput_kbps,"
+                            "estimate_kbps,buffer_after_s,decision_reason")
         assert len(lines) == 26
         assert lines[1].startswith("1,")
 
@@ -145,6 +147,17 @@ class TestStats:
         assert rc == 0
         assert "max_mbps: 4.0000" in out
         assert "avg_mbps: 2.5000" in out
+
+    def test_huge_rates_give_finite_stats(self, capsys, tmp_path):
+        # the time-weighted sums once overflowed to inf
+        path = tmp_path / "trace.csv"
+        path.write_text("0,1.7e308\n5,1e308\n")
+        rc = main(["stats", "--profile", str(path), "--duration", "10"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        stats = dict(line.split(": ") for line in out.splitlines())
+        assert float(stats["avg_mbps"]) == pytest.approx(1.35e305)
+        assert float(stats["stddev_mbps"]) == pytest.approx(3.5e304)
 
 
 class TestErrorPaths:
@@ -365,7 +378,9 @@ class TestErrorPaths:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: duration_s must lie in")
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", [["run"], ["compare"],
+                                         ["fairness", "--window", "0:100"]],
+                             ids=["run", "compare", "fairness"])
     def test_over_cap_session_refused_before_synthesis(
             self, capsys, monkeypatch, command):
         calls = []
@@ -375,10 +390,11 @@ class TestErrorPaths:
             calls.append(args)
             return real(*args)
         monkeypatch.setattr(cli, "synthesize_profile", counting)
-        assert main([command, "--synth", "test1", "--segments", "30"]) == 0
+        # the 240 s span of 30 segments holds the fairness window
+        assert main(command + ["--synth", "test1", "--segments", "30"]) == 0
         assert len(calls) == 1  # the counter sees a synthesis
         capsys.readouterr()
-        rc = main([command, "--synth", "test1", "--segments", "1048577"])
+        rc = main(command + ["--synth", "test1", "--segments", "1048577"])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
@@ -420,6 +436,25 @@ class TestFairnessCommand:
         payload = json.loads(path.read_text())
         assert payload["jfi"] > 0
         assert len(payload["per_client_avg_kbps"]) == 2
+
+    def test_symmetric_clients_score_at_most_one(self, capsys, tmp_path):
+        # 17 lockstep clients once scored 1.0000000000000004
+        path = tmp_path / "fair.json"
+        rc = main(["fairness", "--jitter", "0", "--clients", "17",
+                   "--out", str(path)])
+        assert rc == 0
+        assert json.loads(path.read_text())["jfi"] == 1.0
+
+    def test_huge_rates_score_a_finite_jfi(self, capsys, tmp_path):
+        # the squares of 1e200-scale averages once overflowed to jfi: nan
+        path = tmp_path / "trace.csv"
+        path.write_text("0,4e200\n")
+        rc = main(["fairness", "--profile", str(path), "--ladder",
+                   "5e199,1e200", "--clients", "2", "--segments", "40",
+                   "--window", "10:50"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert re.search(r"^jfi: 1\.0000$", out, re.M), out
 
 
 class TestDefaults:

@@ -14,6 +14,7 @@ from affsim import (
     InvalidParameterError,
     OutOfRangeError,
     ProfileParseError,
+    ProfileStats,
     ProfileValidationError,
     bandwidth_at,
     dump_profile,
@@ -100,6 +101,9 @@ class TestLoadProfile:
     def test_empty_input_rejected(self):
         with pytest.raises(ProfileValidationError):
             load_profile("# nothing here\n", 10.0)
+        with pytest.raises(ProfileValidationError,
+                           match="profile needs at least one row"):
+            BandwidthProfile((), 10.0)
 
     def test_round_trips_through_dump(self):
         p = load_profile(TABLE3_CSV, 360.0)
@@ -193,6 +197,15 @@ class TestProfileStats:
         p = BandwidthProfile(((0.0, 1000.0), (18.0, 11000.0)), 20.0)
         s = profile_stats(p)
         assert s.avg_mbps == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("log2_scale", [-1000, -40, -1, 1, 40, 990])
+    def test_power_of_two_scaling_scales_stats_exactly(self, log2_scale):
+        s = 2.0 ** log2_scale
+        for p in (fairness_table3(), synthesize_profile("test2", 4, 800.0)):
+            scaled = BandwidthProfile(
+                tuple((t, b * s) for t, b in p.breakpoints), p.duration_s)
+            assert profile_stats(scaled) == ProfileStats(
+                *(v * s for v in dataclasses.astuple(profile_stats(p))))
 
     def test_open_ended_profile_has_no_stats(self):
         with pytest.raises(InvalidParameterError):

@@ -1,19 +1,25 @@
-"""Differential test: load_profile against its former row loop.
+"""Differential tests: load_profile against its former row loop, and the
+scaled time-weighted moments against the unscaled sums they replaced.
 
 The CSV reader was rewritten to do less work per row. The version it
 replaced is frozen below as the reference. For every input both must
 return an equal profile, or raise the same exception type with the same
-message and line number.
+message and line number. The synthetic generator and profile_stats now
+sum on values scaled by a power of two; wherever the unscaled sums are
+finite, their traces and stats must be the same to the bit.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affsim import (BandwidthProfile, ProfileParseError,
-                    ProfileValidationError, load_profile)
+from affsim import (BandwidthProfile, ProfileParseError, ProfileStats,
+                    ProfileValidationError, dump_profile, fairness_table3,
+                    load_profile, profile_stats, synthesize_profile)
+from affsim.profiles import SYNTH_TARGETS
 
 
 def reference_load_profile(source, duration_s=None):
@@ -168,3 +174,75 @@ def test_fixed_cases_match_reference(text):
     for make in (str, str.splitlines, lambda s: s.splitlines(True)):
         assert outcome(load_profile, make(text), None) \
             == outcome(reference_load_profile, make(text), None)
+
+
+def reference_moments(pieces):
+    """The unscaled time-weighted mean and stddev, as both callers had it."""
+    total = sum(length for length, _ in pieces)
+    mean = sum(length * v for length, v in pieces) / total
+    var = sum(length * (v - mean) ** 2 for length, v in pieces) / total
+    return mean, math.sqrt(var)
+
+
+def reference_synth_breakpoints(kind, seed, duration_s):
+    """synthesize_profile's test1..test3 rows before the scaled moments."""
+    lo, hi, target_mean, target_sd = SYNTH_TARGETS[kind]
+    rng = random.Random("%s:%d" % (kind, seed))
+    segments = []
+    t = 0.0
+    while t < duration_s:
+        length = min(rng.uniform(1.0, 5.0), duration_s - t)
+        segments.append([length, rng.gauss(target_mean, target_sd)])
+        t += length
+    for _ in range(4):
+        mean, sd = reference_moments(segments)
+        if sd == 0.0:
+            break
+        scale = target_sd / sd
+        for seg in segments:
+            seg[1] = min(hi, max(lo, target_mean + scale * (seg[1] - mean)))
+    touch_len = min(1.0, duration_s / 600.0)
+    touches = max(1, round(duration_s / 600.0))
+    for value in (lo, hi):
+        for _ in range(touches):
+            i = rng.randrange(len(segments))
+            length, v = segments[i]
+            if length > 2.0 * touch_len:
+                segments[i] = [length - touch_len, v]
+                segments.insert(i + 1, [touch_len, value])
+            else:
+                segments[i] = [length, value]
+    breakpoints = []
+    t = 0.0
+    for length, v in segments:
+        breakpoints.append((t, v))
+        t += length
+    return tuple(breakpoints)
+
+
+def reference_profile_stats(profile):
+    bps = profile.breakpoints
+    pieces = []
+    for i, (start, kbps) in enumerate(bps):
+        end = bps[i + 1][0] if i + 1 < len(bps) else profile.duration_s
+        if end > start:
+            pieces.append((end - start, kbps))
+    mean, sd = reference_moments(pieces)
+    return ProfileStats(max(b for _, b in pieces) / 1000.0,
+                        min(b for _, b in pieces) / 1000.0,
+                        mean / 1000.0, sd / 1000.0)
+
+
+@pytest.mark.parametrize("kind", ["test1", "test2", "test3", "test4"])
+def test_synthetic_traces_and_stats_match_unscaled_sums(kind):
+    grid = [(seed, d) for seed in range(30) for d in (60.0, 800.0)]
+    grid += [(seed, 24000.0) for seed in range(2)]
+    for seed, duration in grid:
+        profile = synthesize_profile(kind, seed, duration)
+        if kind != "test4":  # the two plateaus take no moments
+            assert dump_profile(profile) == dump_profile(BandwidthProfile(
+                reference_synth_breakpoints(kind, seed, duration),
+                duration))
+        assert profile_stats(profile) == reference_profile_stats(profile)
+    assert profile_stats(fairness_table3()) == \
+        reference_profile_stats(fairness_table3())

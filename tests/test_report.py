@@ -45,7 +45,7 @@ def make_trace(qualities, stalls=(), levels=None, wall_time_s=None):
         wall_time_s = 2.0 * len(qualities)
     return SessionTrace(records=records, stalls=tuple(stalls),
                         startup_delay_s=1.0, wall_time_s=wall_time_s,
-                        idle_full_s=0.0, buffer_series=())
+                        idle_full_s=0.0)
 
 
 class TestSummarize:
@@ -131,7 +131,7 @@ class TestSummarize:
         "from affsim.sim import SegmentRecord\n"
         "rec = SegmentRecord(1, 0, 1.0, 0.0, 1.0, 1.0, 1.0,\n"
         "                    float(sys.argv[1]), 'x')\n"
-        "trace = SessionTrace((rec,), (), 0.0, 2.0, 0.0, ())\n"
+        "trace = SessionTrace((rec,), (), 0.0, 2.0, 0.0)\n"
         "try:\n"
         "    summarize(trace, BitrateLadder())\n"
         "except InvalidParameterError as exc:\n"
@@ -272,6 +272,10 @@ class TestToDict:
     def test_rejects_other_types(self):
         with pytest.raises(InvalidParameterError):
             to_dict({"not": "a report"})
+        for fmt in ("json", "csv"):
+            with pytest.raises(InvalidParameterError,
+                               match="cannot export 'object'"):
+                export(object(), fmt)
 
 
 class TestExport:

@@ -135,7 +135,7 @@ def played_trace(start, seg_dur, max_buffer_s, downloads, qualities=None):
     return SessionTrace(
         records=tuple(records), stalls=tuple(stalls),
         startup_delay_s=records[0].t_complete_s - start,
-        wall_time_s=t + level, idle_full_s=0.0, buffer_series=())
+        wall_time_s=t + level, idle_full_s=0.0)
 
 
 def records_trace(levels=(0.0, 1.0, 2.0), times=None, wall=None,
@@ -152,7 +152,7 @@ def records_trace(levels=(0.0, 1.0, 2.0), times=None, wall=None,
             for i, (q, lv, t) in enumerate(zip(qualities or [0] * n,
                                                levels, times))),
         stalls=(), startup_delay_s=times[0], wall_time_s=wall,
-        idle_full_s=0.0, buffer_series=())
+        idle_full_s=0.0)
 
 
 # times on the CDF grid, one ulp either side of it, and anywhere

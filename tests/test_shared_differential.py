@@ -119,7 +119,7 @@ class ReferenceClient:
         return SessionTrace(
             records=tuple(self.records), stalls=tuple(self.stalls),
             startup_delay_s=self.startup_delay, wall_time_s=self.wall_time,
-            idle_full_s=self.idle_full, buffer_series=())
+            idle_full_s=self.idle_full)
 
 
 def reference_run_shared(profile, sim_cfg, start_times):

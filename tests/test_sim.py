@@ -567,6 +567,42 @@ class TestScaleEquivariance:
             (a.startup_delay_s, a.wall_time_s, a.idle_full_s)
 
 
+class TestClientContract:
+    """A client yields every request, the first included, as (request time,
+    size), is sent each completion time, and returns its SessionTrace."""
+
+    def test_requests_then_returned_trace(self):
+        cfg = SimConfig(max_buffer_s=10.0, total_segments=20)
+        client = sim._client(3.0, cfg)
+        requests, completions = [next(client)], []
+        while True:
+            due, size = requests[-1]
+            completions.append(due + size / 4000.0)  # a link of its own
+            try:
+                requests.append(client.send(completions[-1]))
+            except StopIteration as done:
+                trace = done.value
+                break
+        assert requests[0][0] == 3.0
+        assert [(r.t_request_s, r.size_kbit) for r in trace.records] == \
+            requests
+        assert [r.t_complete_s for r in trace.records] == completions
+        assert trace.idle_full_s > 0.0  # room waits moved request times
+        assert trace == sim._run_shared(constant(4000.0), cfg, [3.0])[0]
+
+    def test_trace_holds_only_what_the_run_produced(self):
+        assert [f.name for f in dataclasses.fields(sim.SessionTrace)] == [
+            "records", "stalls", "startup_delay_s", "wall_time_s",
+            "idle_full_s"]
+        trace = run_session(constant(4000.0), SimConfig(total_segments=3))
+        # read-only and always (): the records fix the buffer trajectory
+        assert trace.buffer_series == ()
+        with pytest.raises(AttributeError):
+            trace.buffer_series = ((0.0, 0.0),)
+        with pytest.raises(TypeError):
+            sim.SessionTrace((), (), 0.0, 1.0, 0.0, ())
+
+
 class TestDeterminism:
     def test_identical_inputs_identical_traces(self):
         profile = BandwidthProfile(

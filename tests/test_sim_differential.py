@@ -76,7 +76,8 @@ def integrate_download(profile, start_s, size_kbit):
 
 
 def reference_run_session(profile, cfg):
-    """The single-client loop as it stood before the engine merge."""
+    """The single-client loop as it stood before the engine merge; returns
+    its trace and, beside it, the buffer series it sampled."""
     seg_dur, target = _durations(cfg)
     est_state = cfg.estimator.initial_state
     estimate = None
@@ -154,7 +155,7 @@ def reference_run_session(profile, cfg):
     return SessionTrace(
         records=tuple(records), stalls=tuple(stalls),
         startup_delay_s=startup_delay, wall_time_s=t,
-        idle_full_s=idle_full, buffer_series=tuple(series))
+        idle_full_s=idle_full), tuple(series)
 
 
 def record_levels(trace, completions, t):
@@ -186,7 +187,7 @@ def assert_series_on_records(trace, series):
         assert min(abs(level - x) for x in levels) <= TOL, (t, level, levels)
 
 
-def assert_same_session(new, old, ladder):
+def assert_same_session(new, old, old_series, ladder):
     assert [(r.index, r.quality_index, r.decision_reason, r.size_kbit)
             for r in new.records] == \
         [(r.index, r.quality_index, r.decision_reason, r.size_kbit)
@@ -205,7 +206,7 @@ def assert_same_session(new, old, ladder):
         assert getattr(new, name) == pytest.approx(getattr(old, name),
                                                    abs=TOL), name
     assert new.buffer_series == ()
-    assert_series_on_records(new, old.buffer_series)
+    assert_series_on_records(new, old_series)
 
     new_rep, old_rep = summarize(new, ladder), summarize(old, ladder)
     assert new_rep.stall_durations_s == pytest.approx(
@@ -225,7 +226,7 @@ def test_matches_reference_on_acceptance_generator():
         profile = _random_profile(rng)
         cfg = _random_config(rng)
         assert_same_session(run_session(profile, cfg),
-                            reference_run_session(profile, cfg), cfg.ladder)
+                            *reference_run_session(profile, cfg), cfg.ladder)
 
 
 @pytest.mark.parametrize("kind", ["test1", "test2", "test3", "test4"])
@@ -236,7 +237,7 @@ def test_matches_reference_on_synthetic_traces(kind):
         for estimator in ("aff", "ewma", "sliding_mean"):
             cfg = SimConfig(estimator=EstimatorConfig(kind=estimator))
             assert_same_session(run_session(profile, cfg),
-                                reference_run_session(profile, cfg),
+                                *reference_run_session(profile, cfg),
                                 cfg.ladder)
 
 
@@ -258,7 +259,7 @@ def test_buffer_replay_matches_reference_exactly():
     for profile, cfg in cases:
         trace = run_session(profile, cfg)
         assert_series_on_records(
-            trace, reference_run_session(profile, cfg).buffer_series)
+            trace, reference_run_session(profile, cfg)[1])
         stalls += len(trace.stalls)
         waits += trace.idle_full_s > 0.0
     # the cases exercise stalls and room waits
@@ -274,7 +275,7 @@ def test_buffer_replay_grid_corners_match_reference():
                                     (90.0, kbps)), 1e6)
         cfg = SimConfig(total_segments=60)
         trace = run_session(profile, cfg)
-        series = reference_run_session(profile, cfg).buffer_series
+        series = reference_run_session(profile, cfg)[1]
         assert_series_on_records(trace, series)
         completions = {r.t_complete_s for r in trace.records}
         on_grid += sum(1 for t, _ in series
