@@ -21,7 +21,7 @@ from .profiles import (BUILTIN_PROFILES, BandwidthProfile, ProfileStats,
                        load_profile, profile_stats, synthesize_profile)
 from .report import QoeReport, export, parse_csv_export, summarize, to_dict
 from .sim import (SegmentRecord, SessionTrace, SimConfig, integrate_download,
-                  run_session)
+                  run_session, run_shared)
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,6 @@ __all__ = [
     "dump_profile", "estimator_kinds", "estimator_update", "ewma_update",
     "export", "fairness_table3", "integrate_download", "jain_index",
     "load_profile", "parse_csv_export", "profile_stats", "run_fairness",
-    "run_session", "select_bitrate", "sliding_mean_update", "summarize",
-    "synthesize_profile", "to_dict",
+    "run_session", "run_shared", "select_bitrate", "sliding_mean_update",
+    "summarize", "synthesize_profile", "to_dict",
 ]

@@ -13,7 +13,7 @@ import sys
 from .abr import AbrConfig, BitrateLadder
 from .errors import AffSimError
 from .estimators import EstimatorConfig, estimator_kinds
-from .fairness import FairnessConfig, run_fairness
+from .fairness import FairnessConfig, _check_records, run_fairness
 from .profiles import BUILTIN_PROFILES, load_profile, profile_stats, \
     synthesize_profile
 from .report import export, summarize, to_dict
@@ -145,6 +145,7 @@ def _cmd_run(args):
 
 def _cmd_fairness(args):
     sim = _sim_config(args, args.estimator)  # checked before the trace
+    _check_records(args.clients, sim)  # and so are the run's records
     try:
         window = tuple(float(x) for x in args.window.split(":"))
     except ValueError:

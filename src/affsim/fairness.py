@@ -3,16 +3,28 @@
 Clients run on the shared-link engine in `affsim.sim`, which splits the
 trace capacity equally among clients with a download in flight. This
 module draws their start times, runs them together and scores how evenly
-they shared the link over a time window, by Jain's fairness index.
+they shared the link over a time window, by Jain's fairness index; the
+result keeps the clients' traces. `affsim.sim.run_shared` runs clients
+of different configs on one link.
 """
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError, check_int
 from .profiles import fairness_table3, unit_scale
-from .sim import MAX_ROWS, SimConfig, _run_shared
+from .sim import MAX_ROWS, SimConfig, run_shared
+
+
+def _check_records(n_clients, sim):
+    """Refuse n_clients clients of config sim, one record per segment, when
+    they would hold over MAX_ROWS records; the CLI calls this before it
+    builds the trace."""
+    if n_clients * sim.total_segments > MAX_ROWS:
+        raise InvalidParameterError(
+            "n_clients %d x total_segments %d is over %d records"
+            % (n_clients, sim.total_segments, MAX_ROWS))
 
 
 @dataclass(frozen=True)
@@ -26,10 +38,7 @@ class FairnessConfig:
 
     def __post_init__(self):
         check_int("n_clients", self.n_clients, 2)
-        if self.n_clients * self.sim.total_segments > MAX_ROWS:
-            raise InvalidParameterError(  # one record per client segment
-                "n_clients %d x total_segments %d is over %d records"
-                % (self.n_clients, self.sim.total_segments, MAX_ROWS))
+        _check_records(self.n_clients, self.sim)
         if not (0 <= self.start_jitter_s < math.inf):
             raise InvalidParameterError(
                 "start_jitter_s must be finite and >= 0, got %r"
@@ -56,6 +65,8 @@ class FairnessResult:
     per_client_avg_kbps: tuple
     jfi: float
     total_avg_kbps: float
+    # the clients' SessionTraces; outside repr, equality and the exports
+    traces: tuple = field(default=(), repr=False, compare=False)
 
 
 def jain_index(values):
@@ -75,12 +86,12 @@ def jain_index(values):
 
 
 def run_fairness(cfg):
-    """Simulate cfg.n_clients identical clients and score the sharing."""
+    """Simulate cfg.n_clients identical clients and score the sharing; the
+    result keeps their traces."""
     w_lo, w_hi = cfg.window
     rng = random.Random(cfg.rng_seed)
-    start_times = [rng.uniform(0.0, cfg.start_jitter_s)
-                   for _ in range(cfg.n_clients)]
-    traces = _run_shared(cfg.profile, cfg.sim, start_times)
+    traces = run_shared(cfg.profile, [(cfg.sim, rng.uniform(
+        0.0, cfg.start_jitter_s)) for _ in range(cfg.n_clients)])
     span = w_hi - w_lo
     per_client = tuple(
         sum(r.size_kbit for r in tr.records
@@ -93,4 +104,5 @@ def run_fairness(cfg):
     return FairnessResult(
         per_client_avg_kbps=per_client,
         jfi=jain_index(per_client),
-        total_avg_kbps=sum(per_client) / len(per_client))
+        total_avg_kbps=sum(per_client) / len(per_client),
+        traces=tuple(traces))

@@ -14,12 +14,16 @@ rate split depends only on which downloads are in flight, so a client
 settles its own buffer drain, and any stall, when its segment lands.
 Each client is a coroutine that keeps its state in locals: it yields each
 request as (request time, segment size), is sent its completion time, and
-returns its SessionTrace. A single session is the one-client case, and
-`integrate_download` is one download of it. A trace stores no buffer
-series: its records fix the level at every time (0 until the first
-segment lands, then a drain from each completion's level), and
-`affsim.report.summarize` gives the fraction of wall time the level
-spends at or below each threshold.
+returns its SessionTrace. `run_shared(profile, clients)` is the engine:
+it takes one (SimConfig, start time) pair per client, so clients on one
+link may differ in estimator, buffer ceiling or length, and returns one
+SessionTrace per pair. A single session (`run_session`) is the one-client
+case, `integrate_download` is one download of it, and
+`affsim.fairness.run_fairness` keeps its clients' traces on
+`FairnessResult.traces`. A trace stores no buffer series: its records
+fix the level at every time (0 until the first segment lands, then a
+drain from each completion's level), and `affsim.report.summarize` gives
+the fraction of wall time the level spends at or below each threshold.
 """
 
 from bisect import bisect_right
@@ -101,7 +105,7 @@ def integrate_download(profile, start_s, size_kbit):
             "download starts at %g, outside the trace" % (start_s,))
     cfg = SimConfig(ladder=BitrateLadder((size_kbit,), 1.0), total_segments=1)
     try:
-        trace = _run_shared(profile, cfg, [start_s])[0]
+        trace = run_shared(profile, ((cfg, start_s),))[0]
     except InvalidParameterError:
         # the engine's only refusal here: a transfer below one ulp
         raise InvalidParameterError(
@@ -111,7 +115,7 @@ def integrate_download(profile, start_s, size_kbit):
 
 
 def _client(start_time, cfg):
-    """One client of `_run_shared`, a coroutine: it yields each segment's
+    """One client of `run_shared`, a coroutine: it yields each segment's
     (request time, size in kbit), next() the first and each completion
     time sent the rest, and after the last completion it returns its
     SessionTrace. `buffer` is the level at the current request while a
@@ -170,8 +174,9 @@ def _client(start_time, cfg):
         idle_full_s=idle_full)
 
 
-def _run_shared(profile, sim_cfg, start_times):
-    """Run one shared-link session per start time; returns SessionTraces.
+def run_shared(profile, clients):
+    """Run one shared-link session per (SimConfig, start time) pair in
+    clients; returns their SessionTraces, in order.
 
     Every download in flight gets the same share of the capacity, so one
     clock, `served`, counts the kbit each of them has received since t=0,
@@ -183,16 +188,23 @@ def _run_shared(profile, sim_cfg, start_times):
     a next request due at once goes straight into flight, and the trace
     it returns is its entry in the result. A start time must be finite
     and at least 0, the start of the trace, since clients record their
-    own request times; another raises InvalidParameterError.
+    own request times, and before any client starts the clients'
+    total_segments must sum to at most MAX_ROWS records; a breach of
+    either raises InvalidParameterError.
     """
-    traces = [None] * len(start_times)
+    rows = sum(cfg.total_segments for cfg, _ in clients)
+    if rows > MAX_ROWS:
+        raise InvalidParameterError(
+            "clients' total_segments sum to %d, over %d records"
+            % (rows, MAX_ROWS))
+    traces = [None] * len(clients)
     sends = []
     requests = []  # (due, client id, size): starts and ends of room waits
-    for cid, st in enumerate(start_times):
+    for cid, (cfg, st) in enumerate(clients):
         if not 0.0 <= st < inf:
             raise InvalidParameterError(
                 "start times must be finite and at least 0, got %r" % (st,))
-        client = _client(st, sim_cfg)
+        client = _client(st, cfg)
         due, size = next(client)
         requests.append((due, cid, size))
         sends.append(client.send)
@@ -203,7 +215,7 @@ def _run_shared(profile, sim_cfg, start_times):
     served = 0.0
     # the clock starts at the earliest request, and a bisection finds its
     # piece, so a late start skips the walk from t=0
-    t = t_bp = min(start_times, default=0.0)
+    t = t_bp = min((st for _, st in clients), default=0.0)
     bp_idx = bisect_right(starts, t)
     while finishing or requests:
         if t >= t_bp:
@@ -267,4 +279,4 @@ def run_session(profile, cfg):
     idle_full_s instead of extending the wall clock. cfg was checked when
     built, so a run holds at most MAX_ROWS records.
     """
-    return _run_shared(profile, cfg, [0.0])[0]
+    return run_shared(profile, ((cfg, 0.0),))[0]

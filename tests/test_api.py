@@ -44,6 +44,11 @@ def test_every_public_name_resolves_once():
     assert missing == []
 
 
+def test_engine_entry_is_public():
+    assert "run_shared" in affsim.__all__
+    assert affsim.run_shared is affsim.sim.run_shared
+
+
 @pytest.mark.parametrize("module, name, layer", traced_names())
 def test_traced_function_resolves(module, name, layer):
     assert callable(getattr(importlib.import_module(module), name))

@@ -416,6 +416,22 @@ class TestErrorPaths:
         assert captured.err == ("error: total_segments 500000000 is over "
                                 "1048576 records\n")
 
+    def test_fairness_records_refused_before_synthesis(self, capsys,
+                                                       monkeypatch):
+        # each client's 500,000 half-second segments are under the cap and
+        # their 500,120 s span under its own; three clients' records are
+        # not, and that is refused before any trace is synthesized
+        def fail(*args):
+            raise AssertionError("a trace was synthesized")
+        monkeypatch.setattr(cli, "synthesize_profile", fail)
+        rc = main(["fairness", "--synth", "test1", "--clients", "3",
+                   "--segments", "500000", "--segment-duration", "0.5"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == ("error: n_clients 3 x total_segments 500000 "
+                                "is over 1048576 records\n")
+
 
 class TestFairnessCommand:
     def test_small_run(self, capsys):

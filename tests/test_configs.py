@@ -9,7 +9,6 @@ a config whose short run raises AffSimError or keeps the closing identity.
 
 import dataclasses
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,6 @@ from affsim import (
     InvalidParameterError,
     SimConfig,
     decide,
-    fairness,
     run_fairness,
     run_session,
 )
@@ -196,20 +194,14 @@ def test_hostile_fairness_fields(fair_kw, sim):
     if cfg is None:
         return
     cfg = dataclasses.replace(cfg, n_clients=min(cfg.n_clients, SHORT_CLIENTS))
-    runs = []
-    engine = fairness._run_shared
-
-    def recording(profile, sim_cfg, start_times):
-        traces = engine(profile, sim_cfg, start_times)
-        runs.append((start_times, traces))
-        return traces
     try:
-        with mock.patch.object(fairness, "_run_shared", recording):
-            result = run_fairness(cfg)
+        result = run_fairness(cfg)
     except AffSimError:
         return
     assert 0.0 < result.jfi <= 1.0 + 1e-12
-    for start_s, trace in zip(*runs[0]):
+    assert len(result.traces) == cfg.n_clients
+    for trace in result.traces:
+        start_s = trace.records[0].t_request_s  # the first never waits
         # a late start puts the clock where its resolution passes 1e-9
         tol = 1e-9 + 16 * math.ulp(trace.wall_time_s)
         gap = identity_gap(trace, start_s, cfg.sim.ladder.segment_duration_s)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from affsim import (
     BandwidthProfile,
+    EstimatorConfig,
     FairnessConfig,
     InvalidParameterError,
     SimConfig,
@@ -16,9 +18,11 @@ from affsim import (
     jain_index,
     run_fairness,
     run_session,
+    run_shared,
 )
-from affsim import estimators, fairness, sim
-from affsim.fairness import _run_shared
+from affsim import estimators, sim
+
+KINDS = ("aff", "ewma", "sliding_mean")
 
 
 def constant(kbps, duration_s=1e6):
@@ -94,7 +98,7 @@ class TestSharedEngine:
         # n identical clients splitting a constant n*C link behave exactly
         # like one client owning C
         cfg = SimConfig(total_segments=60)
-        group = _run_shared(constant(n * 2000.0), cfg, [0.0] * n)
+        group = run_shared(constant(n * 2000.0), [(cfg, 0.0)] * n)
         solo = run_session(constant(2000.0), cfg)
         for other in group[1:]:
             assert other.records == group[0].records
@@ -112,33 +116,48 @@ class TestSharedEngine:
            st.floats(min_value=100.0, max_value=20000.0),
            st.lists(st.floats(min_value=0.0, max_value=30.0),
                     min_size=1, max_size=8),
-           st.integers(min_value=1, max_value=30))
+           st.integers(min_value=1, max_value=30),
+           st.lists(st.sampled_from(KINDS), min_size=1, max_size=8))
     @example(pieces=[(100.0, 22000.0), (100.0, 12000.0), (100.0, 6000.0)],
              tail_kbps=22000.0, start_times=[1.0, 2.5, 4.0, 7.5, 11.0],
-             segments=180)  # the built-in shared link
+             segments=180, kinds=["aff"])  # the built-in shared link
+    @example(pieces=[(100.0, 22000.0), (100.0, 12000.0), (100.0, 6000.0)],
+             tail_kbps=22000.0, start_times=[1.0, 2.5, 4.0, 7.5, 11.0],
+             segments=180, kinds=list(KINDS))  # and a mixed one
     @settings(max_examples=150, deadline=None)
     def test_total_downloads_never_exceed_link_capacity(
-            self, pieces, tail_kbps, start_times, segments):
+            self, pieces, tail_kbps, start_times, segments, kinds):
         # by any time T, the kbit completed never exceed what the trace
-        # offered over [0, T]; the last piece is open ended and positive
+        # offered over [0, T]; the last piece is open ended and positive.
+        # Client i runs estimator kinds[i % len(kinds)], and each keeps
+        # the closing identity from its own start time
         bps, t = [], 0.0
         for length, kbps in pieces:
             bps.append((t, kbps))
             t += length
         bps.append((t, tail_kbps))
         profile = BandwidthProfile(tuple(bps), math.inf)
-        traces = _run_shared(profile, SimConfig(total_segments=segments),
-                             start_times)
+        cfgs = [SimConfig(estimator=EstimatorConfig(kind=kind),
+                          total_segments=segments) for kind in kinds]
+        clients = [(cfgs[i % len(cfgs)], start)
+                   for i, start in enumerate(start_times)]
+        traces = run_shared(profile, clients)
+        assert len(traces) == len(clients)
         done = sorted((r.t_complete_s, r.size_kbit)
                       for tr in traces for r in tr.records)
         moved = 0.0
         for t_done, size in done:
             moved += size
             assert moved <= offered_kbit(profile, t_done) + 1e-6
+        for (cfg, start), trace in zip(clients, traces):
+            media = segments * cfg.ladder.segment_duration_s
+            stalls = sum(d for _, d in trace.stalls)
+            assert abs(trace.wall_time_s - start - (
+                trace.startup_delay_s + media + stalls)) <= 1e-9
 
     def test_staggered_starts_shift_first_request(self):
         cfg = SimConfig(total_segments=5)
-        traces = _run_shared(constant(5000.0), cfg, [0.0, 3.0])
+        traces = run_shared(constant(5000.0), [(cfg, 0.0), (cfg, 3.0)])
         assert traces[0].records[0].t_request_s == 0.0
         assert traces[1].records[0].t_request_s == 3.0
 
@@ -147,11 +166,47 @@ class TestSharedEngine:
     def test_start_time_negative_or_not_finite_rejected(self, bad):
         # the trace starts at 0 and each client records its own request
         # times, so a start before 0 would be logged at a time never served
+        cfg = SimConfig(total_segments=5)
         with pytest.raises(InvalidParameterError,
                            match="start times must be finite and at least "
                                  "0, got"):
-            _run_shared(constant(5000.0), SimConfig(total_segments=5),
-                        [0.0, bad])
+            run_shared(constant(5000.0), [(cfg, 0.0), (cfg, bad)])
+
+    def test_total_records_cap_boundary(self, monkeypatch):
+        # the clients' total_segments may sum to MAX_ROWS records; one more
+        # is refused before any client starts
+        monkeypatch.setattr(sim, "MAX_ROWS", 10)
+        link = constant(5000.0)
+        four, six = SimConfig(total_segments=4), SimConfig(total_segments=6)
+        traces = run_shared(link, [(four, 0.0), (six, 1.0)])
+        assert [len(tr.records) for tr in traces] == [4, 6]
+        monkeypatch.setattr(sim, "_client", None)
+        with pytest.raises(InvalidParameterError,
+                           match="clients' total_segments sum to 11, over "
+                                 "10 records"):
+            run_shared(link, [(four, 0.0), (six, 1.0), (SimConfig(
+                total_segments=1), 2.0)])
+
+    def test_clients_keep_their_own_configs(self):
+        # an aff and an ewma client on one link: each trace is the one its
+        # config gives, so the two estimates part
+        cfgs = [SimConfig(estimator=EstimatorConfig(kind=kind),
+                          total_segments=30 + 10 * i)
+                for i, kind in enumerate(("aff", "ewma"))]
+        link = fairness_table3()
+        traces = run_shared(link, [(cfgs[0], 0.0), (cfgs[1], 2.0)])
+        assert [len(tr.records) for tr in traces] == [30, 40]
+        assert traces[1].records[0].t_request_s == 2.0
+        ewma = estimators.estimator_kinds()["ewma"].update
+        state = cfgs[1].estimator.initial_state
+        for r in traces[1].records:
+            state, estimate = ewma(state, r.instant_throughput_kbps)
+            assert r.estimate_kbps == estimate
+        assert [r.estimate_kbps for r in traces[0].records[1:]] != \
+            [r.estimate_kbps for r in traces[1].records[1:30]]
+
+    def test_empty_link_returns_no_traces(self):
+        assert run_shared(constant(5000.0), []) == []
 
 
 def offered_kbit(profile, until):
@@ -206,19 +261,12 @@ class TestEngineOperationCount:
                     counts["return"] += 1
                     raise
 
-        traces = []
-
-        def keep(*args):
-            traces[:] = sim._run_shared(*args)
-            return traces
-
         monkeypatch.setattr(sim, "heappush", counted("push", sim.heappush))
         monkeypatch.setattr(sim, "heappop", counted("pop", sim.heappop))
         monkeypatch.setattr(sim, "decide", counted("decide", sim.decide))
         monkeypatch.setattr(estimators, "aff_update",
                             counted("update", estimators.aff_update))
         monkeypatch.setattr(sim, "_client", CountedClient)
-        monkeypatch.setattr(fairness, "_run_shared", keep)
         n, segments = 40, 180
         base = fairness_table3()
         link = BandwidthProfile(  # the 10-client link scaled to 40 clients
@@ -226,9 +274,9 @@ class TestEngineOperationCount:
             base.duration_s)
         for seed in range(4):
             counts.update(dict.fromkeys(keys, 0))
-            run_fairness(FairnessConfig(
+            traces = run_fairness(FairnessConfig(
                 n_clients=n, profile=link,
-                sim=SimConfig(total_segments=segments), rng_seed=seed))
+                sim=SimConfig(total_segments=segments), rng_seed=seed)).traces
             assert len(traces) == n
             deferred = sum(b.t_request_s != a.t_complete_s
                            for tr in traces
@@ -243,6 +291,24 @@ class TestEngineOperationCount:
 
 
 class TestRunFairness:
+    def test_result_keeps_the_scored_traces(self):
+        cfg = FairnessConfig(n_clients=3, sim=SimConfig(total_segments=60),
+                             window=(20.0, 100.0), rng_seed=4)
+        result = run_fairness(cfg)
+        assert len(result.traces) == 3
+        rng = random.Random(4)  # run_fairness draws one start per client
+        assert [tr.records[0].t_request_s for tr in result.traces] == \
+            [rng.uniform(0.0, cfg.start_jitter_s) for _ in range(3)]
+        lo, hi = cfg.window
+        assert result.per_client_avg_kbps == tuple(
+            sum(r.size_kbit for r in tr.records
+                if lo <= r.t_complete_s <= hi) / (hi - lo)
+            for tr in result.traces)
+        # the traces stay out of repr, equality and hashing
+        bare = dataclasses.replace(result, traces=())
+        assert "traces" not in repr(result)
+        assert bare == result and hash(bare) == hash(result)
+
     def test_zero_jitter_is_exactly_symmetric(self):
         cfg = FairnessConfig(n_clients=4, start_jitter_s=0.0,
                              window=(50.0, 350.0))

@@ -26,11 +26,11 @@ from affsim import (
     SessionTrace,
     SimConfig,
     run_session,
+    run_shared,
     summarize,
     synthesize_profile,
 )
 from affsim.errors import InvalidParameterError
-from affsim.fairness import _run_shared
 from affsim.report import BUFFER_CDF_STEP_S
 from affsim.sim import MAX_ROWS
 
@@ -278,7 +278,7 @@ class TestSummarizeMatchesReference:
         profile = synthesize_profile("test1", 3, 720.0)
         cfg = SimConfig(total_segments=120)
         starts = [1.5 * i + 0.25 for i in range(10)]
-        for trace in _run_shared(profile, cfg, starts):
+        for trace in run_shared(profile, [(cfg, s) for s in starts]):
             assert trace.buffer_series == ()
             assert_same_summary(trace, cfg.ladder)
 

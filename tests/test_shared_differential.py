@@ -22,10 +22,10 @@ from affsim import (
     SimConfig,
     decide,
     estimator_update,
+    run_shared,
     synthesize_profile,
 )
 from affsim.errors import InvalidParameterError
-from affsim.sim import _run_shared
 
 TOL = 1e-9
 
@@ -122,11 +122,11 @@ class ReferenceClient:
             idle_full_s=self.idle_full)
 
 
-def reference_run_shared(profile, sim_cfg, start_times):
-    """The shared-link engine as it stood before virtual time."""
-    seg_dur, target = _durations(sim_cfg)
-    clients = [ReferenceClient(st, sim_cfg, seg_dur, target)
-               for st in start_times]
+def reference_run_shared(profile, clients):
+    """The shared-link engine as it stood before virtual time; one client
+    per (SimConfig, start time) pair."""
+    clients = [ReferenceClient(st, cfg, *_durations(cfg))
+               for cfg, st in clients]
     starts = profile.starts
     t = 0.0
     while any(c.state != DONE for c in clients):
@@ -220,6 +220,25 @@ def random_case(rng):
     return profile, cfg, starts
 
 
+def random_mixed_case(rng):
+    """A random link whose clients each draw their own estimator kind,
+    buffer ceiling and segment count."""
+    n = rng.randint(1, 16)
+    cfgs = [SimConfig(
+        estimator=EstimatorConfig(
+            kind=rng.choice(("aff", "ewma", "sliding_mean"))),
+        max_buffer_s=rng.uniform(12.0, 40.0),
+        total_segments=rng.randint(20, 60)) for _ in range(n)]
+    longest = max(cfg.total_segments for cfg in cfgs)
+    share = 2.0 ** rng.uniform(-3.0, 0.6)
+    profile = scaled(synthesize_profile(
+        rng.choice(("test1", "test2", "test3", "test4")), rng.randrange(100),
+        4.0 * longest + 240.0), n * share)
+    starts = [rng.uniform(0.0, 15.0)] * n if rng.random() < 0.2 else \
+        [rng.uniform(0.0, 15.0) for _ in range(n)]
+    return profile, list(zip(cfgs, starts))
+
+
 def assert_same_client(new, old):
     assert [(r.index, r.quality_index, r.decision_reason, r.size_kbit)
             for r in new.records] == \
@@ -241,19 +260,31 @@ def assert_same_client(new, old):
     assert worst <= TOL, worst
 
 
+def assert_same_link(profile, clients):
+    new = run_shared(profile, clients)
+    old = reference_run_shared(profile, clients)
+    assert len(new) == len(old) == len(clients)
+    for a, b in zip(new, old):
+        assert_same_client(a, b)
+    return sum(len(tr.stalls) for tr in new)
+
+
 def test_matches_reference_on_random_shared_links():
     rng = random.Random(2025)
     stalls = 0
     for _ in range(200):
         profile, cfg, starts = random_case(rng)
-        new = _run_shared(profile, cfg, starts)
-        old = reference_run_shared(profile, cfg, starts)
-        assert len(new) == len(old) == len(starts)
-        for a, b in zip(new, old):
-            assert_same_client(a, b)
-            stalls += len(a.stalls)
+        stalls += assert_same_link(profile, [(cfg, st) for st in starts])
     # stall onsets are where the two engines differ most
     assert stalls > 1000
+    # clients of one link with configs of their own
+    rng = random.Random(2026)
+    stalls = mixed = 0
+    for _ in range(150):
+        profile, clients = random_mixed_case(rng)
+        stalls += assert_same_link(profile, clients)
+        mixed += len({cfg for cfg, _ in clients}) > 1
+    assert stalls > 500 and mixed > 120, (stalls, mixed)
 
 
 @pytest.mark.parametrize("max_buffer_s", [2.0, 10.0])
@@ -263,9 +294,9 @@ def test_matches_reference_when_requests_wait_for_room(max_buffer_s):
     cfg = SimConfig(max_buffer_s=max_buffer_s, total_segments=40,
                     abr=AbrConfig(panic_buffer_s=1.0))
     profile = scaled(synthesize_profile("test3", 4, 400.0), 3.0)
-    starts = [0.0, 0.5, 0.5, 7.25]
-    new = _run_shared(profile, cfg, starts)
-    old = reference_run_shared(profile, cfg, starts)
+    clients = [(cfg, st) for st in (0.0, 0.5, 0.5, 7.25)]
+    new = run_shared(profile, clients)
+    old = reference_run_shared(profile, clients)
     assert sum(len(tr.stalls) for tr in old) > 0
     for a, b in zip(new, old):
         assert_same_client(a, b)

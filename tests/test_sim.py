@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affsim import estimators, fairness, sim
+from affsim import estimators, sim
 from affsim import (
     AbrConfig,
     AffState,
@@ -29,6 +29,7 @@ from affsim import (
     integrate_download,
     run_fairness,
     run_session,
+    run_shared,
     summarize,
     synthesize_profile,
 )
@@ -116,8 +117,8 @@ class TestBreakpointReads:
     def test_late_session_start(self, counted):
         profile, reads = counted
         assert len(profile.starts) == 10091
-        trace = sim._run_shared(profile, SimConfig(total_segments=1),
-                                [profile.duration_s - 100.0])[0]
+        trace = run_shared(profile, [(SimConfig(total_segments=1),
+                                      profile.duration_s - 100.0)])[0]
         assert len(trace.records) == 1
         assert 0 < reads[0] <= self.bound(profile), reads[0]
 
@@ -348,7 +349,7 @@ class TestValueSemantics:
         assert repr(EstimatorConfig(kind=kind).initial_state) == text
 
     @staticmethod
-    def built(source, monkeypatch):
+    def built(source):
         """Values that updates and the engine build with tuple.__new__."""
         kinds = estimators.estimator_kinds()
         if source in kinds:
@@ -362,21 +363,15 @@ class TestValueSemantics:
             profile = synthesize_profile("test1", 3, 200.0)
             return list(run_session(
                 profile, SimConfig(total_segments=40)).records)
-        traces = []
-
-        def keep(*args):
-            traces.extend(sim._run_shared(*args))
-            return traces
-        monkeypatch.setattr(fairness, "_run_shared", keep)
-        run_fairness(FairnessConfig(n_clients=3))
+        traces = run_fairness(FairnessConfig(n_clients=3)).traces
         return [r for tr in traces for r in tr.records]
 
     @pytest.mark.parametrize("source,cls", [
         ("aff", AffState), ("ewma", EwmaState),
         ("sliding_mean", SlidingMeanState), ("run_session", SegmentRecord),
         ("run_fairness", SegmentRecord)])
-    def test_built_values_match_constructed(self, source, cls, monkeypatch):
-        values = self.built(source, monkeypatch)
+    def test_built_values_match_constructed(self, source, cls):
+        values = self.built(source)
         assert len(values) >= 5
         for v in values:
             assert type(v) is cls
@@ -588,7 +583,7 @@ class TestClientContract:
             requests
         assert [r.t_complete_s for r in trace.records] == completions
         assert trace.idle_full_s > 0.0  # room waits moved request times
-        assert trace == sim._run_shared(constant(4000.0), cfg, [3.0])[0]
+        assert trace == run_shared(constant(4000.0), [(cfg, 3.0)])[0]
 
     def test_trace_holds_only_what_the_run_produced(self):
         assert [f.name for f in dataclasses.fields(sim.SessionTrace)] == [
