@@ -7,7 +7,7 @@ multi-client fairness on a shared link.
 """
 
 from .abr import (REASON_BUFFER_PANIC, REASON_STARTUP, REASON_THROUGHPUT,
-                  AbrConfig, BitrateLadder, Decision, decide, select_bitrate)
+                  BitrateLadder, Decision, decide, select_bitrate)
 from .errors import (AffSimError, InvalidParameterError, InvalidSampleError,
                      OutOfRangeError, ProfileExhaustedError,
                      ProfileParseError, ProfileValidationError)
@@ -26,17 +26,17 @@ from .sim import (SegmentRecord, SessionTrace, SimConfig, integrate_download,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbrConfig", "AffSimError", "AffState", "BUILTIN_PROFILES",
-    "BandwidthProfile", "BitrateLadder", "Decision", "EstimatorConfig",
-    "EwmaState", "FairnessConfig", "FairnessResult", "InvalidParameterError",
+    "AffSimError", "AffState", "BUILTIN_PROFILES", "BandwidthProfile",
+    "BitrateLadder", "Decision", "EstimatorConfig", "EwmaState",
+    "FairnessConfig", "FairnessResult", "InvalidParameterError",
     "InvalidSampleError", "OutOfRangeError", "ProfileExhaustedError",
     "ProfileParseError", "ProfileStats", "REASON_BUFFER_PANIC",
     "REASON_STARTUP", "REASON_THROUGHPUT", "ProfileValidationError",
     "QoeReport", "SegmentRecord", "SessionTrace", "SimConfig",
-    "SlidingMeanState", "aff_update", "bandwidth_at", "decide",
-    "dump_profile", "estimator_kinds", "estimator_update", "ewma_update",
-    "export", "fairness_table3", "integrate_download", "jain_index",
-    "load_profile", "parse_csv_export", "profile_stats", "run_fairness",
-    "run_session", "run_shared", "select_bitrate", "sliding_mean_update",
-    "summarize", "synthesize_profile", "to_dict",
+    "SlidingMeanState", "aff_update", "bandwidth_at", "decide", "dump_profile",
+    "estimator_kinds", "estimator_update", "ewma_update", "export",
+    "fairness_table3", "integrate_download", "jain_index", "load_profile",
+    "parse_csv_export", "profile_stats", "run_fairness", "run_session",
+    "run_shared", "select_bitrate", "sliding_mean_update", "summarize",
+    "synthesize_profile", "to_dict",
 ]

@@ -3,14 +3,15 @@
 The rule set is deliberately small: pick the highest rung the current
 throughput estimate can sustain, drop to the lowest rung when the playout
 buffer runs dangerously low, and start the session on a configured rung
-before any estimate exists.
+before any estimate exists. The session's SimConfig holds and checks its
+knobs (ladder, panic threshold, start rung), so `decide` checks nothing.
 """
 
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import InvalidParameterError, check_int
+from .errors import InvalidParameterError
 
 REASON_THROUGHPUT = "throughput"
 REASON_BUFFER_PANIC = "buffer_panic"
@@ -53,19 +54,6 @@ class BitrateLadder:
             Decision(i, REASON_THROUGHPUT) for i in range(len(rungs))))
 
 
-@dataclass(frozen=True)
-class AbrConfig:
-    panic_buffer_s: float = 8.0
-    initial_quality_index: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.panic_buffer_s < math.inf):
-            raise InvalidParameterError(
-                "panic_buffer_s must be finite and >= 0, got %r"
-                % (self.panic_buffer_s,))
-        check_int("initial_quality_index", self.initial_quality_index, 0)
-
-
 def select_bitrate(ladder, estimate_kbps):
     """Highest rung whose bitrate does not exceed the estimate.
 
@@ -79,19 +67,11 @@ def select_bitrate(ladder, estimate_kbps):
     return ladder.decisions[i]
 
 
-def _check_start_rung(ladder, cfg):  # for decide and SimConfig alike
-    if cfg.initial_quality_index >= len(ladder.bitrates_kbps):
-        raise InvalidParameterError(
-            "initial_quality_index %d outside ladder of %d rungs"
-            % (cfg.initial_quality_index, len(ladder.bitrates_kbps)))
-
-
-def decide(ladder, cfg, estimate_kbps, buffer_level_s):
-    """Full per-request rule: the start rung while no estimate exists (the
-    first request), then the panic floor, then the estimate."""
+def decide(cfg, estimate_kbps, buffer_level_s):
+    """Full per-request rule of SimConfig cfg: the start rung before any
+    estimate (the first request), then the panic floor, then the estimate."""
     if estimate_kbps is None:
-        _check_start_rung(ladder, cfg)
         return Decision(cfg.initial_quality_index, REASON_STARTUP)
     if buffer_level_s < cfg.panic_buffer_s:
         return _PANIC_FLOOR
-    return select_bitrate(ladder, estimate_kbps)
+    return select_bitrate(cfg.ladder, estimate_kbps)

@@ -10,16 +10,14 @@ import functools
 import json
 import sys
 
-from .abr import AbrConfig, BitrateLadder
+from .abr import BitrateLadder
 from .errors import AffSimError
 from .estimators import EstimatorConfig, estimator_kinds
 from .fairness import FairnessConfig, _check_records, run_fairness
-from .profiles import BUILTIN_PROFILES, load_profile, profile_stats, \
-    synthesize_profile
+from .profiles import BUILTIN_PROFILES, SYNTH_KINDS, BandwidthProfile, \
+    load_profile, profile_stats, synthesize_profile
 from .report import export, summarize, to_dict
 from .sim import SegmentRecord, SimConfig, run_session
-
-SYNTH_KINDS = ("test1", "test2", "test3", "test4")
 
 
 @functools.cache
@@ -27,9 +25,10 @@ def _estimators():  # {command-line name: kind}, in table order
     return {EstimatorConfig(kind).label: kind for kind in estimator_kinds()}
 
 
-def _add_profile_args(p, profile_required=True):
-    group = p.add_mutually_exclusive_group(required=profile_required)
-    group.add_argument("--profile",
+def _add_profile_args(p, default_profile=None):
+    # a command with a default trace needs neither option
+    group = p.add_mutually_exclusive_group(required=default_profile is None)
+    group.add_argument("--profile", default=default_profile,
                        help="bandwidth trace CSV path, or a built-in name "
                             "(%s)" % ", ".join(sorted(BUILTIN_PROFILES)))
     group.add_argument("--synth", choices=SYNTH_KINDS,
@@ -44,17 +43,17 @@ def _add_profile_args(p, profile_required=True):
 def _add_session_args(p, sim, pick_estimator=True):
     # each default is read from the default-built config sim; compare runs
     # every kind, so it takes no --estimator
-    ladder, abr, est = sim.ladder, sim.abr, sim.estimator
+    ladder, est = sim.ladder, sim.estimator
     p.add_argument("--segments", type=int, default=sim.total_segments)
     p.add_argument("--segment-duration", type=float,
                    default=ladder.segment_duration_s)
     p.add_argument("--ladder",
                    default=",".join(map(str, ladder.bitrates_kbps)),
                    help="comma separated bitrates in kbit/s, ascending")
-    p.add_argument("--panic-buffer", type=float, default=abr.panic_buffer_s)
+    p.add_argument("--panic-buffer", type=float, default=sim.panic_buffer_s)
     p.add_argument("--max-buffer", type=float, default=sim.max_buffer_s)
     p.add_argument("--initial-quality", type=int,
-                   default=abr.initial_quality_index)
+                   default=sim.initial_quality_index)
     if pick_estimator:
         p.add_argument("--estimator", choices=_estimators(), default=est.label)
     p.add_argument("--step-size", type=float, default=est.step_size)
@@ -78,7 +77,8 @@ def _sim_config(args, name):
             from None
     return SimConfig(
         ladder=BitrateLadder(rungs, args.segment_duration),
-        abr=AbrConfig(args.panic_buffer, args.initial_quality),
+        panic_buffer_s=args.panic_buffer,
+        initial_quality_index=args.initial_quality,
         estimator=EstimatorConfig(
             kind=_estimators()[name], step_size=args.step_size,
             forgetting_min=args.forgetting_min,
@@ -92,10 +92,11 @@ def _build_profile(args, default_synth_duration):
     if args.synth:
         return synthesize_profile(args.synth, args.seed, default_synth_duration
                                   if args.duration is None else args.duration)
-    if args.profile is None:  # fairness without a trace: the config's link
-        return None
     if args.profile in BUILTIN_PROFILES:
-        return BUILTIN_PROFILES[args.profile]()
+        profile = BUILTIN_PROFILES[args.profile]()
+        if args.duration is None:
+            return profile
+        return BandwidthProfile(profile.breakpoints, args.duration)
     try:
         with open(args.profile, encoding="utf-8") as fh:
             return load_profile(fh, args.duration)
@@ -106,7 +107,7 @@ def _build_profile(args, default_synth_duration):
 
 def _synth_span(args):
     # generous default so sessions with stalls still fit in the trace
-    return max(60.0, 2.0 * args.segments * args.segment_duration + 120.0)
+    return 2.0 * args.segments * args.segment_duration + 120.0
 
 
 def _print_session(trace, report):
@@ -218,7 +219,7 @@ def build_parser():
     p_fair = sub.add_parser("fairness",
                             help="simulate clients sharing one link")
     fair = FairnessConfig()
-    _add_profile_args(p_fair, profile_required=False)
+    _add_profile_args(p_fair, "fairness-table3")
     _add_session_args(p_fair, fair.sim)
     _add_out_args(p_fair)
     p_fair.add_argument("--clients", type=int, default=fair.n_clients)

@@ -173,6 +173,8 @@ SYNTH_TARGETS = {
 
 TEST4_HIGH_KBPS = 2390.0
 TEST4_LOW_KBPS = 600.0
+# every kind synthesize_profile accepts
+SYNTH_KINDS = (*SYNTH_TARGETS, "test4")
 
 MIN_SYNTH_DURATION_S = 60.0
 # About 24 days: room for the CLI's default span (2 x media + 120 s) of a

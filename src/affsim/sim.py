@@ -12,13 +12,15 @@ flight) with every rate constant in between, so progress is exact; an
 idle link jumps to the next request. A stall onset is not an event: the
 rate split depends only on which downloads are in flight, so a client
 settles its own buffer drain, and any stall, when its segment lands.
-Each client is a coroutine that keeps its state in locals: it yields each
-request as (request time, segment size), is sent its completion time, and
-returns its SessionTrace. `run_shared(profile, clients)` is the engine:
-it takes one (SimConfig, start time) pair per client, so clients on one
-link may differ in estimator, buffer ceiling or length, and returns one
-SessionTrace per pair. A single session (`run_session`) is the one-client
-case, `integrate_download` is one download of it, and
+Each client is a coroutine that keeps its state in locals: it yields
+each request as (request time, segment size), is sent its completion
+time, and returns its SessionTrace. Its SimConfig, checked when built,
+holds every knob, the ladder rule's too; `decide` reads it.
+`run_shared(profile, clients)` is the engine: it takes one (SimConfig,
+start time) pair per client, so clients on one link may differ in
+estimator, buffer ceiling or length, and returns one SessionTrace per
+pair. A single session (`run_session`) is the one-client case,
+`integrate_download` is one download of it, and
 `affsim.fairness.run_fairness` keeps its clients' traces on
 `FairnessResult.traces`. A trace stores no buffer series: its records
 fix the level at every time (0 until the first segment lands, then a
@@ -32,7 +34,7 @@ from heapq import heapify, heappop, heappush
 from math import inf
 from typing import NamedTuple
 
-from .abr import AbrConfig, BitrateLadder, _check_start_rung, decide
+from .abr import BitrateLadder, decide
 from .errors import InvalidParameterError, ProfileExhaustedError, check_int
 from .estimators import EstimatorConfig, estimator_kinds
 
@@ -44,18 +46,24 @@ MAX_ROWS = 1 << 20
 @dataclass(frozen=True)
 class SimConfig:
     ladder: BitrateLadder = BitrateLadder()
-    abr: AbrConfig = AbrConfig()
+    panic_buffer_s: float = 8.0  # `decide` drops to rung 0 below this
+    initial_quality_index: int = 0  # the rung before any estimate exists
     estimator: EstimatorConfig = EstimatorConfig()
     max_buffer_s: float = 30.0
     total_segments: int = 150
 
     def __post_init__(self):
+        if not (0 <= self.panic_buffer_s < inf):
+            raise InvalidParameterError(
+                "panic_buffer_s must be finite and >= 0, got %r"
+                % (self.panic_buffer_s,))
+        check_int("initial_quality_index", self.initial_quality_index, 0)
         check_int("total_segments", self.total_segments, 1)
         seg_dur = self.ladder.segment_duration_s
-        if not (self.max_buffer_s > self.abr.panic_buffer_s):
+        if not (self.max_buffer_s > self.panic_buffer_s):
             raise InvalidParameterError(
                 "max_buffer_s %g must exceed panic_buffer_s %g"
-                % (self.max_buffer_s, self.abr.panic_buffer_s))
+                % (self.max_buffer_s, self.panic_buffer_s))
         if self.max_buffer_s < seg_dur:
             raise InvalidParameterError(
                 "max_buffer_s %g cannot hold one %g s segment"
@@ -64,7 +72,11 @@ class SimConfig:
             raise InvalidParameterError(
                 "total_segments %d is over %d records"
                 % (self.total_segments, MAX_ROWS))
-        _check_start_rung(self.ladder, self.abr)
+        rungs = len(self.ladder.bitrates_kbps)
+        if self.initial_quality_index >= rungs:
+            raise InvalidParameterError(
+                "initial_quality_index %d outside ladder of %d rungs"
+                % (self.initial_quality_index, rungs))
 
 
 # one per segment: a NamedTuple builds faster than a frozen dataclass
@@ -124,8 +136,7 @@ def _client(start_time, cfg):
     request) concern no other client, so they are settled when the
     segment lands.
     """
-    ladder, abr = cfg.ladder, cfg.abr
-    rungs, seg_dur = ladder.bitrates_kbps, ladder.segment_duration_s
+    rungs, seg_dur = cfg.ladder.bitrates_kbps, cfg.ladder.segment_duration_s
     room = cfg.max_buffer_s - seg_dur  # most buffer at a request
     last = cfg.total_segments
     update = estimator_kinds()[cfg.estimator.kind].update
@@ -139,7 +150,7 @@ def _client(start_time, cfg):
             idle_full += wait
             buffer = room  # the level once the wait is over
             t += wait
-        quality_index, reason = decide(ladder, abr, estimate, buffer)
+        quality_index, reason = decide(cfg, estimate, buffer)
         size = rungs[quality_index] * seg_dur
         t_request = t
         t = yield t, size

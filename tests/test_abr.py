@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from affsim import abr, sim
 from affsim import (
-    AbrConfig,
     BitrateLadder,
     Decision,
     FairnessConfig,
@@ -26,7 +25,7 @@ from affsim import (
 )
 
 LADDER = BitrateLadder((250.0, 500.0, 1000.0, 2000.0), 2.0)
-CFG = AbrConfig()
+CFG = SimConfig(ladder=LADDER)
 
 
 class TestSelectBitrate:
@@ -55,37 +54,38 @@ class TestSelectBitrate:
 
 class TestDecide:
     def test_first_segment_uses_configured_rung(self):
-        d = decide(LADDER, CFG, None, 0.0)
+        d = decide(CFG, None, 0.0)
         assert (d.quality_index, d.reason) == (0, REASON_STARTUP)
 
     def test_first_segment_honours_other_initial_rung(self):
-        cfg = AbrConfig(initial_quality_index=2)
-        d = decide(LADDER, cfg, None, 0.0)
+        cfg = SimConfig(ladder=LADDER, initial_quality_index=2)
+        d = decide(cfg, None, 0.0)
         assert (d.quality_index, d.reason) == (2, REASON_STARTUP)
 
     def test_initial_rung_outside_ladder_rejected(self):
-        cfg = AbrConfig(initial_quality_index=4)
+        # the config refuses it when built, so decide never sees it
         with pytest.raises(InvalidParameterError):
-            decide(LADDER, cfg, None, 0.0)
+            SimConfig(ladder=LADDER, initial_quality_index=4)
 
     def test_low_buffer_forces_lowest_rung(self):
-        d = decide(LADDER, CFG, 2500.0, 7.9)
+        d = decide(CFG, 2500.0, 7.9)
         assert (d.quality_index, d.reason) == (0, REASON_BUFFER_PANIC)
 
     def test_panic_threshold_is_strict(self):
-        d = decide(LADDER, CFG, 2500.0, 8.0)
+        d = decide(CFG, 2500.0, 8.0)
         assert (d.quality_index, d.reason) == (3, REASON_THROUGHPUT)
 
     def test_comfortable_buffer_follows_estimate(self):
-        d = decide(LADDER, CFG, 2500.0, 12.0)
+        d = decide(CFG, 2500.0, 12.0)
         assert (d.quality_index, d.reason) == (3, REASON_THROUGHPUT)
 
     def test_no_estimate_gets_start_rung_below_panic_threshold(self):
         # no estimate exists before the first segment lands, whatever the
         # buffer level
-        d = decide(LADDER, CFG, None, 0.5)
+        d = decide(CFG, None, 0.5)
         assert (d.quality_index, d.reason) == (0, REASON_STARTUP)
-        d = decide(LADDER, AbrConfig(initial_quality_index=2), None, 0.5)
+        d = decide(SimConfig(ladder=LADDER, initial_quality_index=2), None,
+                   0.5)
         assert (d.quality_index, d.reason) == (2, REASON_STARTUP)
 
 
@@ -122,9 +122,9 @@ class TestLadderValidation:
     def test_config_validation(self):
         for panic in (-1.0, float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError):
-                AbrConfig(panic_buffer_s=panic)
+                SimConfig(panic_buffer_s=panic)
         with pytest.raises(InvalidParameterError):
-            AbrConfig(initial_quality_index=-1)
+            SimConfig(initial_quality_index=-1)
 
 
 class TestStartRungCheck:
@@ -144,21 +144,17 @@ class TestStartRungCheck:
 
     def test_building_a_config_makes_no_decision(self, decisions):
         SimConfig()
-        SimConfig(abr=AbrConfig(initial_quality_index=3))
+        SimConfig(initial_quality_index=3)
         FairnessConfig(sim=SimConfig(total_segments=20))
         assert decisions == []
 
     def test_out_of_range_start_rung_refused_with_one_message(
             self, decisions):
         text = "initial_quality_index 4 outside ladder of 4 rungs"
-        bad = AbrConfig(initial_quality_index=4)
         with pytest.raises(InvalidParameterError) as built:
-            SimConfig(ladder=LADDER, abr=bad)
+            SimConfig(ladder=LADDER, initial_quality_index=4)
         assert decisions == []
-        with pytest.raises(InvalidParameterError) as decided:
-            abr.decide(LADDER, bad, None, 0.0)
-        assert len(decisions) == 1
-        assert str(built.value) == str(decided.value) == text
+        assert str(built.value) == text
 
 
 class TestDecisionsBuiltOnce:
@@ -193,10 +189,8 @@ class TestDecisionsBuiltOnce:
         assert built == [(0, REASON_STARTUP)] * fair_cfg.n_clients
 
     def test_repeated_requests_share_one_decision(self):
-        assert decide(LADDER, CFG, 1500.0, 20.0) \
-            is decide(LADDER, CFG, 1500.0, 20.0)
-        assert decide(LADDER, CFG, 1500.0, 1.0) \
-            is decide(LADDER, CFG, 3000.0, 1.0)
+        assert decide(CFG, 1500.0, 20.0) is decide(CFG, 1500.0, 20.0)
+        assert decide(CFG, 1500.0, 1.0) is decide(CFG, 3000.0, 1.0)
 
     def test_decisions_are_derived_not_fields(self):
         assert LADDER.decisions == tuple(
@@ -255,5 +249,6 @@ class TestProperties:
            st.floats(min_value=0.0, max_value=7.999))
     @settings(max_examples=200, deadline=None)
     def test_panic_dominates_any_estimate(self, ladder, estimate, buffer_s):
-        d = decide(ladder, CFG, estimate, buffer_s)
+        d = decide(dataclasses.replace(CFG, ladder=ladder), estimate,
+                   buffer_s)
         assert (d.quality_index, d.reason) == (0, REASON_BUFFER_PANIC)

@@ -4,7 +4,8 @@
 functions it lists in `TRACED` by module and name, and the benchmark
 calls the package as `api.<name>`. A deleted or renamed function would
 otherwise only show up as a failing benchmark run. The README's Python
-examples run as written, so they cannot go stale.
+examples run as written, so they cannot go stale. A `_`-prefixed name
+stays private to its module: no other affsim module imports it.
 """
 
 import ast
@@ -19,6 +20,7 @@ import affsim
 import affsim.cli
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
+SRC = os.path.join(ROOT, "src", "affsim")
 BENCH = os.path.join(ROOT, "bench")
 TRACING = os.path.join(BENCH, "tracing.py")
 README = os.path.join(ROOT, "README.md")
@@ -102,3 +104,44 @@ def test_readme_python_blocks_run():
         # padded so a traceback names the README line
         exec(compile("\n" * (line_no - 1) + code, README, "exec"),
              {"__name__": "readme"})
+
+
+# (importer, source, name): the CLI checks a fairness run's record count
+# before it builds the trace, with the check FairnessConfig runs
+PRIVATE_IMPORTS_ALLOWED = {("cli", "fairness", "_check_records")}
+
+
+def private_imports():
+    """(importer, source, name) for each `_`-prefixed name that one affsim
+    module imports from another, or reads off an imported affsim module,
+    read without running them."""
+    found = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        importer = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        modules = {}  # local name -> affsim module bound to it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                if node.level:
+                    source = ("affsim." + source).rstrip(".")
+                if source.split(".")[0] != "affsim":
+                    continue
+                for alias in node.names:
+                    if source == "affsim":  # `from . import sim`
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        found.add((importer, source[len("affsim."):],
+                                   alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and node.attr.startswith("_")):
+                found.add((importer, modules[node.value.id], node.attr))
+    return found
+
+
+def test_private_names_stay_in_their_module():
+    assert private_imports() - PRIVATE_IMPORTS_ALLOWED == set()

@@ -138,6 +138,21 @@ class TestStats:
             % (stats.max_mbps, stats.min_mbps, stats.avg_mbps,
                stats.stddev_mbps))
 
+    def test_builtin_profile_takes_duration(self, capsys):
+        # --duration was once ignored for a built-in trace
+        rc = main(["stats", "--profile", "fairness-table3",
+                   "--duration", "600"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "avg_mbps: 17.6667\n" in out
+
+    def test_builtin_duration_before_last_breakpoint(self, capsys):
+        rc = main(["stats", "--profile", "fairness-table3",
+                   "--duration", "100"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: duration 100 ends before the last breakpoint at 300\n")
+
     def test_csv_profile(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("time_s,bandwidth_kbps\n0,4000\n10,1000\n")
@@ -461,6 +476,23 @@ class TestFairnessCommand:
         assert rc == 0
         assert json.loads(path.read_text())["jfi"] == 1.0
 
+    def test_default_link_takes_duration(self, capsys):
+        # the default link once ran 360 s whatever --duration said; every
+        # default client finishes by 360 s, so a longer link changes nothing
+        assert main(["fairness"]) == 0
+        default = capsys.readouterr().out
+        assert main(["fairness", "--duration", "600"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(["fairness", "--duration", "340"]) == 1
+        assert capsys.readouterr().err == (
+            "error: profile ends at 340, before the window end 350\n")
+
+    def test_default_link_duration_before_last_breakpoint(self, capsys):
+        rc = main(["fairness", "--duration", "100"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: duration 100 ends before the last breakpoint at 300\n")
+
     def test_huge_rates_score_a_finite_jfi(self, capsys, tmp_path):
         # the squares of 1e200-scale averages once overflowed to jfi: nan
         path = tmp_path / "trace.csv"
@@ -488,6 +520,9 @@ class TestDefaults:
         assert tuple(map(float, args.window.split(":"))) == cfg.window
         assert args.segments == cfg.sim.total_segments
         assert cli._sim_config(args, args.estimator) == cfg.sim
+        # the default trace is named, so --duration applies to it
+        assert args.profile == "fairness-table3"
+        assert cli._build_profile(args, 600.0) == cfg.profile
 
 
 @pytest.fixture

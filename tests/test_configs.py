@@ -3,7 +3,7 @@
 Each probe once built a config that failed later, or ran: it must now end
 in an InvalidParameterError that names the field, raised by the
 constructor. The fuzz draws hostile values for every numeric field of the
-five config types: each construction either raises AffSimError, or builds
+four config types: each construction either raises AffSimError, or builds
 a config whose short run raises AffSimError or keeps the closing identity.
 """
 
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affsim import (
-    AbrConfig,
     AffSimError,
     BandwidthProfile,
     BitrateLadder,
@@ -23,7 +22,6 @@ from affsim import (
     FairnessConfig,
     InvalidParameterError,
     SimConfig,
-    decide,
     run_fairness,
     run_session,
 )
@@ -38,8 +36,8 @@ SHORT_CLIENTS = 3
 @pytest.mark.parametrize("field, build", [
     ("total_segments", lambda: SimConfig(total_segments=2.5)),
     ("total_segments", lambda: SimConfig(total_segments=True)),
-    ("initial_quality_index", lambda: AbrConfig(initial_quality_index=1.5)),
-    ("initial_quality_index", lambda: AbrConfig(initial_quality_index=True)),
+    ("initial_quality_index", lambda: SimConfig(initial_quality_index=1.5)),
+    ("initial_quality_index", lambda: SimConfig(initial_quality_index=True)),
     ("window", lambda: EstimatorConfig(kind="sliding_mean", window=True)),
     ("n_clients", lambda: FairnessConfig(n_clients=2.5)),
     ("window", lambda: FairnessConfig(window=(0, 1, 2))),
@@ -54,9 +52,9 @@ SHORT_CLIENTS = 3
     ("total_segments", lambda: SimConfig(
         ladder=BitrateLadder(segment_duration_s=0.001),
         total_segments=500_000_000)),
-    ("initial_quality_index", lambda: SimConfig(
-        abr=AbrConfig(initial_quality_index=1),
-        ladder=BitrateLadder((800.0,)))),
+    # the whole message, pinned
+    ("^initial_quality_index 1 outside ladder of 1 rungs$", lambda: SimConfig(
+        initial_quality_index=1, ladder=BitrateLadder((800.0,)))),
 ], ids=["segments-float", "segments-bool", "initial-float", "initial-bool",
         "avg-window-bool", "clients-float", "window-triple", "window-text",
         "seed-nan", "unknown-kind", "unhashable-kind", "zero-step",
@@ -75,16 +73,6 @@ def test_record_cap_boundary():
     assert FairnessConfig(n_clients=2, sim=sim)
     with pytest.raises(InvalidParameterError, match="n_clients 3 x "):
         FairnessConfig(n_clients=3, sim=sim)
-
-
-def test_start_rung_check_keeps_the_message_of_decide():
-    ladder, abr = BitrateLadder((800.0,)), AbrConfig(initial_quality_index=1)
-    with pytest.raises(InvalidParameterError) as built:
-        SimConfig(abr=abr, ladder=ladder)
-    with pytest.raises(InvalidParameterError) as decided:
-        decide(ladder, abr, None, 0.0)
-    assert str(built.value) == str(decided.value) == (
-        "initial_quality_index 1 outside ladder of 1 rungs")
 
 
 def test_knobs_of_other_kinds_are_not_checked(capsys):
@@ -126,9 +114,6 @@ LADDERS = fields({
     "bitrates_kbps": (ordinary((250.0, 500.0, 1000.0, 2000.0), (800.0,)),
                       hostile_tuples(250.0, 500.0, 1000.0, 2000.0)),
     "segment_duration_s": (ordinary(2.0, 1.0, 0.5), HOSTILE)})
-ABRS = fields({
-    "panic_buffer_s": (ordinary(8.0, 0.0), HOSTILE),
-    "initial_quality_index": (ordinary(0, 1), HOSTILE)})
 ESTIMATORS = fields({
     "kind": (ordinary("aff", "ewma", "sliding_mean"), HOSTILE),
     "step_size": (ordinary(0.1, 0.05), HOSTILE),
@@ -137,6 +122,8 @@ ESTIMATORS = fields({
     "ewma_weight": (ordinary(0.2, 0.5), HOSTILE),
     "window": (ordinary(3, 1), HOSTILE)})
 SIMS = fields({
+    "panic_buffer_s": (ordinary(8.0, 0.0), HOSTILE),
+    "initial_quality_index": (ordinary(0, 1), HOSTILE),
     "max_buffer_s": (ordinary(30.0, 10.0), HOSTILE),
     "total_segments": (ordinary(1, 3, 5, 150), HOSTILE)})
 FAIRNESS = fields({
@@ -166,16 +153,14 @@ def identity_gap(trace, start_s, seg_dur):
                - (trace.startup_delay_s + media + stalls))
 
 
-@given(LADDERS, ABRS, ESTIMATORS, SIMS)
+@given(LADDERS, ESTIMATORS, SIMS)
 @settings(max_examples=150, deadline=None)
-def test_hostile_session_fields(ladder_kw, abr_kw, est_kw, sim_kw):
+def test_hostile_session_fields(ladder_kw, est_kw, sim_kw):
     # a refused part falls back to its default, so the fields of the
     # types around it are still drawn
     ladder = built(BitrateLadder, ladder_kw) or BitrateLadder()
-    abr = built(AbrConfig, abr_kw) or AbrConfig()
     estimator = built(EstimatorConfig, est_kw) or EstimatorConfig()
-    cfg = built(SimConfig, dict(sim_kw, ladder=ladder, abr=abr,
-                                estimator=estimator))
+    cfg = built(SimConfig, dict(sim_kw, ladder=ladder, estimator=estimator))
     if cfg is None:
         return
     cfg = dataclasses.replace(

@@ -13,7 +13,6 @@ from bisect import bisect_right
 import pytest
 
 from affsim import (
-    AbrConfig,
     BandwidthProfile,
     EstimatorConfig,
     ProfileExhaustedError,
@@ -70,8 +69,7 @@ class ReferenceClient:
         self.stalls = []
 
     def issue(self, t):
-        self.decision = decide(self.cfg.ladder, self.cfg.abr, self.estimate,
-                               self.buffer)
+        self.decision = decide(self.cfg, self.estimate, self.buffer)
         rung = self.cfg.ladder.bitrates_kbps[self.decision.quality_index]
         self.size = rung * self.seg_dur
         self.remaining = self.size
@@ -292,7 +290,7 @@ def test_matches_reference_when_requests_wait_for_room(max_buffer_s):
     # a 2 s buffer ceiling leaves no room at a request: every segment waits
     # until the buffer is empty, and the stall opens at the request itself
     cfg = SimConfig(max_buffer_s=max_buffer_s, total_segments=40,
-                    abr=AbrConfig(panic_buffer_s=1.0))
+                    panic_buffer_s=1.0)
     profile = scaled(synthesize_profile("test3", 4, 400.0), 3.0)
     clients = [(cfg, st) for st in (0.0, 0.5, 0.5, 7.25)]
     new = run_shared(profile, clients)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from affsim import estimators, sim
 from affsim import (
-    AbrConfig,
     AffState,
     BandwidthProfile,
     BitrateLadder,
@@ -621,8 +620,7 @@ class TestConfigValidation:
             run_session(constant(1000.0), SimConfig(max_buffer_s=5.0))
         with pytest.raises(InvalidParameterError):
             run_session(constant(1000.0),
-                        SimConfig(max_buffer_s=1.0,
-                                  abr=AbrConfig(panic_buffer_s=0.5)))
+                        SimConfig(max_buffer_s=1.0, panic_buffer_s=0.5))
         with pytest.raises(InvalidParameterError, match="max_buffer_s nan"):
             run_session(constant(1000.0),
                         SimConfig(max_buffer_s=float("nan")))

@@ -114,7 +114,7 @@ def reference_run_session(profile, cfg):
             idle_full += wait
             advance(t + wait, draining=True)
             buffer = cfg.max_buffer_s - seg_dur
-        decision = decide(cfg.ladder, cfg.abr, estimate, buffer)
+        decision = decide(cfg, estimate, buffer)
         size = cfg.ladder.bitrates_kbps[decision.quality_index] * seg_dur
         t_request = t
         series.append((t, buffer))
