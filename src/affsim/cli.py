@@ -28,16 +28,24 @@ def _estimators():  # {command-line name: kind}, in table order
 def _add_profile_args(p, default_profile=None):
     # a command with a default trace needs neither option
     group = p.add_mutually_exclusive_group(required=default_profile is None)
+    builtins = ", ".join(sorted(BUILTIN_PROFILES))
     group.add_argument("--profile", default=default_profile,
                        help="bandwidth trace CSV path, or a built-in name "
-                            "(%s)" % ", ".join(sorted(BUILTIN_PROFILES)))
+                            "(%s)" % builtins)
     group.add_argument("--synth", choices=SYNTH_KINDS,
                        help="generate a synthetic trace instead")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for synthetic traces and client jitter")
+    duration_help = (
+        "trace duration in seconds; it also cuts or stretches a built-in "
+        "trace (%s). Unset, a built-in trace keeps its own length, a csv "
+        "trace is open ended and a synthetic one gets a generous span"
+        % builtins)
+    if default_profile is not None:
+        duration_help += ". With neither --profile nor --synth the trace " \
+            "is %s" % default_profile
     p.add_argument("--duration", type=float, default=None,
-                   help="trace duration in seconds (csv traces default to "
-                        "open ended, synthetic ones to a generous span)")
+                   help=duration_help)
 
 
 def _add_session_args(p, sim, pick_estimator=True):

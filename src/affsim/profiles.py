@@ -129,13 +129,14 @@ def unit_scale(top):
     return math.ldexp(1.0, -max(math.frexp(top)[1], -1021))
 
 
-def _moments(pieces):
-    """Time-weighted mean and stddev of (length_s, value) pieces, summed on
-    values scaled by unit_scale so that no square overflows."""
-    scale = unit_scale(max(abs(v) for _, v in pieces))
-    total = sum(length for length, _ in pieces)
-    mean = sum(length * (v * scale) for length, v in pieces) / total
-    var = sum(length * (v * scale - mean) ** 2 for length, v in pieces) / total
+def _moments(lengths, values, total):
+    """Time-weighted mean and stddev of pieces given as parallel lists of
+    lengths (s) and values, where total is sum(lengths); summed on values
+    scaled by unit_scale so that no square overflows."""
+    scale = unit_scale(max(map(abs, values)))
+    mean = sum([n * (v * scale) for n, v in zip(lengths, values)]) / total
+    var = sum([n * (v * scale - mean) ** 2
+               for n, v in zip(lengths, values)]) / total
     return mean / scale, math.sqrt(var) / scale
 
 
@@ -146,12 +147,12 @@ def profile_stats(profile):
             "stats need a finite positive duration, got %r"
             % (profile.duration_s,))
     ends = profile.starts[1:] + (profile.duration_s,)
-    pieces = [(end - start, kbps)  # (length_s, kbps)
-              for (start, kbps), end in zip(profile.breakpoints, ends)
-              if end > start]
-    rates = [b for _, b in pieces]
+    lengths = [end - start for start, end in zip(profile.starts, ends)]
+    rates = [kbps for _, kbps in profile.breakpoints]
+    if lengths[-1] == 0.0:  # the duration ends on the last breakpoint
+        del lengths[-1], rates[-1]
     return ProfileStats(*(kbps / 1000.0 for kbps in (
-        max(rates), min(rates), *_moments(pieces))))
+        max(rates), min(rates), *_moments(lengths, rates, sum(lengths)))))
 
 
 def fairness_table3():
@@ -192,6 +193,13 @@ def synthesize_profile(kind, seed, duration_s):
     then clipped to the target floor/ceiling, and the trace touches both
     extremes at least once). test4 is a deterministic two-plateau trace:
     a high half followed by a sudden drop, independent of the seed.
+
+    Draw contract for test1..test3: random.Random("<kind>:<seed>") draws,
+    per piece, one length as uniform(1, 5) (cut at the duration) and then
+    one value as gauss(mean, sd). Both draws are written out here: the
+    normals come in Box-Muller pairs exactly as rng.gauss draws them, the
+    second of each pair kept for the next piece. A Python whose gauss
+    draws differently fails the frozen-reference test, which calls it.
     """
     if not (MIN_SYNTH_DURATION_S <= duration_s <= MAX_SYNTH_DURATION_S):
         raise InvalidParameterError(
@@ -206,35 +214,45 @@ def synthesize_profile(kind, seed, duration_s):
         raise InvalidParameterError("unknown synthetic kind %r" % (kind,))
     lo, hi, target_mean, target_sd = SYNTH_TARGETS[kind]
     rng = random.Random("%s:%d" % (kind, seed))
-    segments = []  # [length_s, kbps]
-    t = 0.0
+    rand = rng.random
+    lengths, values = [], []  # one length (s) and one kbps per piece
+    t, z = 0.0, None  # z: the unused normal of the last Box-Muller pair
     while t < duration_s:
-        length = min(rng.uniform(1.0, 5.0), duration_s - t)
-        segments.append([length, rng.gauss(target_mean, target_sd)])
+        length = 1.0 + 4.0 * rand()  # rng.uniform(1.0, 5.0)
+        if length > duration_s - t:
+            length = duration_s - t
+        lengths.append(length)
+        if z is None:  # rng.gauss(target_mean, target_sd), written out
+            x2pi = rand() * math.tau
+            g2rad = math.sqrt(-2.0 * math.log(1.0 - rand()))
+            values.append(target_mean + math.cos(x2pi) * g2rad * target_sd)
+            z = math.sin(x2pi) * g2rad
+        else:
+            values.append(target_mean + z * target_sd)
+            z = None
         t += length
     # Recenter so the realized time-weighted stats hit the targets, then
     # clip; a few rounds absorb the distortion clipping introduces.
+    total = sum(lengths)
     for _ in range(4):
-        mean, sd = _moments(segments)
+        mean, sd = _moments(lengths, values, total)
         if sd == 0.0:
             break
         scale = target_sd / sd
-        for seg in segments:
-            v = target_mean + scale * (seg[1] - mean)
-            seg[1] = lo if v < lo else hi if v > hi else v  # without calls
+        values = [lo if (w := target_mean + scale * (v - mean)) < lo
+                  else hi if w > hi else w for v in values]
     # Guarantee the extremes appear. Touches are kept short so they do not
     # disturb the calibrated stats, and scale down with short durations.
     touch_len = min(1.0, duration_s / 600.0)
     touches = max(1, round(duration_s / 600.0))
     for value in (lo, hi):
         for _ in range(touches):
-            i = rng.randrange(len(segments))
-            length, v = segments[i]
-            if length > 2.0 * touch_len:
-                segments[i] = [length - touch_len, v]
-                segments.insert(i + 1, [touch_len, value])
+            i = rng.randrange(len(values))
+            if lengths[i] > 2.0 * touch_len:
+                lengths[i] -= touch_len
+                lengths.insert(i + 1, touch_len)
+                values.insert(i + 1, value)
             else:
-                segments[i] = [length, value]
-    starts = accumulate((length for length, _ in segments), initial=0.0)
+                values[i] = value
     return BandwidthProfile(
-        tuple(zip(starts, (v for _, v in segments))), duration_s)
+        tuple(zip(accumulate(lengths, initial=0.0), values)), duration_s)

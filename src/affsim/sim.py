@@ -136,7 +136,9 @@ def _client(start_time, cfg):
     request) concern no other client, so they are settled when the
     segment lands.
     """
-    rungs, seg_dur = cfg.ladder.bitrates_kbps, cfg.ladder.segment_duration_s
+    seg_dur = cfg.ladder.segment_duration_s
+    # one size float per rung, shared by every record at that rung
+    sizes = [b * seg_dur for b in cfg.ladder.bitrates_kbps]
     room = cfg.max_buffer_s - seg_dur  # most buffer at a request
     last = cfg.total_segments
     update = estimator_kinds()[cfg.estimator.kind].update
@@ -151,7 +153,7 @@ def _client(start_time, cfg):
             buffer = room  # the level once the wait is over
             t += wait
         quality_index, reason = decide(cfg, estimate, buffer)
-        size = rungs[quality_index] * seg_dur
+        size = sizes[quality_index]
         t_request = t
         t = yield t, size
         tau = t - t_request

@@ -5,7 +5,8 @@ functions it lists in `TRACED` by module and name, and the benchmark
 calls the package as `api.<name>`. A deleted or renamed function would
 otherwise only show up as a failing benchmark run. The README's Python
 examples run as written, so they cannot go stale. A `_`-prefixed name
-stays private to its module: no other affsim module imports it.
+stays private to its module: no other affsim module imports it. Every
+module, test modules too, reads each name it imports.
 """
 
 import ast
@@ -145,3 +146,34 @@ def private_imports():
 
 def test_private_names_stay_in_their_module():
     assert private_imports() - PRIVATE_IMPORTS_ALLOWED == set()
+
+
+def unread_imports():
+    """(file, name) for each name that a module under src/affsim or tests/
+    imports and never reads, read without running them. A name the module
+    lists in `__all__` counts as read: `__init__.py` re-exports that way."""
+    found = set()
+    paths = glob.glob(os.path.join(SRC, "*.py")) \
+        + glob.glob(os.path.join(ROOT, "tests", "*.py"))
+    for path in sorted(paths):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # `import a.b` binds a
+                imported.update(alias.asname or alias.name.split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        found.update((os.path.relpath(path, ROOT), name)
+                     for name in imported - read)
+    return found
+
+
+def test_every_imported_name_is_read():
+    assert unread_imports() == set()

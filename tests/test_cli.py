@@ -146,6 +146,25 @@ class TestStats:
         assert rc == 0
         assert "avg_mbps: 17.6667\n" in out
 
+    @pytest.mark.parametrize("command", ["stats", "fairness"])
+    def test_duration_help_names_builtin_traces(self, capsys, monkeypatch,
+                                                command):
+        # the help once spoke of csv and synthetic traces only; a wide
+        # terminal keeps argparse from wrapping at a name's hyphen
+        monkeypatch.setenv("COLUMNS", "1000")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        # the option's own help, up to the next option's line
+        block = out.split("--duration DURATION")[2].split("\n  -")[0]
+        duration = " ".join(block.split())
+        assert "cuts or stretches a built-in trace" in duration
+        for name in affsim.profiles.BUILTIN_PROFILES:
+            assert name in duration
+        assert ("the trace is fairness-table3" in duration) == \
+            (command == "fairness")
+
     def test_builtin_duration_before_last_breakpoint(self, capsys):
         rc = main(["stats", "--profile", "fairness-table3",
                    "--duration", "100"])

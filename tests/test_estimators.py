@@ -4,7 +4,6 @@ Regression constants in this file were produced by an independent
 numeric oracle before the package was written and are frozen here.
 """
 
-import math
 import random
 import sys
 

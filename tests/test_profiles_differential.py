@@ -233,10 +233,25 @@ def reference_profile_stats(profile):
                         mean / 1000.0, sd / 1000.0)
 
 
+def drawn_pieces(kind, seed, duration_s):
+    """How many pieces synthesize_profile draws before its touches; an odd
+    count leaves the second normal of the last Box-Muller pair unused."""
+    rng = random.Random("%s:%d" % (kind, seed))
+    pieces, t = 0, 0.0
+    while t < duration_s:
+        t += min(rng.uniform(1.0, 5.0), duration_s - t)
+        rng.gauss(0.0, 1.0)
+        pieces += 1
+    return pieces
+
+
 @pytest.mark.parametrize("kind", ["test1", "test2", "test3", "test4"])
 def test_synthetic_traces_and_stats_match_unscaled_sums(kind):
     grid = [(seed, d) for seed in range(30) for d in (60.0, 800.0)]
     grid += [(seed, 24000.0) for seed in range(2)]
+    # durations that end mid-piece, and a negative seed
+    grid += [(seed, d) for seed in range(10) for d in (61.7, 1000.5)]
+    grid += [(-3, d) for d in (60.0, 61.7, 800.0, 1000.5)]
     for seed, duration in grid:
         profile = synthesize_profile(kind, seed, duration)
         if kind != "test4":  # the two plateaus take no moments
@@ -244,5 +259,10 @@ def test_synthetic_traces_and_stats_match_unscaled_sums(kind):
                 reference_synth_breakpoints(kind, seed, duration),
                 duration))
         assert profile_stats(profile) == reference_profile_stats(profile)
-    assert profile_stats(fairness_table3()) == \
-        reference_profile_stats(fairness_table3())
+    if kind != "test4":  # both states of the kept normal were compared
+        assert {drawn_pieces(kind, seed, d) % 2 for seed, d in grid} \
+            == {0, 1}
+    # the second ends on its last breakpoint, a top rate of zero length
+    for fixed in (fairness_table3(),
+                  BandwidthProfile(((0.0, 2000.0), (10.0, 9000.0)), 10.0)):
+        assert profile_stats(fixed) == reference_profile_stats(fixed)

@@ -12,7 +12,6 @@ from affsim import (
     BandwidthProfile,
     BitrateLadder,
     InvalidParameterError,
-    QoeReport,
     SimConfig,
     export,
     parse_csv_export,

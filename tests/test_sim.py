@@ -408,6 +408,14 @@ class TestRecordInvariants:
         for r in trace.records:
             assert r.size_kbit == ladder.bitrates_kbps[r.quality_index] * 2.0
 
+    def test_one_size_object_per_rung(self):
+        # a client computes each rung's size once, so records share it
+        cfg = SimConfig(total_segments=1000)
+        trace = run_session(synthesize_profile("test3", 2, 4120.0), cfg)
+        assert len({r.quality_index for r in trace.records}) > 1
+        assert len({id(r.size_kbit) for r in trace.records}) \
+            <= len(cfg.ladder.bitrates_kbps)
+
     def test_requests_are_sequential(self, trace):
         for a, b in zip(trace.records, trace.records[1:]):
             assert b.t_request_s >= a.t_complete_s
