@@ -17,6 +17,7 @@ from operator import attrgetter, ne
 
 from .errors import InvalidParameterError
 from .fairness import FairnessResult
+from .profiles import unit_scale
 from .sim import MAX_ROWS
 
 BUFFER_CDF_STEP_S = 0.5
@@ -35,17 +36,18 @@ class QoeReport:
 def summarize(trace, ladder):
     """Collapse a SessionTrace into its headline QoE numbers.
 
-    Each CDF takes one pass. The rungs strictly increase, so a bitrate is
-    at or below rung i exactly when its quality index is at most i. The
-    buffer CDF gives the fraction of wall time, from the first request to
-    wall_time_s, that the buffer level spends at or below each threshold
-    k * BUFFER_CDF_STEP_S, up to the first at or above the top level. The
-    level is 0 until the first completion, then drains at slope 1 from
-    each buffer_after_s, floored at 0, until the next completion or
-    wall_time_s. A stretch of g seconds from level a spends
-    g - min(g, max(0, a - th)) at or below th: its time goes to the bins
-    ceil(level / step) of its two end levels (bin 0 at or below zero) and
-    one whole step to each bin between, and two running sums give every
+    The mean bitrate sums rungs scaled by `unit_scale` only when their
+    plain sum overflows. Each CDF takes one pass. The rungs strictly
+    increase, so a bitrate is at or below rung i exactly when its quality
+    index is at most i. The buffer CDF gives the fraction of wall time,
+    from the first request to wall_time_s, that the buffer level spends at
+    or below each threshold k * BUFFER_CDF_STEP_S, up to the first at or
+    above the top level. The level is 0 until the first completion, then
+    drains at slope 1 from each buffer_after_s, floored at 0, until the
+    next completion or wall_time_s. A stretch of g seconds from level a
+    spends g - min(g, max(0, a - th)) at or below th: its time goes to the
+    bins ceil(level / step) of its two end levels (bin 0 at or below zero)
+    and one whole step to each bin between, and two running sums give every
     row; the last is exactly 1.0. A level above MAX_ROWS steps raises
     InvalidParameterError, as a non-finite one does, and so do non-finite
     or out-of-order times, a trace with no records and a quality index
@@ -65,6 +67,9 @@ def summarize(trace, ladder):
     changes = sum(map(ne, qualities, qualities[1:]))
     n = len(qualities)
     mean_bitrate = sum(map(rungs.__getitem__, qualities)) / n
+    if mean_bitrate == inf:  # the rungs are finite, so the sum overflowed
+        scale = unit_scale(rungs[-1])
+        mean_bitrate = sum([rungs[q] * scale for q in qualities]) / n / scale
     per_rung = [0] * len(rungs)
     for q in qualities:
         per_rung[q] += 1

@@ -14,8 +14,10 @@ rate split depends only on which downloads are in flight, so a client
 settles its own buffer drain, and any stall, when its segment lands.
 Each client is a coroutine that keeps its state in locals: it yields
 each request as (request time, segment size), is sent its completion
-time, and returns its SessionTrace. Its SimConfig, checked when built,
-holds every knob, the ladder rule's too; `decide` reads it.
+time, and returns its SessionTrace, which holds its records and its
+SimConfig and derives the rest: stalls, startup delay, wall time and
+idle time. Its SimConfig, checked when built, holds every knob, the
+ladder rule's too; `decide` reads it.
 `run_shared(profile, clients)` is the engine: it takes one (SimConfig,
 start time) pair per client, so clients on one link may differ in
 estimator, buffer ceiling or length, and returns one SessionTrace per
@@ -30,7 +32,9 @@ the fraction of wall time the level spends at or below each threshold.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import pairwise
 from math import inf
 from typing import NamedTuple
 
@@ -94,12 +98,54 @@ class SegmentRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SessionTrace:
+    """A session's records and the SimConfig that ran it; the rest is
+    derived from them. The first download is the startup delay, and the
+    wall time ends when the media left at the last completion has played.
+    The level at each later request is the record before's
+    buffer_after_s, capped at room = max_buffer_s minus one segment (the
+    excess is time spent waiting for room, idle_full_s), and a download
+    that outlasts that level stalls playback from the moment it empties
+    until it lands. One cached walk over those levels gives stalls and
+    idle_full_s."""
+
     records: tuple
-    stalls: tuple  # ((start_s, duration_s), ...), each inside one download
-    startup_delay_s: float
-    wall_time_s: float
-    idle_full_s: float  # request time lost waiting for buffer room
+    config: SimConfig
     buffer_series = ()  # not a field; only bench/ reads it (ROADMAP item 1)
+
+    @cached_property
+    def _walk(self):
+        room = self.config.max_buffer_s - self.config.ladder.segment_duration_s
+        stalls, idle_full = [], 0.0
+        for prev, r in pairwise(self.records):
+            level = prev.buffer_after_s
+            if level > room:
+                idle_full += level - room
+                level = room
+            # an onset that ties with the arrival goes to the arrival
+            empty_at = r.t_request_s + level
+            if empty_at < r.t_complete_s:
+                stalls.append((empty_at, r.t_complete_s - empty_at))
+        return tuple(stalls), idle_full
+
+    @property
+    def stalls(self):
+        """((start_s, duration_s), ...), each inside one download."""
+        return self._walk[0]
+
+    @property
+    def idle_full_s(self):
+        """Request time lost waiting for buffer room."""
+        return self._walk[1]
+
+    @property
+    def startup_delay_s(self):
+        first = self.records[0]
+        return first.t_complete_s - first.t_request_s
+
+    @property
+    def wall_time_s(self):
+        last = self.records[-1]
+        return last.t_complete_s + last.buffer_after_s  # media plays out
 
 
 def integrate_download(profile, start_s, size_kbit):
@@ -143,15 +189,13 @@ def _client(start_time, cfg):
     last = cfg.total_segments
     update = estimator_kinds()[cfg.estimator.kind].update
     state = cfg.estimator.initial_state
-    buffer = idle_full = 0.0
-    records, stalls = [], []
+    buffer = 0.0
+    records = []
     estimate, t = None, start_time
     for index in range(1, last + 1):
         if buffer > room:
-            wait = buffer - room
-            idle_full += wait
-            buffer = room  # the level once the wait is over
-            t += wait
+            t += buffer - room  # wait for room
+            buffer = room
         quality_index, reason = decide(cfg, estimate, buffer)
         size = sizes[quality_index]
         t_request = t
@@ -164,27 +208,19 @@ def _client(start_time, cfg):
                 "too fast for the clock's resolution" % (index, t))
         inst = size / tau
         state, estimate = update(state, inst)
-        if index == 1:
-            startup_delay = t - start_time
+        # SessionTrace's stall test: the buffer empties first, unless the
+        # onset ties with the arrival
+        if t_request + buffer < t:
+            buffer = 0.0
         else:
-            # an onset that ties with the arrival goes to the arrival
-            empty_at = t_request + buffer
-            if empty_at < t:
-                stalls.append((empty_at, t - empty_at))
-                buffer = 0.0
-            else:
-                # max(0.0, buffer - tau), without the builtin's call
-                buffer = buffer - tau if buffer > tau else 0.0
+            # max(0.0, buffer - tau), without the builtin's call
+            buffer = buffer - tau if buffer > tau else 0.0
         buffer += seg_dur
         # SegmentRecord's own __new__ costs twice as much
         records.append(tuple.__new__(SegmentRecord, (
             index, quality_index, size, t_request, t, inst, estimate,
             buffer, reason)))
-    return SessionTrace(
-        records=tuple(records), stalls=tuple(stalls),
-        startup_delay_s=startup_delay,
-        wall_time_s=t + buffer,  # remaining media plays out
-        idle_full_s=idle_full)
+    return SessionTrace(tuple(records), cfg)
 
 
 def run_shared(profile, clients):
@@ -280,8 +316,9 @@ def run_session(profile, cfg):
     """Play cfg.total_segments segments against the profile.
 
     Runs the shared-link engine with one client that owns the whole link.
-    Returns the full per-segment trace plus stall and buffer accounting.
-    The records fix the buffer level at every time: 0 from the first
+    Returns the per-segment records and cfg as a SessionTrace, whose stall
+    and idle accounting, startup delay and wall time are derived from
+    them. The records fix the buffer level at every time: 0 from the first
     request until the first completion, then from each completion's
     buffer_after_s a drain of one media second per wall second, floored
     at 0, until the next completion, and after the last one until

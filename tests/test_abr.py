@@ -145,6 +145,7 @@ class TestStartRungCheck:
     def test_building_a_config_makes_no_decision(self, decisions):
         SimConfig()
         SimConfig(initial_quality_index=3)
+        SimConfig(panic_buffer_s=0.0)  # valid: no level is below 0
         FairnessConfig(sim=SimConfig(total_segments=20))
         assert decisions == []
 

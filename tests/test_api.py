@@ -6,12 +6,15 @@ calls the package as `api.<name>`. A deleted or renamed function would
 otherwise only show up as a failing benchmark run. The README's Python
 examples run as written, so they cannot go stale. A `_`-prefixed name
 stays private to its module: no other affsim module imports it. Every
-module, test modules too, reads each name it imports.
+module, test modules too, reads each name it imports. The benchmark's
+checks read a trace's views (stalls, startup and wall time, idle time,
+buffer series), so they run here on a session and its report.
 """
 
 import ast
 import glob
 import importlib
+import importlib.util
 import os
 import re
 
@@ -19,6 +22,7 @@ import pytest
 
 import affsim
 import affsim.cli
+from affsim import SimConfig, run_session, summarize, synthesize_profile
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 SRC = os.path.join(ROOT, "src", "affsim")
@@ -87,6 +91,23 @@ def test_bench_api_chain_resolves(chain):
     obj = affsim
     for name in chain.split("."):
         obj = getattr(obj, name)
+
+
+def test_bench_checks_read_a_session():
+    # a session that stalls and waits for room, so every view is read
+    spec = importlib.util.spec_from_file_location(
+        "bench_checks", os.path.join(BENCH, "checks.py"))
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    profile = synthesize_profile("test3", 15, 2000.0)
+    cfg = SimConfig(max_buffer_s=11.0)
+    trace = run_session(profile, cfg)
+    assert trace.stalls and trace.idle_full_s > 0.0
+    report = summarize(trace, cfg.ladder)
+    assert checks.check_session(profile, cfg, trace, report) == []
+    digest = checks.session_digest(trace)
+    assert len(digest) == 64
+    assert digest == checks.session_digest(run_session(profile, cfg))
 
 
 def readme_python_blocks():

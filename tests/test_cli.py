@@ -293,6 +293,17 @@ class TestErrorPaths:
         rows = trace.read_text().splitlines()[1:]
         assert [float(r.split(",")[6]) for r in rows] == [1.5e308] * 5
 
+    def test_mean_of_huge_rungs_is_finite(self, capsys):
+        # 150 segments at a 1e308 kbps rung: their sum passes the largest
+        # float, but their mean fits
+        rc = main(["run", "--profile", "fairness-table3",
+                   "--segment-duration", "5e-324", "--ladder", "1e308"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        mean = re.search(r"^mean_bitrate_kbps: (\S+)$", captured.out, re.M)
+        assert float(mean.group(1)) == pytest.approx(1e308, rel=1e-12)
+
     def test_infinite_fairness_window_end(self, capsys, tmp_path):
         path = tmp_path / "open.csv"
         path.write_text("0,2500\n")

@@ -27,8 +27,10 @@ from affsim.sim import MAX_ROWS, SegmentRecord, SessionTrace
 LADDER = BitrateLadder()
 
 
-def make_trace(qualities, stalls=(), levels=None, wall_time_s=None):
-    # a request every 2 s from t=0, each landing 1 s later at its level
+def make_trace(qualities, levels=None):
+    # a request every 2 s from t=0, each landing 1 s later at its level;
+    # a level under 1 s stalls the next download, and the last level plays
+    # out after the last completion
     if levels is None:
         levels = [10.0] * len(qualities)
     records = tuple(
@@ -40,11 +42,7 @@ def make_trace(qualities, stalls=(), levels=None, wall_time_s=None):
             estimate_kbps=1000.0, buffer_after_s=level,
             decision_reason="throughput")
         for i, (q, level) in enumerate(zip(qualities, levels)))
-    if wall_time_s is None:
-        wall_time_s = 2.0 * len(qualities)
-    return SessionTrace(records=records, stalls=tuple(stalls),
-                        startup_delay_s=1.0, wall_time_s=wall_time_s,
-                        idle_full_s=0.0)
+    return SessionTrace(records, SimConfig(ladder=LADDER))
 
 
 class TestSummarize:
@@ -55,16 +53,28 @@ class TestSummarize:
         assert report.mean_bitrate_kbps == pytest.approx(1988.3333, abs=5e-5)
         assert report.bitrate_changes == 1
 
+    def test_mean_bitrate_of_huge_rungs_is_finite(self):
+        # two rungs near the float maximum overflow a plain sum; a sum of
+        # scaled rungs gives their mean, and a finite sum stays as it was
+        ladder = BitrateLadder((1e307, 1.5e308))
+        report = summarize(make_trace([1, 1, 0]), ladder)
+        assert report.mean_bitrate_kbps == pytest.approx(
+            1e307 / 3 + 1e308, rel=1e-12)
+        report = summarize(make_trace([0, 0, 1]), ladder)
+        assert report.mean_bitrate_kbps == (1e307 + 1e307 + 1.5e308) / 3
+
     def test_change_count_is_adjacent_differences(self):
         report = summarize(make_trace([0, 1, 1, 2, 1, 1, 0]), LADDER)
         assert report.bitrate_changes == 4
         assert summarize(make_trace([2] * 8), LADDER).bitrate_changes == 0
 
     def test_stalls_pass_through(self):
-        report = summarize(
-            make_trace([0, 0], stalls=((10.0, 1.5), (50.0, 0.25))), LADDER)
+        # the second download empties a 0.5 s buffer, the third a 0.75 s one
+        trace = make_trace([0, 0, 0], levels=(0.5, 0.75, 10.0))
+        assert trace.stalls == ((2.5, 0.5), (4.75, 0.25))
+        report = summarize(trace, LADDER)
         assert report.stall_events == 2
-        assert report.stall_durations_s == (1.5, 0.25)
+        assert report.stall_durations_s == (0.5, 0.25)
 
     def test_bitrate_cdf(self):
         report = summarize(make_trace([0, 0, 1, 3]), LADDER)
@@ -72,14 +82,16 @@ class TestSummarize:
             (250.0, 0.5), (500.0, 0.75), (1000.0, 0.75), (2000.0, 1.0))
 
     def test_buffer_cdf_half_second_grid(self):
-        # over 4 s of wall time: 0 until 1 s, a drain from 0.6 that empties
-        # 0.6 s later and lasts to 3 s, then a drain from 1.2 to 0.2 at 4 s
+        # over 4.2 s of wall time: 0 until 1 s, a drain from 0.6 that
+        # empties 0.6 s later and lasts to 3 s, then a drain from 1.2 that
+        # empties as playback ends at 4.2 s
         trace = make_trace([0, 0], levels=(0.6, 1.2))
         report = summarize(trace, LADDER)
         thresholds = [th for th, _ in report.buffer_cdf]
         fractions = [fr for _, fr in report.buffer_cdf]
         assert thresholds == [0.0, 0.5, 1.0, 1.5]
-        assert fractions == pytest.approx([2.4 / 4, 3.2 / 4, 3.8 / 4, 1.0])
+        assert fractions == pytest.approx(
+            [2.4 / 4.2, 3.4 / 4.2, 4.0 / 4.2, 1.0])
         assert fractions[-1] == 1.0
 
     def test_trace_without_records_rejected(self):
@@ -114,11 +126,12 @@ class TestSummarize:
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf"),
                                      float("inf")], ids=["nan", "-inf", "inf"])
     def test_non_finite_buffer_level_rejected(self, bad, position):
-        # max() skips a NaN that is not first, so each level is checked
-        levels = [0.0, 1.0, 2.0]
+        # max() skips a NaN that is not first, so each level is checked;
+        # a finite last level keeps the wall time finite
+        levels = [0.0, 1.0, 2.0, 3.0]
         levels[position] = bad
-        with pytest.raises(InvalidParameterError, match="finite"):
-            summarize(make_trace([0, 0, 0], levels=levels), LADDER)
+        with pytest.raises(InvalidParameterError, match="levels must be"):
+            summarize(make_trace([0, 0, 0, 0], levels=levels), LADDER)
 
     # a level of inf once made the threshold loop grow a list without end,
     # and 1e9 s (2e9 thresholds) ran out of memory; each runs in a child
@@ -126,11 +139,14 @@ class TestSummarize:
     SUMMARIZE_LEVEL = (
         "import sys\n"
         "from affsim import BitrateLadder, InvalidParameterError\n"
-        "from affsim import SessionTrace, summarize\n"
+        "from affsim import SessionTrace, SimConfig, summarize\n"
         "from affsim.sim import SegmentRecord\n"
         "rec = SegmentRecord(1, 0, 1.0, 0.0, 1.0, 1.0, 1.0,\n"
         "                    float(sys.argv[1]), 'x')\n"
-        "trace = SessionTrace((rec,), (), 0.0, 2.0, 0.0)\n"
+        "# a second record, empty at 3 s, keeps the wall time finite\n"
+        "end = rec._replace(index=2, t_request_s=2.0, t_complete_s=3.0,\n"
+        "                   buffer_after_s=0.0)\n"
+        "trace = SessionTrace((rec, end), SimConfig())\n"
         "try:\n"
         "    summarize(trace, BitrateLadder())\n"
         "except InvalidParameterError as exc:\n"
@@ -184,15 +200,15 @@ class TestSummarizeOperationCount:
         for top in (30.0, 30000.0):
             compared[0] = 0
             levels = [Level(top * (i + 1) / m) for i in range(m)]
-            trace = make_trace([0] * m, levels=levels,
-                               wall_time_s=2.0 * m - 1.0 + top)
+            trace = make_trace([0] * m, levels=levels)
             report = summarize(trace, LADDER)
             assert len(report.buffer_cdf) == 2 * top + 1
             counts.append(compared[0])
         # max() and the branches compare each level a fixed number of
         # times, and nothing compares it per threshold: a thousand times
-        # the thresholds take the same count, two per record
-        assert counts[0] == counts[1] == 2 * m, counts
+        # the thresholds take the same count, two per record, and one per
+        # request after the first in the trace's own stall walk
+        assert counts[0] == counts[1] == 3 * m - 1, counts
 
 
 def _around(k):
@@ -209,9 +225,9 @@ CAP_LEVELS = _around(CAP - 1) + [CAP * BUFFER_CDF_STEP_S,
 
 
 def one_level_trace(level):
-    # empty for 1 s, then a drain from `level` that ends at the wall time
-    return make_trace([0], levels=(level,),
-                      wall_time_s=1.0 + max(level, 0.0))
+    # empty for 1 s, then a drain from `level` for 2 s, and a last
+    # segment that lands at 3 s on an empty buffer and ends the session
+    return make_trace([0, 0], levels=(level, 0.0))
 
 
 class TestBufferBins:
@@ -251,15 +267,15 @@ class TestBufferBins:
 
 class TestToDict:
     def test_report_dict(self):
-        report = summarize(make_trace([0, 3], stalls=((1.0, 0.5),),
-                                      levels=(0.0, 1.0)), LADDER)
+        report = summarize(make_trace([0, 3], levels=(0.5, 1.0)), LADDER)
         d = to_dict(report)
         assert d["bitrate_changes"] == 1
         assert d["stall_events"] == 1
         assert d["stall_durations_s"] == [0.5]
         assert d["bitrate_cdf"][0] == [250.0, 0.5]
-        # 3 s empty, then 1 s draining from 1.0 to 0
-        assert d["buffer_cdf"] == [[0.0, 0.75], [0.5, 0.875], [1.0, 1.0]]
+        # 1 s empty, 0.5 s draining from 0.5, 1.5 s empty (the stall
+        # from 2.5 s), then 1 s draining from 1.0 to 0
+        assert d["buffer_cdf"] == [[0.0, 0.625], [0.5, 0.875], [1.0, 1.0]]
 
     def test_fairness_dict(self):
         result = FairnessResult(per_client_avg_kbps=(1000.0, 1200.0),
@@ -279,8 +295,10 @@ class TestToDict:
 
 class TestExport:
     def setup_method(self):
-        self.report = summarize(
-            make_trace([0] + [3] * 149, stalls=((7.0, 0.125),)), LADDER)
+        # a 0.875 s level after the third segment stalls the fourth
+        levels = [10.0] * 150
+        levels[2] = 0.875
+        self.report = summarize(make_trace([0] + [3] * 149, levels), LADDER)
 
     def test_json_round_trip_full_precision(self):
         text = export(self.report, "json")

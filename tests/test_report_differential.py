@@ -102,7 +102,7 @@ def assert_same_summary(trace, ladder):
     assert_buffer_cdf(new.buffer_cdf, old.buffer_cdf)
 
 
-def played_trace(start, seg_dur, max_buffer_s, downloads, qualities=None):
+def played_trace(start, ladder, max_buffer_s, downloads, qualities=None):
     """A SessionTrace by the engine's playback rule, with no link.
 
     Each download takes the given time. A request waits while the buffer
@@ -110,9 +110,12 @@ def played_trace(start, seg_dur, max_buffer_s, downloads, qualities=None):
     stalls playback until it lands. Levels may come out exactly on CDF
     thresholds, since the times may be whole steps.
     """
+    seg_dur = ladder.segment_duration_s
+    cfg = SimConfig(ladder=ladder, panic_buffer_s=0.0,
+                    max_buffer_s=max_buffer_s)
     room = max_buffer_s - seg_dur
     t, level = start, 0.0
-    records, stalls = [], []
+    records = []
     if qualities is None:
         qualities = [0] * len(downloads)
     for i, (tau, q) in enumerate(zip(downloads, qualities)):
@@ -120,39 +123,28 @@ def played_trace(start, seg_dur, max_buffer_s, downloads, qualities=None):
             t += level - room
             level = room
         t_request, t = t, t + tau
-        if i:
-            if t_request + level < t:
-                stalls.append((t_request + level, t - t_request - level))
-                level = 0.0
-            else:
-                level = max(0.0, level - tau)
+        if t_request + level < t:
+            level = 0.0
+        else:
+            level = max(0.0, level - tau)
         level += seg_dur
         records.append(SegmentRecord(
             index=i + 1, quality_index=q, size_kbit=1.0,
             t_request_s=t_request, t_complete_s=t,
             instant_throughput_kbps=1.0 / tau, estimate_kbps=1.0,
             buffer_after_s=level, decision_reason="throughput"))
-    return SessionTrace(
-        records=tuple(records), stalls=tuple(stalls),
-        startup_delay_s=records[0].t_complete_s - start,
-        wall_time_s=t + level, idle_full_s=0.0)
+    return SessionTrace(tuple(records), cfg)
 
 
-def records_trace(levels=(0.0, 1.0, 2.0), times=None, wall=None,
-                  qualities=None):
+def records_trace(levels=(0.0, 1.0, 2.0), times=None, qualities=None):
     # a request a second from t=0; by default each lands 0.5 s later, and
-    # the wall time ends the last drain
+    # the last level plays out after the last completion
     n = len(levels)
     times = times or [i + 0.5 for i in range(n)]
-    if wall is None:
-        wall = times[-1] + max(levels[-1], 0.0)
-    return SessionTrace(
-        records=tuple(
-            SegmentRecord(i + 1, q, 1.0, float(i), t, 1.0, 1.0, lv, "x")
-            for i, (q, lv, t) in enumerate(zip(qualities or [0] * n,
-                                               levels, times))),
-        stalls=(), startup_delay_s=times[0], wall_time_s=wall,
-        idle_full_s=0.0)
+    return SessionTrace(tuple(
+        SegmentRecord(i + 1, q, 1.0, float(i), t, 1.0, 1.0, lv, "x")
+        for i, (q, lv, t) in enumerate(zip(qualities or [0] * n, levels,
+                                           times))), SimConfig())
 
 
 # times on the CDF grid, one ulp either side of it, and anywhere
@@ -179,11 +171,12 @@ def cases(draw, downloads=ON_GRID, starts=st.just(0.0)):
                               max_size=60))
     if draw(st.booleans()):
         qualities += draw(st.permutations(range(k)))  # every quality index
-    seg_dur = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
-    max_buffer_s = seg_dur * draw(st.integers(1, 30))
+    ladder = BitrateLadder(ladder.bitrates_kbps,
+                           draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])))
+    max_buffer_s = ladder.segment_duration_s * draw(st.integers(1, 30))
     taus = draw(st.lists(downloads, min_size=len(qualities),
                          max_size=len(qualities)))
-    trace = played_trace(draw(starts), seg_dur, max_buffer_s, taus,
+    trace = played_trace(draw(starts), ladder, max_buffer_s, taus,
                          qualities)
     return trace, ladder
 
@@ -238,10 +231,11 @@ class TestSummarizeMatchesReference:
         # completions do not show: off the grid, across whole bins, from
         # a level on a threshold (4.0 s), and ending one ulp either side
         # of the 0.5 s threshold (the first 2.25 s level drained for 1.75 s)
-        trace = played_trace(0.0, 2.25, 30.0, downloads)
+        ladder = BitrateLadder((250.0, 500.0), 2.25)
+        trace = played_trace(0.0, ladder, 30.0, downloads)
         assert any(b.t_complete_s - a.t_complete_s > BUFFER_CDF_STEP_S
                    for a, b in zip(trace.records, trace.records[1:]))
-        assert_same_summary(trace, BitrateLadder((250.0, 500.0)))
+        assert_same_summary(trace, ladder)
 
     @pytest.mark.parametrize("kind", ["test1", "test2", "test3", "test4"])
     def test_synthetic_sessions(self, kind):
@@ -290,11 +284,13 @@ WALL = "wall_time_s must be finite and after the first request at 0.0, "
 
 class TestSummarizeRefusals:
     """Records whose trajectory is not finite are refused, at the first
-    bad value in the order of the stretches, with one message each."""
+    bad value in the order of the stretches, with one message each. The
+    wall time is the last completion plus the last level, so a bad value
+    in the last record shows first as a bad wall time."""
 
     @pytest.mark.parametrize("case,message", [
         (dict(times=(0.5, math.nan, 2.5)), TIMES + "got nan after 0.5"),
-        (dict(levels=(0.0, 1.0, LAST_S + 0.5), wall=LAST_S + 3.0),
+        (dict(levels=(0.0, 1.0, LAST_S + 0.5)),
          "buffer levels must be finite and at most 524288 s, "
          "got 524288.5"),
         (dict(times=(0.5, math.inf, 2.5)), TIMES + "got 2.5 after inf"),
@@ -304,29 +300,30 @@ class TestSummarizeRefusals:
          "buffer levels must be finite, got -inf"),
         (dict(levels=(math.nan, 1.0, 2.0)),
          "buffer levels must be finite, got nan"),
-        (dict(levels=(math.nan, 1.0, 2.0), times=(0.5, 1.5, math.nan)),
+        (dict(levels=(math.nan, 1.0, 2.0, 3.0),
+              times=(0.5, 1.5, math.nan, 3.5)),
          "buffer levels must be finite, got nan"),
-        (dict(levels=(0.0, 1.0, math.nan), times=(0.5, math.nan, 2.5)),
+        (dict(levels=(0.0, 1.0, math.nan, 3.0),
+              times=(0.5, math.nan, 2.5, 3.5)),
          TIMES + "got nan after 0.5"),
-        (dict(wall=math.nan), WALL + "got nan"),
-        (dict(wall=math.inf), WALL + "got inf"),
-        (dict(wall=0.0), WALL + "got 0.0"),
-        (dict(times=(0.5, 1.5, 5.0)), TIMES + "got 4.5 after 5.0"),
+        (dict(levels=(0.0, 1.0, math.nan)), WALL + "got nan"),
+        (dict(levels=(0.0, 1.0, math.inf)), WALL + "got inf"),
+        (dict(levels=(0.0,), times=(0.0,)), WALL + "got 0.0"),
+        (dict(levels=(0.0, 1.0, -0.5), times=(0.5, 1.5, 5.0)),
+         TIMES + "got 4.5 after 5.0"),
     ], ids=["nan-time", "time-past-cap", "inf-time", "nan-level",
             "-inf-level", "nan-top", "level-before-time",
             "time-before-level", "nan-wall", "inf-wall", "no-wall-time",
             "times-out-of-order"])
     def test_message(self, case, message):
         with pytest.raises(InvalidParameterError) as exc:
-            summarize(records_trace(**{"wall": 4.5, **case}),
-                      BitrateLadder())
+            summarize(records_trace(**case), BitrateLadder())
         assert str(exc.value) == message
 
     def test_last_tick_accepted(self):
         # a level at the cap itself gives MAX_ROWS + 1 rows
         assert LAST_S == 524288.0
-        trace = records_trace(levels=(LAST_S,), times=(0.5,),
-                              wall=LAST_S + 0.5)
+        trace = records_trace(levels=(LAST_S,), times=(0.5,))
         cdf = summarize(trace, BitrateLadder()).buffer_cdf
         assert len(cdf) == MAX_ROWS + 1
         assert cdf[-1] == (LAST_S, 1.0)

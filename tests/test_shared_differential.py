@@ -4,7 +4,10 @@ The engine before the processor-sharing rewrite rebuilt and sorted every
 client's next event at each step, subtracted `rate * dt` from every
 download and drained every buffer, with stall onsets as events of their
 own. It is frozen below as the reference. Both must agree on every
-decision and stall count exactly and on every time to 1e-9 s.
+decision and stall count exactly and on every time to 1e-9 s. The old
+clients kept their own stalls, startup delay, wall time and idle time;
+a trace derives them from its records and config, and each must agree
+with the old client's to 1e-9 s.
 """
 
 import random
@@ -17,7 +20,6 @@ from affsim import (
     EstimatorConfig,
     ProfileExhaustedError,
     SegmentRecord,
-    SessionTrace,
     SimConfig,
     decide,
     estimator_update,
@@ -25,6 +27,7 @@ from affsim import (
     synthesize_profile,
 )
 from affsim.errors import InvalidParameterError
+from test_sim_differential import ReferenceTrace
 
 TOL = 1e-9
 
@@ -114,7 +117,7 @@ class ReferenceClient:
             self.issue(t)
 
     def trace(self):
-        return SessionTrace(
+        return ReferenceTrace(
             records=tuple(self.records), stalls=tuple(self.stalls),
             startup_delay_s=self.startup_delay, wall_time_s=self.wall_time,
             idle_full_s=self.idle_full)

@@ -1,6 +1,7 @@
 """Single-client playback simulation tests."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -224,6 +225,31 @@ class TestSlowConstantLink:
     def test_mean_nominal_bitrate_is_bottom_rung(self, trace):
         sizes = [r.size_kbit for r in trace.records]
         assert all(s == 500.0 for s in sizes)
+
+
+class TestStallOnsetTie:
+    """On a 1000 kbps link each 2000 kbit segment of a one-rung ladder
+    lands exactly as the 2 s of media before it runs out: the onset ties
+    with the arrival, and the arrival wins, so no segment stalls."""
+
+    LADDER = BitrateLadder((1000.0,))
+
+    def test_a_tie_is_no_stall(self):
+        trace = run_session(constant(1000.0), SimConfig(ladder=self.LADDER))
+        assert len(trace.records) == 150
+        assert trace.stalls == ()
+        assert trace.startup_delay_s == 2.0
+        assert trace.wall_time_s == 302.0
+
+    def test_zero_panic_threshold_never_panics(self):
+        # every request sees a 2 s buffer, under the default 8 s threshold
+        # but not under 0 s
+        for panic, panicked in ((8.0, 149), (0.0, 0)):
+            cfg = SimConfig(ladder=self.LADDER, panic_buffer_s=panic)
+            trace = run_session(constant(1000.0), cfg)
+            assert sum(r.decision_reason == REASON_BUFFER_PANIC
+                       for r in trace.records) == panicked
+            assert trace.stalls == () and trace.wall_time_s == 302.0
 
 
 class TestDegenerateSession:
@@ -590,19 +616,38 @@ class TestClientContract:
             requests
         assert [r.t_complete_s for r in trace.records] == completions
         assert trace.idle_full_s > 0.0  # room waits moved request times
+        assert trace.config is cfg
         assert trace == run_shared(constant(4000.0), [(cfg, 3.0)])[0]
 
     def test_trace_holds_only_what_the_run_produced(self):
         assert [f.name for f in dataclasses.fields(sim.SessionTrace)] == [
-            "records", "stalls", "startup_delay_s", "wall_time_s",
-            "idle_full_s"]
-        trace = run_session(constant(4000.0), SimConfig(total_segments=3))
+            "records", "config"]
+        cfg = SimConfig(total_segments=3)
+        trace = run_session(constant(4000.0), cfg)
         # read-only and always (): the records fix the buffer trajectory
         assert trace.buffer_series == ()
-        with pytest.raises(AttributeError):
-            trace.buffer_series = ((0.0, 0.0),)
+        for name in ("buffer_series", "stalls", "startup_delay_s",
+                     "wall_time_s", "idle_full_s"):
+            with pytest.raises(AttributeError):
+                setattr(trace, name, ())
         with pytest.raises(TypeError):
-            sim.SessionTrace((), (), 0.0, 1.0, 0.0, ())
+            sim.SessionTrace((), cfg, ())
+
+    def test_one_walk_per_trace(self, monkeypatch):
+        # stalls and idle_full_s share one cached walk over the records
+        walks = []
+
+        def counted(records):
+            walks.append(records)
+            return itertools.pairwise(records)
+        monkeypatch.setattr(sim, "pairwise", counted)
+        trace = run_session(synthesize_profile("test3", 15, 2000.0),
+                            SimConfig(max_buffer_s=11.0))
+        assert walks == []  # the engine derives nothing
+        for _ in range(3):
+            assert trace.stalls and trace.idle_full_s >= 0.0
+            summarize(trace, trace.config.ladder)
+        assert walks == [trace.records]
 
 
 class TestDeterminism:

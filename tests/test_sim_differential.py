@@ -7,12 +7,16 @@ now runs the engine, so it cannot be the reference). Both must agree on
 every decision exactly and on every time to 1e-9 s. The frozen loop also
 sampled the buffer level every 0.5 s and at each event; a trace now
 stores no series, since its records fix the level at every time, and
-each of those samples must lie on that trajectory to 1e-9 s.
+each of those samples must lie on that trajectory to 1e-9 s. A trace
+derives its stalls, startup delay, wall time and idle time from its
+records and config; the frozen loop kept its own, and each of those must
+agree with the derived one to 1e-9 s too.
 """
 
 import dataclasses
 import random
 from bisect import bisect_left, bisect_right
+from typing import NamedTuple
 
 import pytest
 
@@ -22,7 +26,6 @@ from affsim import (
     InvalidParameterError,
     ProfileExhaustedError,
     SegmentRecord,
-    SessionTrace,
     SimConfig,
     decide,
     estimator_update,
@@ -34,6 +37,17 @@ from test_acceptance import _random_config, _random_profile
 
 TOL = 1e-9
 BUFFER_TICK_S = 0.5  # the frozen loop's sampling step
+
+
+class ReferenceTrace(NamedTuple):
+    """A frozen reference's records beside its own stall, startup, wall
+    and idle accounting, under the names of SessionTrace's views."""
+
+    records: tuple
+    stalls: tuple
+    startup_delay_s: float
+    wall_time_s: float
+    idle_full_s: float
 
 
 def _durations(cfg):
@@ -152,7 +166,7 @@ def reference_run_session(profile, cfg):
     advance(t + buffer, draining=True)
     buffer = 0.0
     series.append((t, 0.0))
-    return SessionTrace(
+    return ReferenceTrace(
         records=tuple(records), stalls=tuple(stalls),
         startup_delay_s=startup_delay, wall_time_s=t,
         idle_full_s=idle_full), tuple(series)
