@@ -131,10 +131,15 @@ def _print_session(trace, report):
 
 
 def _write_trace_csv(trace, path):
-    # a SegmentRecord is a tuple in column order, so one % formats its row
+    # the record's fields, with its derived instant_throughput_kbps after
+    # t_complete_s: each row unpacks a record and divides once
+    fields = SegmentRecord._fields
+    header = fields[:5] + ("instant_throughput_kbps",) + fields[5:]
     row = "%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%s\n"
-    text = ",".join(SegmentRecord._fields) + "\n" + "".join(
-        row % r for r in trace.records)
+    text = ",".join(header) + "\n" + "".join(
+        row % (i, q, size, t_req, t_done, size / (t_done - t_req), est, buf,
+               reason)
+        for i, q, size, t_req, t_done, est, buf, reason in trace.records)
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -10,7 +10,9 @@ of different configs on one link.
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import InvalidParameterError, check_int
 from .profiles import fairness_table3, unit_scale
@@ -93,16 +95,21 @@ def run_fairness(cfg):
     traces = run_shared(cfg.profile, [(cfg.sim, rng.uniform(
         0.0, cfg.start_jitter_s)) for _ in range(cfg.n_clients)])
     span = w_hi - w_lo
-    per_client = tuple(
-        sum(r.size_kbit for r in tr.records
-            if w_lo <= r.t_complete_s <= w_hi) / span
-        for tr in traces)
+    # a client's records are in completion order, so two bisections find
+    # those landing inside the window, both ends included
+    done_at, size = attrgetter("t_complete_s"), attrgetter("size_kbit")
+    per_client = []
+    for tr in traces:
+        records = tr.records
+        lo = bisect_left(records, w_lo, key=done_at)
+        hi = bisect_right(records, w_hi, lo, key=done_at)
+        per_client.append(sum(map(size, records[lo:hi])) / span)
     if not any(per_client):
         raise InvalidParameterError(
             "no client completed a segment inside the window [%g, %g]"
             % (w_lo, w_hi))
     return FairnessResult(
-        per_client_avg_kbps=per_client,
+        per_client_avg_kbps=tuple(per_client),
         jfi=jain_index(per_client),
         total_avg_kbps=sum(per_client) / len(per_client),
         traces=tuple(traces))

@@ -85,15 +85,23 @@ class SimConfig:
 
 # one per segment: a NamedTuple builds faster than a frozen dataclass
 class SegmentRecord(NamedTuple):
+    """One segment's download: 8 fields and one derived view,
+    instant_throughput_kbps, the estimator's sample for the segment."""
+
     index: int
     quality_index: int
     size_kbit: float
     t_request_s: float
     t_complete_s: float
-    instant_throughput_kbps: float
     estimate_kbps: float
     buffer_after_s: float
     decision_reason: str
+
+    @property
+    def instant_throughput_kbps(self):
+        """size_kbit / download time, with the engine's own arithmetic,
+        so it is bit for bit the sample the estimator took."""
+        return self.size_kbit / (self.t_complete_s - self.t_request_s)
 
 
 @dataclass(frozen=True)
@@ -206,8 +214,8 @@ def _client(start_time, cfg):
             raise InvalidParameterError(
                 "segment %d downloaded in zero time at t=%r; the link is "
                 "too fast for the clock's resolution" % (index, t))
-        inst = size / tau
-        state, estimate = update(state, inst)
+        # the sample is the record's instant_throughput_kbps
+        state, estimate = update(state, size / tau)
         # SessionTrace's stall test: the buffer empties first, unless the
         # onset ties with the arrival
         if t_request + buffer < t:
@@ -218,8 +226,8 @@ def _client(start_time, cfg):
         buffer += seg_dur
         # SegmentRecord's own __new__ costs twice as much
         records.append(tuple.__new__(SegmentRecord, (
-            index, quality_index, size, t_request, t, inst, estimate,
-            buffer, reason)))
+            index, quality_index, size, t_request, t, estimate, buffer,
+            reason)))
     return SessionTrace(tuple(records), cfg)
 
 

@@ -17,12 +17,14 @@ import importlib
 import importlib.util
 import os
 import re
+import sys
 
 import pytest
 
 import affsim
 import affsim.cli
-from affsim import SimConfig, run_session, summarize, synthesize_profile
+from affsim import (SimConfig, dump_profile, load_profile, run_session,
+                    summarize, synthesize_profile)
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 SRC = os.path.join(ROOT, "src", "affsim")
@@ -108,6 +110,35 @@ def test_bench_checks_read_a_session():
     digest = checks.session_digest(trace)
     assert len(digest) == 64
     assert digest == checks.session_digest(run_session(profile, cfg))
+
+
+def test_bench_checks_read_a_trace_csv(tmp_path, monkeypatch):
+    # the benchmark's cli_sweep checks each run's --trace file by its
+    # columns, so a 150-segment one, stalling and waiting for room, must
+    # pass, and one with a size the link cannot carry must not
+    monkeypatch.syspath_prepend(BENCH)  # workloads.py imports checks
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(BENCH, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    link = tmp_path / "link.csv"
+    link.write_text(dump_profile(synthesize_profile("test3", 15, 2000.0)))
+    path = tmp_path / "trace.csv"
+    assert affsim.cli.main(["run", "--profile", str(link), "--max-buffer",
+                            "11", "--trace", str(path)]) == 0
+    text = path.read_text()
+    assert len(text.splitlines()) == 151
+    check = workloads.CliSweep()._check_trace_csv
+    profile = load_profile(link.read_text())  # open ended, as the CLI's
+    trace = run_session(profile, SimConfig(max_buffer_s=11.0))
+    assert trace.stalls and trace.idle_full_s > 0.0
+    assert check(profile, text) == []
+    lines = text.splitlines(keepends=True)
+    row = lines[1].split(",")
+    row[2] = "1e12"
+    lines[1] = ",".join(row)
+    assert check(profile, "".join(lines)) != []
 
 
 def readme_python_blocks():

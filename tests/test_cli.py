@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import affsim
-from affsim import FairnessConfig, SimConfig, cli, profile_stats
+from affsim import (FairnessConfig, SimConfig, aff_update, cli, estimators,
+                    load_profile, profile_stats, run_session)
 from affsim.cli import main
 from affsim.profiles import fairness_table3
 
@@ -115,6 +116,39 @@ class TestRun:
                             "estimate_kbps,buffer_after_s,decision_reason")
         assert len(lines) == 26
         assert lines[1].startswith("1,")
+
+    # the trace CSV as it was written when each record stored its
+    # throughput: the record's values in column order, the sixth being the
+    # sample the estimator took
+    STORED_HEADER = ("index,quality_index,size_kbit,t_request_s,"
+                     "t_complete_s,instant_throughput_kbps,estimate_kbps,"
+                     "buffer_after_s,decision_reason\n")
+    STORED_ROW = "%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%s\n"
+
+    def test_trace_dump_keeps_its_bytes(self, capsys, tmp_path,
+                                        monkeypatch):
+        # fast, then under the lowest rung: the session waits for room,
+        # then stalls
+        link = tmp_path / "link.csv"
+        link.write_text("0,5000\n100,100\n200,5000\n")
+        trace = run_session(load_profile(link.read_text()),
+                            SimConfig(total_segments=100))
+        assert trace.stalls and trace.idle_full_s > 0.0
+        samples = []
+
+        def update(state, kbps):
+            samples.append(kbps)
+            return aff_update(state, kbps)
+
+        monkeypatch.setattr(estimators, "aff_update", update)
+        path = tmp_path / "trace.csv"
+        assert main(["run", "--profile", str(link), "--segments", "100",
+                     "--trace", str(path)]) == 0
+        assert len(samples) == 100
+        stored = [r[:5] + (kbps,) + r[5:]
+                  for r, kbps in zip(trace.records, samples)]
+        assert path.read_bytes() == (self.STORED_HEADER + "".join(
+            self.STORED_ROW % r for r in stored)).encode()
 
     def test_estimator_choice_changes_output(self, capsys):
         outputs = {}

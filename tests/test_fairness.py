@@ -19,8 +19,10 @@ from affsim import (
     run_fairness,
     run_session,
     run_shared,
+    synthesize_profile,
 )
 from affsim import estimators, sim
+from affsim.profiles import SYNTH_KINDS
 
 KINDS = ("aff", "ewma", "sliding_mean")
 
@@ -357,6 +359,34 @@ class TestRunFairness:
         result = run_fairness(cfg)
         for v in result.per_client_avg_kbps:
             assert v <= 3000.0 / 2.0 + 500.0
+
+    @given(st.sampled_from(SYNTH_KINDS), st.integers(0, 2 ** 16),
+           st.integers(2, 5), st.integers(20, 40),
+           st.floats(0.0, 15.0), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_window_sums_match_a_scan(self, kind, seed, n, segments,
+                                      jitter, data):
+        # the windowed sums are the ones a scan over every record gives,
+        # bit for bit, also when an end lands on a completion time or one
+        # ulp either side of it
+        cfg = FairnessConfig(n_clients=n, start_jitter_s=jitter,
+                             window=(0.0, 3000.0),
+                             profile=synthesize_profile(kind, seed, 3000.0),
+                             sim=SimConfig(total_segments=segments),
+                             rng_seed=seed)
+        times = sorted({r.t_complete_s for tr in run_fairness(cfg).traces
+                        for r in tr.records})
+        i = data.draw(st.integers(0, len(times) - 3))
+        j = data.draw(st.integers(i + 2, len(times) - 1))
+        nudge = st.sampled_from((-math.inf, None, math.inf))
+        w_lo, w_hi = (t if d is None else math.nextafter(t, d)
+                      for t, d in ((times[i], data.draw(nudge)),
+                                   (times[j], data.draw(nudge))))
+        result = run_fairness(dataclasses.replace(cfg, window=(w_lo, w_hi)))
+        assert result.per_client_avg_kbps == tuple(
+            sum(r.size_kbit for r in tr.records
+                if w_lo <= r.t_complete_s <= w_hi) / (w_hi - w_lo)
+            for tr in result.traces)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

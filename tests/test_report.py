@@ -38,7 +38,6 @@ def make_trace(qualities, levels=None):
             index=i + 1, quality_index=q,
             size_kbit=LADDER.bitrates_kbps[q] * 2.0,
             t_request_s=2.0 * i, t_complete_s=2.0 * i + 1.0,
-            instant_throughput_kbps=LADDER.bitrates_kbps[q] * 2.0,
             estimate_kbps=1000.0, buffer_after_s=level,
             decision_reason="throughput")
         for i, (q, level) in enumerate(zip(qualities, levels)))
@@ -141,8 +140,8 @@ class TestSummarize:
         "from affsim import BitrateLadder, InvalidParameterError\n"
         "from affsim import SessionTrace, SimConfig, summarize\n"
         "from affsim.sim import SegmentRecord\n"
-        "rec = SegmentRecord(1, 0, 1.0, 0.0, 1.0, 1.0, 1.0,\n"
-        "                    float(sys.argv[1]), 'x')\n"
+        "rec = SegmentRecord(1, 0, 1.0, 0.0, 1.0, 1.0, float(sys.argv[1]),\n"
+        "                    'x')\n"
         "# a second record, empty at 3 s, keeps the wall time finite\n"
         "end = rec._replace(index=2, t_request_s=2.0, t_complete_s=3.0,\n"
         "                   buffer_after_s=0.0)\n"

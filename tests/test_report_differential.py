@@ -130,8 +130,7 @@ def played_trace(start, ladder, max_buffer_s, downloads, qualities=None):
         level += seg_dur
         records.append(SegmentRecord(
             index=i + 1, quality_index=q, size_kbit=1.0,
-            t_request_s=t_request, t_complete_s=t,
-            instant_throughput_kbps=1.0 / tau, estimate_kbps=1.0,
+            t_request_s=t_request, t_complete_s=t, estimate_kbps=1.0,
             buffer_after_s=level, decision_reason="throughput"))
     return SessionTrace(tuple(records), cfg)
 
@@ -142,7 +141,7 @@ def records_trace(levels=(0.0, 1.0, 2.0), times=None, qualities=None):
     n = len(levels)
     times = times or [i + 0.5 for i in range(n)]
     return SessionTrace(tuple(
-        SegmentRecord(i + 1, q, 1.0, float(i), t, 1.0, 1.0, lv, "x")
+        SegmentRecord(i + 1, q, 1.0, float(i), t, 1.0, lv, "x")
         for i, (q, lv, t) in enumerate(zip(qualities or [0] * n, levels,
                                            times))), SimConfig())
 

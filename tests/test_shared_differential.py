@@ -101,8 +101,8 @@ class ReferenceClient:
         self.records.append(SegmentRecord(
             index=self.next_index, quality_index=self.decision.quality_index,
             size_kbit=self.size, t_request_s=self.t_request,
-            t_complete_s=t, instant_throughput_kbps=inst,
-            estimate_kbps=self.estimate, buffer_after_s=self.buffer,
+            t_complete_s=t, estimate_kbps=self.estimate,
+            buffer_after_s=self.buffer,
             decision_reason=self.decision.reason))
         self.next_index += 1
         if last:

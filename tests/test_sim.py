@@ -33,6 +33,7 @@ from affsim import (
     summarize,
     synthesize_profile,
 )
+from affsim.profiles import SYNTH_KINDS
 
 
 def constant(kbps, duration_s=1e6):
@@ -318,8 +319,8 @@ class TestDegenerateSession:
 
 RECORD_FIELDS = dict(
     index=1, quality_index=2, size_kbit=1000.0, t_request_s=0.5,
-    t_complete_s=1.25, instant_throughput_kbps=800.0, estimate_kbps=750.0,
-    buffer_after_s=4.0, decision_reason="throughput")
+    t_complete_s=1.25, estimate_kbps=750.0, buffer_after_s=4.0,
+    decision_reason="throughput")
 AFF_FIELDS = dict(
     weighted_sum=1800.0, weight=1.9, forgetting=0.9, sum_grad=1000.0,
     weight_grad=1.0, step_size=0.1, forgetting_min=0.6, forgetting_max=1.0)
@@ -358,9 +359,29 @@ class TestValueSemantics:
     def test_record_repr(self):
         assert repr(SegmentRecord(**RECORD_FIELDS)) == (
             "SegmentRecord(index=1, quality_index=2, size_kbit=1000.0, "
-            "t_request_s=0.5, t_complete_s=1.25, "
-            "instant_throughput_kbps=800.0, estimate_kbps=750.0, "
+            "t_request_s=0.5, t_complete_s=1.25, estimate_kbps=750.0, "
             "buffer_after_s=4.0, decision_reason='throughput')")
+
+    def test_record_throughput_is_a_view(self):
+        # the throughput follows from the size and the times; it is no
+        # field, so it cannot be given, and it is outside _asdict
+        record = SegmentRecord(**RECORD_FIELDS)
+        assert record.instant_throughput_kbps == 1000.0 / (1.25 - 0.5)
+        assert len(record) == 8
+        assert "instant_throughput_kbps" not in record._fields
+        assert record._asdict() == RECORD_FIELDS
+        with pytest.raises(AttributeError):
+            record.instant_throughput_kbps = 1.0
+        with pytest.raises(TypeError):
+            SegmentRecord(**RECORD_FIELDS, instant_throughput_kbps=800.0)
+        with pytest.raises(TypeError):
+            SegmentRecord(1, 2, 1000.0, 0.5, 1.25, 800.0, 750.0, 4.0,
+                          "throughput")
+        # a hand-built download of zero time has no throughput; the engine
+        # refuses one before it builds the record
+        tied = record._replace(t_complete_s=0.5)
+        with pytest.raises(ZeroDivisionError):
+            tied.instant_throughput_kbps
 
     @pytest.mark.parametrize("kind,text", [
         ("aff", "AffState(weighted_sum=0.0, weight=0.0, forgetting=1.0, "
@@ -476,6 +497,44 @@ class TestRecordInvariants:
                 assert duration == inside[0].t_complete_s - start
                 at_request += start == inside[0].t_request_s
         assert at_request > 0
+
+
+def replayed(cfg, records):
+    """The estimates cfg's estimator gives when fed the records'
+    instant_throughput_kbps in order, from its initial state."""
+    update = estimators.estimator_kinds()[cfg.estimator.kind].update
+    state, estimates = cfg.estimator.initial_state, []
+    for r in records:
+        state, estimate = update(state, r.instant_throughput_kbps)
+        estimates.append(estimate)
+    return estimates
+
+
+class TestEstimatorReplay:
+    """A record's throughput, derived from its size and times, is the very
+    sample the estimator took: a replay over the records gives every
+    estimate bit for bit, for every kind, alone or on a shared link."""
+
+    @pytest.mark.parametrize("kind", estimators.estimator_kinds())
+    @pytest.mark.parametrize("link", SYNTH_KINDS)
+    def test_session(self, link, kind):
+        cfg = SimConfig(estimator=EstimatorConfig(kind=kind))
+        trace = run_session(synthesize_profile(link, 5, 800.0), cfg)
+        assert replayed(cfg, trace.records) == \
+            [r.estimate_kbps for r in trace.records]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_link(self, seed):
+        rng = random.Random(seed)
+        kinds = list(estimators.estimator_kinds())
+        clients = [(SimConfig(estimator=EstimatorConfig(kind=kind),
+                              total_segments=rng.randint(60, 150)),
+                    rng.uniform(0.0, 20.0))
+                   for kind in kinds + [rng.choice(kinds) for _ in range(3)]]
+        link = synthesize_profile(SYNTH_KINDS[seed], seed, 3000.0)
+        for (cfg, _), trace in zip(clients, run_shared(link, clients)):
+            assert replayed(cfg, trace.records) == \
+                [r.estimate_kbps for r in trace.records]
 
 
 class TestPanicRule:

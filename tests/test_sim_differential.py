@@ -159,8 +159,8 @@ def reference_run_session(profile, cfg):
         records.append(SegmentRecord(
             index=index, quality_index=decision.quality_index,
             size_kbit=size, t_request_s=t_request, t_complete_s=t_complete,
-            instant_throughput_kbps=inst, estimate_kbps=est,
-            buffer_after_s=buffer, decision_reason=decision.reason))
+            estimate_kbps=est, buffer_after_s=buffer,
+            decision_reason=decision.reason))
         series.append((t, buffer))
 
     advance(t + buffer, draining=True)
