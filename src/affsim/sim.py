@@ -21,7 +21,10 @@ ladder rule's too; `decide` reads it.
 `run_shared(profile, clients)` is the engine: it takes one (SimConfig,
 start time) pair per client, so clients on one link may differ in
 estimator, buffer ceiling or length, and returns one SessionTrace per
-pair. A single session (`run_session`) is the one-client case,
+pair. Two or more clients run the heap-based loop, `_run_link`; a lone
+client owns the whole capacity, so it runs `_run_alone`, a loop with no
+heap and no share that gives the same records and errors bit for bit.
+A single session (`run_session`) is the one-client case,
 `integrate_download` is one download of it, and
 `affsim.fairness.run_fairness` keeps its clients' traces on
 `FairnessResult.traces`. A trace stores no buffer series: its records
@@ -159,9 +162,9 @@ class SessionTrace:
 def integrate_download(profile, start_s, size_kbit):
     """Seconds needed to move size_kbit starting at start_s.
 
-    One download by the shared-link engine: a lone client fetches one 1 s
-    segment from a one-rung ladder of size_kbit. Raises
-    ProfileExhaustedError when the trace ends first.
+    One download by the shared-link engine's one-client loop: a lone
+    client fetches one 1 s segment from a one-rung ladder of size_kbit.
+    Raises ProfileExhaustedError when the trace ends first.
     """
     if not 0 < size_kbit < inf:
         raise InvalidParameterError(
@@ -235,6 +238,32 @@ def run_shared(profile, clients):
     """Run one shared-link session per (SimConfig, start time) pair in
     clients; returns their SessionTraces, in order.
 
+    The engine's one entry. Exactly one pair runs `_run_alone`, the
+    heap-free loop of a lone client, and any other count `_run_link`;
+    both give the same records and raise the same errors. A start time
+    must be finite and at least 0, the start of the trace, since clients
+    record their own request times, and the clients' total_segments must
+    sum to at most MAX_ROWS records; a breach of either raises
+    InvalidParameterError before any client starts.
+    """
+    rows = sum(cfg.total_segments for cfg, _ in clients)
+    if rows > MAX_ROWS:
+        raise InvalidParameterError(
+            "clients' total_segments sum to %d, over %d records"
+            % (rows, MAX_ROWS))
+    for _, st in clients:
+        if not 0.0 <= st < inf:
+            raise InvalidParameterError(
+                "start times must be finite and at least 0, got %r" % (st,))
+    if len(clients) == 1:
+        cfg, st = clients[0]
+        return [_run_alone(profile, cfg, st)]
+    return _run_link(profile, clients)
+
+
+def _run_link(profile, clients):
+    """`run_shared` for any number of clients.
+
     Every download in flight gets the same share of the capacity, so one
     clock, `served`, counts the kbit each of them has received since t=0,
     and a download is done when `served` reaches its value at the request
@@ -243,24 +272,12 @@ def run_shared(profile, clients):
     on wall time, so each event costs O(log N) for N clients. Each client
     is a `_client` coroutine, sent its completion time once per segment;
     a next request due at once goes straight into flight, and the trace
-    it returns is its entry in the result. A start time must be finite
-    and at least 0, the start of the trace, since clients record their
-    own request times, and before any client starts the clients'
-    total_segments must sum to at most MAX_ROWS records; a breach of
-    either raises InvalidParameterError.
+    it returns is its entry in the result.
     """
-    rows = sum(cfg.total_segments for cfg, _ in clients)
-    if rows > MAX_ROWS:
-        raise InvalidParameterError(
-            "clients' total_segments sum to %d, over %d records"
-            % (rows, MAX_ROWS))
     traces = [None] * len(clients)
     sends = []
     requests = []  # (due, client id, size): starts and ends of room waits
     for cid, (cfg, st) in enumerate(clients):
-        if not 0.0 <= st < inf:
-            raise InvalidParameterError(
-                "start times must be finite and at least 0, got %r" % (st,))
         client = _client(st, cfg)
         due, size = next(client)
         requests.append((due, cid, size))
@@ -320,21 +337,75 @@ def run_shared(profile, clients):
     return traces
 
 
+def _run_alone(profile, cfg, start):
+    """`_run_link` for one client, bit for bit, without its heaps.
+
+    The lone download in flight moves at the full capacity (cap / 1 is
+    cap), so there is no share to recompute. Each download steps from
+    breakpoint to breakpoint on the same `served` clock, with the same
+    checks in the same order: the trace end is tested as a breakpoint is
+    crossed, a download that can never land raises before the completion
+    tie, and a completion that ties with a breakpoint wins. An idle link
+    jumps straight to the next request.
+    """
+    client = _client(start, cfg)
+    send = client.send
+    t, size = next(client)
+    bps, starts, end = profile.breakpoints, profile.starts, profile.duration_s
+    n_starts = len(starts)
+    served = 0.0
+    t_bp = t  # the first download reads its piece
+    bp_idx = bisect_right(starts, t)
+    while True:
+        target = served + size
+        while True:
+            if t >= t_bp:
+                while bp_idx < n_starts and starts[bp_idx] <= t:
+                    bp_idx += 1
+                cap = bps[bp_idx - 1][1]
+                t_bp = starts[bp_idx] if bp_idx < n_starts else end
+                if t >= end:
+                    raise ProfileExhaustedError(
+                        "trace ends at %g with downloads in flight" % (end,))
+            t_done = t + (target - served) / cap if cap > 0 else inf
+            if t_bp < t_done:
+                served += cap * (t_bp - t)
+                t = t_bp
+                if target <= served:  # rounding landed it on the breakpoint
+                    break
+            elif t_done == inf:
+                raise ProfileExhaustedError(
+                    "no capacity left for the remaining downloads")
+            else:
+                # landing exactly on its target keeps rounding from
+                # delaying the next download
+                served, t = target, t_done
+                break
+        try:
+            due, size = send(t)
+        except StopIteration as done:
+            return done.value
+        if due == inf:  # a room wait ran the clock out
+            raise ProfileExhaustedError(
+                "no capacity left for the remaining downloads")
+        t = due  # after a room wait, an idle link jumps to the request
+
+
 def run_session(profile, cfg):
     """Play cfg.total_segments segments against the profile.
 
-    Runs the shared-link engine with one client that owns the whole link.
-    Returns the per-segment records and cfg as a SessionTrace, whose stall
-    and idle accounting, startup delay and wall time are derived from
-    them. The records fix the buffer level at every time: 0 from the first
-    request until the first completion, then from each completion's
-    buffer_after_s a drain of one media second per wall second, floored
-    at 0, until the next completion, and after the last one until
-    wall_time_s; summarize's buffer CDF weighs that level by wall time.
-    The closing identity, checked by the test suite to nanosecond scale:
-    wall_time = startup_delay + total media duration + total stall time.
-    Time lost to buffer-full waits overlaps playback, so it appears as
-    idle_full_s instead of extending the wall clock. cfg was checked when
-    built, so a run holds at most MAX_ROWS records.
+    Runs the shared-link engine with one client that owns the whole link,
+    on its heap-free one-client loop. Returns the per-segment records and
+    cfg as a SessionTrace, whose stall and idle accounting, startup delay
+    and wall time are derived from them. The records fix the buffer level
+    at every time: 0 from the first request until the first completion,
+    then from each completion's buffer_after_s a drain of one media second
+    per wall second, floored at 0, until the next completion, and after
+    the last one until wall_time_s; summarize's buffer CDF weighs that
+    level by wall time. The closing identity, checked by the test suite to
+    nanosecond scale: wall_time = startup_delay + total media duration +
+    total stall time. Time lost to buffer-full waits overlaps playback, so
+    it appears as idle_full_s instead of extending the wall clock. cfg was
+    checked when built, so a run holds at most MAX_ROWS records.
     """
     return run_shared(profile, ((cfg, 0.0),))[0]

@@ -167,12 +167,14 @@ class TestSharedEngine:
                                      -math.inf])
     def test_start_time_negative_or_not_finite_rejected(self, bad):
         # the trace starts at 0 and each client records its own request
-        # times, so a start before 0 would be logged at a time never served
+        # times, so a start before 0 would be logged at a time never
+        # served; a lone client, on the heap-free loop, is refused alike
         cfg = SimConfig(total_segments=5)
-        with pytest.raises(InvalidParameterError,
-                           match="start times must be finite and at least "
-                                 "0, got"):
-            run_shared(constant(5000.0), [(cfg, 0.0), (cfg, bad)])
+        for clients in ([(cfg, bad)], [(cfg, 0.0), (cfg, bad)]):
+            with pytest.raises(InvalidParameterError,
+                               match="start times must be finite and at "
+                                     "least 0, got"):
+                run_shared(constant(5000.0), clients)
 
     def test_total_records_cap_boundary(self, monkeypatch):
         # the clients' total_segments may sum to MAX_ROWS records; one more
@@ -231,12 +233,14 @@ class TestEngineOperationCount:
     in-flight heap once. Only the N start times, heapified rather than
     pushed, and the D requests deferred by a room wait pass through the
     request heap; a request due at its completion goes straight into
-    flight.
+    flight. A lone client owns the whole link, so its loop keeps no heap.
     """
 
-    def test_heap_and_client_calls_per_segment(self, monkeypatch):
-        keys = ("push", "pop", "send", "return", "decide", "update")
-        counts = dict.fromkeys(keys, 0)
+    KEYS = ("push", "pop", "send", "return", "decide", "update")
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = dict.fromkeys(self.KEYS, 0)
 
         def counted(key, fn):
             def wrapper(*args):
@@ -269,13 +273,16 @@ class TestEngineOperationCount:
         monkeypatch.setattr(estimators, "aff_update",
                             counted("update", estimators.aff_update))
         monkeypatch.setattr(sim, "_client", CountedClient)
+        return counts
+
+    def test_heap_and_client_calls_per_segment(self, counts):
         n, segments = 40, 180
         base = fairness_table3()
         link = BandwidthProfile(  # the 10-client link scaled to 40 clients
             tuple((t, kbps * n / 10.0) for t, kbps in base.breakpoints),
             base.duration_s)
         for seed in range(4):
-            counts.update(dict.fromkeys(keys, 0))
+            counts.update(dict.fromkeys(self.KEYS, 0))
             traces = run_fairness(FairnessConfig(
                 n_clients=n, profile=link,
                 sim=SimConfig(total_segments=segments), rng_seed=seed)).traces
@@ -290,6 +297,29 @@ class TestEngineOperationCount:
             assert counts["return"] == n
             assert counts["pop"] == sn + n + deferred
             assert counts["push"] == sn + deferred
+
+    def test_lone_client_needs_no_heap(self, counts):
+        # a session, a one-pair link and one download all run the
+        # one-client loop, room waits and breakpoints included
+        cfg = SimConfig(max_buffer_s=12.0, total_segments=180)
+        profile = synthesize_profile("test1", 3, 1000.0)
+        runs = [
+            (lambda: run_session(profile, cfg).records, 180),
+            (lambda: run_shared(profile, [(cfg, 7.5)])[0].records, 180),
+            (lambda: sim.integrate_download(profile, 7.5, 3000.0), 1),
+        ]
+        for run, segments in runs:
+            counts.update(dict.fromkeys(self.KEYS, 0))
+            records = run()
+            if segments > 1:
+                assert any(b.t_request_s != a.t_complete_s
+                           for a, b in zip(records, records[1:]))
+                assert any(r.t_request_s < t < r.t_complete_s
+                           for r in records for t in profile.starts)
+            assert counts["push"] == counts["pop"] == 0
+            assert counts["send"] == counts["decide"] == \
+                counts["update"] == segments
+            assert counts["return"] == 1
 
 
 class TestRunFairness:

@@ -272,10 +272,11 @@ def assert_same_link(profile, clients):
 
 def test_matches_reference_on_random_shared_links():
     rng = random.Random(2025)
-    stalls = 0
+    stalls = lone = 0
     for _ in range(200):
         profile, cfg, starts = random_case(rng)
         stalls += assert_same_link(profile, [(cfg, st) for st in starts])
+        lone += len(starts) == 1
     # stall onsets are where the two engines differ most
     assert stalls > 1000
     # clients of one link with configs of their own
@@ -285,7 +286,10 @@ def test_matches_reference_on_random_shared_links():
         profile, clients = random_mixed_case(rng)
         stalls += assert_same_link(profile, clients)
         mixed += len({cfg for cfg, _ in clients}) > 1
+        lone += len(clients) == 1
     assert stalls > 500 and mixed > 120, (stalls, mixed)
+    # a lone client runs the engine's heap-free loop, pinned here too
+    assert lone >= 20, lone
 
 
 @pytest.mark.parametrize("max_buffer_s", [2.0, 10.0])

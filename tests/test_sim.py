@@ -443,12 +443,28 @@ class TestRecordInvariants:
     def test_indices_are_sequential(self, trace):
         assert [r.index for r in trace.records] == list(range(1, 121))
 
-    def test_throughput_consistency(self, trace):
+    def test_throughput_consistency(self):
+        # a lone client owns the link: on a constant one, every sample is
+        # the capacity
+        trace = run_session(constant(3000.0), SimConfig(total_segments=120))
         for r in trace.records:
-            assert r.t_complete_s > r.t_request_s
-            rate = r.size_kbit / (r.t_complete_s - r.t_request_s)
-            assert r.instant_throughput_kbps == pytest.approx(rate,
-                                                              rel=1e-9)
+            assert r.instant_throughput_kbps == pytest.approx(3000.0,
+                                                              rel=1e-12)
+        # a download that crosses one breakpoint gets the capacity on each
+        # side of it, weighted by the time spent there
+        bps = tuple((7.3 * i, (1200.0, 3100.0)[i % 2]) for i in range(60))
+        trace = run_session(BandwidthProfile(bps, 1e6),
+                            SimConfig(total_segments=120))
+        crossed = 0
+        for r in trace.records:
+            for (_, before), (cut, after) in zip(bps, bps[1:]):
+                if r.t_request_s < cut < r.t_complete_s:
+                    kbit = before * (cut - r.t_request_s) \
+                        + after * (r.t_complete_s - cut)
+                    assert r.instant_throughput_kbps == pytest.approx(
+                        kbit / (r.t_complete_s - r.t_request_s), rel=1e-9)
+                    crossed += 1
+        assert crossed == 25
 
     def test_sizes_match_ladder(self, trace):
         ladder = SimConfig().ladder
