@@ -2,7 +2,8 @@
 
 Subcommands: run (single session), fairness (shared link), compare (all
 three estimators on one trace), stats (trace statistics). Every domain
-error exits nonzero with a one-line diagnostic on stderr.
+error exits nonzero with a one-line diagnostic on stderr. This is the one
+module that opens files: the library takes and returns text.
 """
 
 import argparse
@@ -130,18 +131,21 @@ def _print_session(trace, report):
     print("idle_full_s: %.4f" % trace.idle_full_s)
 
 
-def _write_trace_csv(trace, path):
+def _write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _trace_csv(trace):
     # the record's fields, with its derived instant_throughput_kbps after
     # t_complete_s: each row unpacks a record and divides once
     fields = SegmentRecord._fields
     header = fields[:5] + ("instant_throughput_kbps",) + fields[5:]
     row = "%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%s\n"
-    text = ",".join(header) + "\n" + "".join(
+    return ",".join(header) + "\n" + "".join(
         row % (i, q, size, t_req, t_done, size / (t_done - t_req), est, buf,
                reason)
         for i, q, size, t_req, t_done, est, buf, reason in trace.records)
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def _cmd_run(args):
@@ -151,9 +155,9 @@ def _cmd_run(args):
     report = summarize(trace, cfg.ladder)
     _print_session(trace, report)
     if args.trace:
-        _write_trace_csv(trace, args.trace)
+        _write(args.trace, _trace_csv(trace))
     if args.out:
-        export(report, args.format, args.out)
+        _write(args.out, export(report, args.format))
     return 0
 
 
@@ -176,7 +180,7 @@ def _cmd_fairness(args):
     for i, v in enumerate(result.per_client_avg_kbps):
         print("client_%d_avg_kbps: %.4f" % (i, v))
     if args.out:
-        export(result, args.format, args.out)
+        _write(args.out, export(result, args.format))
     return 0
 
 
@@ -201,10 +205,8 @@ def _cmd_compare(args):
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
               .rstrip())
     if args.out:
-        payload = {label: to_dict(rep) for label, rep in rows}
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write(args.out, json.dumps(
+            {label: to_dict(rep) for label, rep in rows}, indent=2) + "\n")
     return 0
 
 

@@ -35,9 +35,5 @@ class ProfileValidationError(AffSimError):
     """A parsed bandwidth trace violates a structural rule."""
 
 
-class OutOfRangeError(AffSimError):
-    """A time lookup fell outside the profile's defined span."""
-
-
 class ProfileExhaustedError(AffSimError):
     """The bandwidth trace ended before the simulated work completed."""

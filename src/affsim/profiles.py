@@ -4,17 +4,16 @@ A profile is a list of (start_time_s, bandwidth_kbps) breakpoints plus a
 duration. Each breakpoint holds until the next one starts (intervals are
 right-open), and the last one holds until the duration runs out. A profile
 loaded without an explicit duration is open ended: the final bandwidth
-persists indefinitely and only lookups below infinity are answerable.
+persists indefinitely.
 """
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .errors import (InvalidParameterError, OutOfRangeError,
-                     ProfileParseError, ProfileValidationError, check_int)
+from .errors import (InvalidParameterError, ProfileParseError,
+                     ProfileValidationError, check_int)
 
 
 @dataclass(frozen=True)
@@ -105,14 +104,6 @@ def dump_profile(profile):
     """Serialize back to CSV text that load_profile accepts."""
     return "time_s,bandwidth_kbps\n" + "".join(
         "%r,%r\n" % bp for bp in profile.breakpoints)
-
-
-def bandwidth_at(profile, t):
-    """Bandwidth in kbit/s at time t, for 0 <= t < duration."""
-    if not 0 <= t < profile.duration_s:
-        raise OutOfRangeError(
-            "t=%g outside [0, %g)" % (t, profile.duration_s))
-    return profile.breakpoints[bisect_right(profile.starts, t) - 1][1]
 
 
 @dataclass(frozen=True)

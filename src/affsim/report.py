@@ -1,10 +1,11 @@
 """Quality-of-experience summaries and result export.
 
-The CSV layout is long-form `section,key,value` rows so that one flat file
-can carry scalar metrics and CDF tables side by side. Floats are printed
-with 4 decimal places in CSV; JSON keeps full precision. The buffer CDF
-weighs the level by wall time: each row is the fraction of the session's
-wall time that the buffer spends at or below its threshold.
+`export` renders text and writes no file. The CSV layout is long-form
+`section,key,value` rows so that one flat file can carry scalar metrics
+and CDF tables side by side. Floats are printed with 4 decimal places in
+CSV; JSON keeps full precision. The buffer CDF weighs the level by wall
+time: each row is the fraction of the session's wall time that the
+buffer spends at or below its threshold.
 """
 
 import csv
@@ -181,28 +182,16 @@ def _csv_rows(obj):
     return rows
 
 
-def export(obj, fmt, destination=None):
-    """Render a QoeReport or FairnessResult as 'json' or 'csv' text.
-
-    Writes to `destination` (a path or writable file object) when given,
-    and always returns the rendered text.
-    """
+def export(obj, fmt):
+    """Return a QoeReport or FairnessResult rendered as 'json' or 'csv'
+    text; the caller writes it where it wants."""
     if fmt == "json":
-        text = json.dumps(to_dict(obj), indent=2) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(_csv_rows(obj))
-        text = buf.getvalue()
-    else:
+        return json.dumps(to_dict(obj), indent=2) + "\n"
+    if fmt != "csv":
         raise InvalidParameterError("unknown export format %r" % (fmt,))
-    if destination is not None:
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w") as fh:
-                fh.write(text)
-    return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(_csv_rows(obj))
+    return buf.getvalue()
 
 
 def parse_csv_export(text):

@@ -6,7 +6,9 @@ calls the package as `api.<name>`. A deleted or renamed function would
 otherwise only show up as a failing benchmark run. The README's Python
 examples run as written, so they cannot go stale. A `_`-prefixed name
 stays private to its module: no other affsim module imports it. Every
-module, test modules too, reads each name it imports. The benchmark's
+module, test modules too, reads each name it imports. Every public
+function has a reader: affsim's own modules, the benchmark or the README.
+Only the command line opens a file. The benchmark's
 checks read a trace's views (stalls, startup and wall time, idle time,
 buffer series), so they run here on a session and its report.
 """
@@ -15,6 +17,7 @@ import ast
 import glob
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import sys
@@ -229,3 +232,59 @@ def unread_imports():
 
 def test_every_imported_name_is_read():
     assert unread_imports() == set()
+
+
+def loaded_names(paths):
+    """Each name that the files at paths load, as a bare name or as an
+    attribute, read without running them."""
+    found = set()
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+    return found
+
+
+def test_every_public_function_has_a_reader():
+    # a function that affsim's own modules, the benchmark and the README
+    # all leave alone is surface that nothing reads; the benchmark also
+    # names the functions it traces in strings
+    src = [path for path in glob.glob(os.path.join(SRC, "*.py"))
+           if os.path.basename(path) != "__init__.py"]
+    bench = glob.glob(os.path.join(BENCH, "*.py"))
+    read = loaded_names(src + bench)
+    read.update(name for _, name, _ in traced_names())
+    with open(README) as fh:
+        read.update(re.findall(r"\w+", fh.read()))
+    unread = [name for name in affsim.__all__
+              if inspect.isfunction(getattr(affsim, name))
+              and name not in read]
+    assert unread == []
+
+
+def file_openers():
+    """(module, line) of each `open` call under src/affsim, read without
+    running them."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found.extend(
+            (os.path.basename(path), node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "open"))
+    return found
+
+
+def test_only_the_cli_opens_files():
+    # the library takes and returns text: load_profile reads it and export
+    # renders it, and the command line does every read and write
+    openers = file_openers()
+    assert {module for module, _ in openers} == {"cli.py"}, openers

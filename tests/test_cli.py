@@ -1,16 +1,22 @@
 """End-to-end CLI tests, driven in process through main(argv)."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import affsim
 from affsim import (FairnessConfig, SimConfig, aff_update, cli, estimators,
-                    load_profile, profile_stats, run_session)
+                    load_profile, parse_csv_export, profile_stats,
+                    run_session)
 from affsim.cli import main
 from affsim.profiles import fairness_table3
 
@@ -665,3 +671,191 @@ class TestParserReuse:
         # run keeps its 150-segment default after fairness parsed 180
         assert "segments: 150\n" in shared[1][1]
         assert shared[6][1].startswith("usage: affsim")
+
+
+# The command line's output contract over its option grammar. An example
+# is typical or hostile: a hostile one draws each value from the option's
+# typical values or from a pool of hostile ones, half and half. Counts
+# stay small so one example takes milliseconds. "@DIR" stands for the
+# directory of the test's files.
+HOSTILE = ("nan", "inf", "-inf", "-0", "5e-324", "1e-300", "1e308", "x", "",
+           "9" * 30)
+# set on every example, so the runs stay short and a window fits them
+ALWAYS = {"--segments": ("3", "1", "5", "12", "0"),
+          "--clients": ("2", "3", "4", "1"),
+          "--window": ("0:20", "5:30", "0:60", "30:110", "10:5", "1:2:3")}
+SOURCES = ("--synth=test1", "--profile=@DIR/link.csv", "--synth=test3",
+           "--synth=test4", "--profile=fairness-table3", "",
+           "--profile=@DIR/hostile.csv", "--profile=@DIR/malformed.csv",
+           "--profile=@DIR/missing.csv")
+PROFILE_OPTIONS = {"--seed": ("0", "7", "-3"),
+                   "--duration": ("60", "120", "400")}
+SESSION_OPTIONS = {
+    "--segment-duration": ("0.5", "2", "4"),
+    "--ladder": ("250,500,1000,2000", "1000", "300,200", "2000,250,,1"),
+    "--panic-buffer": ("0", "4", "8"),
+    "--max-buffer": ("6", "12", "30"),
+    "--initial-quality": ("0", "1", "3"),
+    "--step-size": ("0.01", "0.05"),
+    "--forgetting-min": ("0.5", "0.9"),
+    "--forgetting-max": ("0.95", "1"),
+    "--ewma-weight": ("0.2", "0.8"),
+    "--avg-window": ("1", "3", "5"),
+}
+ESTIMATOR = {"--estimator": ("aff", "ewma", "avg3", "avg5")}
+COMMAND_OPTIONS = {
+    "run": {**PROFILE_OPTIONS, **SESSION_OPTIONS, **ESTIMATOR},
+    "fairness": {**PROFILE_OPTIONS, **SESSION_OPTIONS, **ESTIMATOR,
+                 "--jitter": ("0", "2", "15")},
+    "compare": {**PROFILE_OPTIONS, **SESSION_OPTIONS},
+    "stats": PROFILE_OPTIONS,
+}
+# (options in ALWAYS, the choices of output files)
+COMMAND_EXTRAS = {
+    "run": (("--segments",), (("--out", "--trace"), ("--out",), ("--trace",),
+                              ())),
+    "fairness": (("--segments", "--clients", "--window"), (("--out",), ())),
+    "compare": (("--segments",), (("--out",), ())),
+    "stats": ((), ((),)),
+}
+OUTPUT_FILES = {"--out": "out", "--trace": "trace.csv"}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    hostile = draw(st.sampled_from((False, True)))
+
+    def option(name, typical):
+        pool = st.sampled_from(typical)
+        if hostile:
+            pool = st.one_of(pool, st.sampled_from(HOSTILE))
+        return "%s=%s" % (name, draw(pool))
+    argv = [command]
+    source = draw(st.sampled_from(SOURCES))
+    if source:
+        argv.append(source)
+    always, outputs = COMMAND_EXTRAS[command]
+    argv.extend(option(name, ALWAYS[name]) for name in always)
+    options = COMMAND_OPTIONS[command]
+    argv.extend(option(name, options[name]) for name in draw(
+        st.lists(st.sampled_from(sorted(options)), unique=True, max_size=4)))
+    for name in draw(st.sampled_from(outputs)):
+        argv.append("%s=@DIR/%s" % (name, OUTPUT_FILES[name]))
+        if name == "--out" and command != "compare":
+            argv.append(option("--format", ("json", "csv")))
+    return argv
+
+
+def printed(out):
+    """{key: text} of the `key: value` lines that a command prints."""
+    return dict(line.split(": ", 1) for line in out.splitlines()
+                if ": " in line)
+
+
+def check_report_file(text, fmt, shown):
+    # a report's file re-parses to the numbers that run printed
+    if fmt == "csv":
+        rows = parse_csv_export(text)
+        values = dict(rows["summary"])
+        assert len(rows.get("stall_durations_s", ())) \
+            == int(shown["stall_events"])
+    else:
+        values = json.loads(text)
+        assert "%.4f" % sum(values["stall_durations_s"]) \
+            == shown["stall_time_s"]
+    assert "%.4f" % values["mean_bitrate_kbps"] \
+        == shown["mean_bitrate_kbps"]
+    for key in ("bitrate_changes", "stall_events"):
+        assert "%d" % values[key] == shown[key]
+
+
+def check_fairness_file(text, fmt, shown):
+    if fmt == "csv":
+        rows = parse_csv_export(text)
+        values = dict(rows["summary"])
+        clients = [v for _, v in rows.get("per_client_avg_kbps", ())]
+    else:
+        values = json.loads(text)
+        clients = values["per_client_avg_kbps"]
+    assert "%.4f" % values["jfi"] == shown["jfi"]
+    assert "%.4f" % values["total_avg_kbps"] == shown["total_avg_kbps"]
+    assert ["%.4f" % v for v in clients] == [
+        shown["client_%d_avg_kbps" % i] for i in range(int(shown["clients"]))]
+
+
+def check_compare_file(text, out):
+    # each printed row is the one its method's report renders to
+    payload = json.loads(text)
+    rows = [re.split(r"\s{2,}", line) for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == list(payload)
+    for label, changes, stalls, stall_time, mean in rows:
+        rep = payload[label]
+        assert [changes, stalls, mean] == [
+            "%d" % rep["bitrate_changes"], "%d" % rep["stall_events"],
+            "%.2f" % rep["mean_bitrate_kbps"]]
+        assert stall_time == (", ".join(
+            "%.2f" % d for d in rep["stall_durations_s"]) or "--")
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract")
+    (path / "link.csv").write_text(
+        "time_s,bandwidth_kbps\n0,2400\n40,700\n90,1800\n")
+    (path / "hostile.csv").write_text("0,1000\n3,5e-324\n7,1e308\n")
+    (path / "malformed.csv").write_text("0,1000\n5,banana\n")
+    return path
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=cli_argv())
+# a mean of rungs near the float maximum once printed inf with exit 0
+@example(argv=["run", "--profile=fairness-table3", "--segments=3",
+               "--segment-duration=5e-324", "--ladder=1e308"])
+@example(argv=["compare", "--profile=fairness-table3", "--segments=3",
+               "--segment-duration=5e-324", "--ladder=1e308",
+               "--out=@DIR/out"])
+def test_output_contract(contract_dir, argv):
+    argv = [arg.replace("@DIR", str(contract_dir)) for arg in argv]
+    files = {name: contract_dir / file for name, file in OUTPUT_FILES.items()}
+    for path in files.values():
+        path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse, and only argparse, exits
+            assert exc.code == 2, argv
+            code = "usage"
+    out, err = out.getvalue(), err.getvalue()
+    if code == "usage":
+        assert err.startswith("usage: affsim"), err
+        assert "error: " in err.splitlines()[-1], err
+        return
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        return
+    assert code == 0 and err == "", (code, err)
+    for token in re.split(r"[\s,:]+", out):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert math.isfinite(value), (token, out)
+    options = dict(arg.split("=", 1) for arg in argv[1:])
+    fmt = options.get("--format", "json")
+    written = {name: path.read_text() for name, path in files.items()
+               if path.exists()}
+    assert set(written) == set(files).intersection(options)
+    if "--out" in written:
+        text = written["--out"]
+        if argv[0] == "run":
+            check_report_file(text, fmt, printed(out))
+        elif argv[0] == "fairness":
+            check_fairness_file(text, fmt, printed(out))
+        else:
+            check_compare_file(text, out)
+    if "--trace" in written:
+        assert len(written["--trace"].splitlines()) \
+            == 1 + int(printed(out)["segments"])

@@ -5,20 +5,18 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from affsim import (
     BUILTIN_PROFILES,
     BandwidthProfile,
     InvalidParameterError,
-    OutOfRangeError,
+    ProfileExhaustedError,
     ProfileParseError,
     ProfileStats,
     ProfileValidationError,
-    bandwidth_at,
     dump_profile,
     fairness_table3,
+    integrate_download,
     load_profile,
     profile_stats,
     synthesize_profile,
@@ -47,7 +45,8 @@ class TestLoadProfile:
 
     def test_single_row_constant_profile(self):
         p = load_profile("0,1000", 10.0)
-        assert bandwidth_at(p, 9.999) == 1000.0
+        assert p.breakpoints == ((0.0, 1000.0),)
+        assert integrate_download(p, 0.0, 9000.0) == 9.0
 
     def test_accepts_iterable_of_lines(self):
         p = load_profile(iter(["0,750\n", "4,250\n"]), 8.0)
@@ -75,7 +74,7 @@ class TestLoadProfile:
     def test_no_duration_means_open_ended(self):
         p = load_profile("0,1000")
         assert p.duration_s == math.inf
-        assert bandwidth_at(p, 1e12) == 1000.0
+        assert integrate_download(p, 1e12, 1000.0) == 1.0
 
     def test_malformed_row_reports_line_number(self):
         text = "time_s,bandwidth_kbps\n0,1000\n5,banana\n"
@@ -140,7 +139,9 @@ class TestValidation:
 
     def test_zero_bandwidth_allowed(self):
         p = BandwidthProfile(((0.0, 0.0),), 10.0)
-        assert bandwidth_at(p, 5.0) == 0.0
+        assert p.breakpoints == ((0.0, 0.0),)
+        with pytest.raises(ProfileExhaustedError, match="trace ends at 10"):
+            integrate_download(p, 5.0, 1.0)
 
     def test_breakpoint_starts_are_derived_not_fields(self):
         p = BandwidthProfile(((0, 100), (5, 50)), 10.0)
@@ -152,25 +153,27 @@ class TestValidation:
 
 
 class TestBandwidthAt:
+    """The bandwidth at a time, as one download reads it: each download
+    below moves one second of its start's piece, so it takes exactly
+    1.0 s only on the piece the rule assigns to that start."""
+
     def test_interior_lookup(self):
-        p = fairness_table3()
-        assert bandwidth_at(p, 150.0) == 12000.0
+        assert integrate_download(fairness_table3(), 150.0, 12000.0) == 1.0
 
     def test_boundary_belongs_to_later_interval(self):
+        # on the earlier piece these would take 0.5455, 0.5 and 3.6667 s
         p = fairness_table3()
-        assert bandwidth_at(p, 100.0) == 12000.0
-        assert bandwidth_at(p, 200.0) == 6000.0
-        assert bandwidth_at(p, 300.0) == 22000.0
+        assert integrate_download(p, 100.0, 12000.0) == 1.0
+        assert integrate_download(p, 200.0, 6000.0) == 1.0
+        assert integrate_download(p, 300.0, 22000.0) == 1.0
 
     def test_start_and_end_behaviour(self):
         p = fairness_table3()
-        assert bandwidth_at(p, 0.0) == 22000.0
-        with pytest.raises(OutOfRangeError):
-            bandwidth_at(p, 360.0)
-        with pytest.raises(OutOfRangeError):
-            bandwidth_at(p, -0.001)
-        with pytest.raises(OutOfRangeError):
-            bandwidth_at(p, math.nan)
+        assert integrate_download(p, 0.0, 22000.0) == 1.0
+        for start in (360.0, -0.001, math.nan):
+            with pytest.raises(ProfileExhaustedError,
+                               match="outside the trace"):
+                integrate_download(p, start, 1000.0)
 
 
 class TestProfileStats:
@@ -317,24 +320,3 @@ class TestSynthesize:
         # since the generator loop would never end on it
         with pytest.raises(InvalidParameterError):
             synthesize_profile(kind, 0, float("nan"))
-
-
-times = st.floats(min_value=0.0, max_value=999.0,
-                  allow_nan=False, allow_infinity=False)
-
-
-class TestLookupProperties:
-    @given(st.lists(st.tuples(times,
-                              st.floats(min_value=0.0, max_value=1e6)),
-                    min_size=1, max_size=12),
-           times)
-    @settings(max_examples=200, deadline=None)
-    def test_lookup_matches_linear_scan(self, raw, t):
-        starts = sorted({0.0} | {round(s, 3) for s, _ in raw})
-        bps = tuple((s, raw[i % len(raw)][1]) for i, s in enumerate(starts))
-        p = BandwidthProfile(bps, 1000.0)
-        want = None
-        for start, kbps in p.breakpoints:
-            if start <= t:
-                want = kbps
-        assert bandwidth_at(p, t) == want

@@ -1,7 +1,6 @@
 """QoE summary and export tests."""
 
 import dataclasses
-import io
 import json
 import math
 from bisect import bisect_left
@@ -329,13 +328,6 @@ class TestExport:
         parsed = parse_csv_export(export(result, "csv"))
         assert dict(parsed["summary"])["jfi"] == pytest.approx(0.995)
         assert len(parsed["per_client_avg_kbps"]) == 3
-
-    def test_destination_path_and_file_object(self, tmp_path):
-        path = tmp_path / "out.json"
-        text = export(self.report, "json", destination=str(path))
-        assert path.read_text() == text
-        buf = io.StringIO()
-        assert export(self.report, "csv", destination=buf) == buf.getvalue()
 
     def test_bad_format_and_bad_header(self):
         with pytest.raises(InvalidParameterError):

@@ -252,6 +252,22 @@ class TestStallOnsetTie:
                        for r in trace.records) == panicked
             assert trace.stalls == () and trace.wall_time_s == 302.0
 
+    def test_engine_keeps_the_level_on_a_rounded_tie(self):
+        # at 2^20 s one ulp of the clock is 2^-32 s: each download takes
+        # exactly 2.0 s, and t_request + level rounds onto the completion,
+        # so the onset ties with it and the engine keeps the 2^-40 s left
+        # over; emptying the buffer on the tie would lose it
+        seg = 2.0 + 2.0 ** -40
+        cfg = SimConfig(ladder=BitrateLadder((1000.0,), seg),
+                        panic_buffer_s=0.0, total_segments=3)
+        link = constant(1000.0 * seg / 2.0, duration_s=math.inf)
+        trace = run_shared(link, ((cfg, 2.0 ** 20),))[0]
+        assert [r.t_complete_s - r.t_request_s for r in trace.records] \
+            == [2.0] * 3
+        assert [r.buffer_after_s for r in trace.records] \
+            == [2.0 + k * 2.0 ** -40 for k in (1, 2, 3)]
+        assert trace.stalls == ()
+
 
 class TestDegenerateSession:
     def test_single_segment(self):
