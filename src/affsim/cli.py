@@ -138,14 +138,15 @@ def _write(path, text):
 
 def _trace_csv(trace):
     # the record's fields, with its derived instant_throughput_kbps after
-    # t_complete_s: each row unpacks a record and divides once
+    # t_complete_s
     fields = SegmentRecord._fields
     header = fields[:5] + ("instant_throughput_kbps",) + fields[5:]
     row = "%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%s\n"
     return ",".join(header) + "\n" + "".join(
-        row % (i, q, size, t_req, t_done, size / (t_done - t_req), est, buf,
-               reason)
-        for i, q, size, t_req, t_done, est, buf, reason in trace.records)
+        row % (r.index, r.quality_index, r.size_kbit, r.t_request_s,
+               r.t_complete_s, r.instant_throughput_kbps, r.estimate_kbps,
+               r.buffer_after_s, r.decision_reason)
+        for r in trace.records)
 
 
 def _cmd_run(args):

@@ -64,6 +64,9 @@ class FairnessConfig:
 
 @dataclass(frozen=True)
 class FairnessResult:
+    """A fairness run's scores; its compared fields, in order, are what
+    `to_dict` and `export` write."""
+
     per_client_avg_kbps: tuple
     jfi: float
     total_avg_kbps: float

@@ -1,17 +1,23 @@
 """Quality-of-experience summaries and result export.
 
-`export` renders text and writes no file. The CSV layout is long-form
-`section,key,value` rows so that one flat file can carry scalar metrics
-and CDF tables side by side. Floats are printed with 4 decimal places in
-CSV; JSON keeps full precision. The buffer CDF weighs the level by wall
-time: each row is the fraction of the session's wall time that the
-buffer spends at or below its threshold.
+`export` renders text and writes no file. A result's compared dataclass
+fields, in field order, are its export, so `FairnessResult.traces` never
+is. `to_dict` turns their tuples into lists, and JSON writes that dict
+at full precision. The CSV layout is long-form `section,key,value` rows,
+so one flat file carries scalar metrics and CDF tables side by side: a
+scalar field is a `summary` row (an int as is, a float at 4 places); a
+sequence field is its own section, its rows keyed by position from 0, or
+by their first value when they are (key, value) pairs. So stall rows are
+keyed from 0 (once from 1), and a fairness JSON lists
+`per_client_avg_kbps` first (once `jfi`). The buffer CDF weighs the
+level by wall time: each row is the fraction of the session's wall time
+that the buffer spends at or below its threshold.
 """
 
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, chain
 from math import ceil, inf
 from operator import attrgetter, ne
@@ -26,6 +32,9 @@ BUFFER_CDF_STEP_S = 0.5
 
 @dataclass(frozen=True)
 class QoeReport:
+    """A session's headline QoE numbers; its fields, in order, are what
+    `to_dict` and `export` write."""
+
     bitrate_changes: int
     stall_events: int
     stall_durations_s: tuple
@@ -131,55 +140,39 @@ def summarize(trace, ladder):
         buffer_cdf=buffer_cdf)
 
 
-def _report_dict(report):
-    return {
-        "bitrate_changes": report.bitrate_changes,
-        "stall_events": report.stall_events,
-        "stall_durations_s": list(report.stall_durations_s),
-        "mean_bitrate_kbps": report.mean_bitrate_kbps,
-        "bitrate_cdf": [list(row) for row in report.bitrate_cdf],
-        "buffer_cdf": [list(row) for row in report.buffer_cdf],
-    }
+def _exported(obj):
+    """(name, value) of obj's compared fields, in field order: the one
+    schema of to_dict and both export formats."""
+    if not isinstance(obj, (QoeReport, FairnessResult)):
+        raise InvalidParameterError("cannot export %r" % (type(obj).__name__,))
+    return [(f.name, getattr(obj, f.name)) for f in fields(obj) if f.compare]
 
 
-def _fairness_dict(result):
-    return {
-        "jfi": result.jfi,
-        "total_avg_kbps": result.total_avg_kbps,
-        "per_client_avg_kbps": list(result.per_client_avg_kbps),
-    }
-
-
-def _is_report(obj):  # the one type check of both export formats
-    if isinstance(obj, (QoeReport, FairnessResult)):
-        return isinstance(obj, QoeReport)
-    raise InvalidParameterError("cannot export %r" % (type(obj).__name__,))
+def _plain(value):  # a tuple becomes a list, and so do its rows
+    if not isinstance(value, tuple):
+        return value
+    if value and isinstance(value[0], tuple):
+        return [list(row) for row in value]
+    return list(value)
 
 
 def to_dict(obj):
-    return _report_dict(obj) if _is_report(obj) else _fairness_dict(obj)
+    return {name: _plain(value) for name, value in _exported(obj)}
 
 
 def _csv_rows(obj):
     rows = [("section", "key", "value")]
-    if _is_report(obj):
-        rows.append(("summary", "bitrate_changes", str(obj.bitrate_changes)))
-        rows.append(("summary", "stall_events", str(obj.stall_events)))
-        rows.append(("summary", "mean_bitrate_kbps",
-                     "%.4f" % obj.mean_bitrate_kbps))
-        for i, d in enumerate(obj.stall_durations_s, start=1):
-            rows.append(("stall_durations_s", str(i), "%.4f" % d))
-        for kbps, frac in obj.bitrate_cdf:
-            rows.append(("bitrate_cdf", "%.4f" % kbps, "%.4f" % frac))
-        for seconds, frac in obj.buffer_cdf:
-            rows.append(("buffer_cdf", "%.4f" % seconds, "%.4f" % frac))
-    else:
-        rows.append(("summary", "jfi", "%.4f" % obj.jfi))
-        rows.append(("summary", "total_avg_kbps",
-                     "%.4f" % obj.total_avg_kbps))
-        for i, v in enumerate(obj.per_client_avg_kbps):
-            rows.append(("per_client_avg_kbps", str(i), "%.4f" % v))
-    return rows
+    sections = []
+    for name, value in _exported(obj):
+        if not isinstance(value, tuple):
+            cell = str(value) if isinstance(value, int) else "%.4f" % value
+            rows.append(("summary", name, cell))
+        elif value and isinstance(value[0], tuple):  # (key, value) rows
+            sections += [(name, "%.4f" % k, "%.4f" % v) for k, v in value]
+        else:
+            sections += [(name, str(i), "%.4f" % v)
+                         for i, v in enumerate(value)]
+    return rows + sections
 
 
 def export(obj, fmt):

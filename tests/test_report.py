@@ -6,6 +6,8 @@ import math
 from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affsim import (
     BandwidthProfile,
@@ -308,7 +310,7 @@ class TestExport:
         assert lines[0] == "section,key,value"
         assert "summary,bitrate_changes,1" in lines
         assert "summary,mean_bitrate_kbps,1988.3333" in lines
-        assert "stall_durations_s,1,0.1250" in lines
+        assert "stall_durations_s,0,0.1250" in lines
         assert "bitrate_cdf,2000.0000,1.0000" in lines
         assert any(line.startswith("buffer_cdf,0.5000,") for line in lines)
 
@@ -344,3 +346,45 @@ class TestExport:
     def test_malformed_csv_export_names_the_row(self, text, match):
         with pytest.raises(InvalidParameterError, match=match):
             parse_csv_export(text)
+
+
+# a random session of up to 30 segments: a level under 1 s stalls the
+# next download
+SESSIONS = st.lists(
+    st.tuples(st.integers(0, 3), st.floats(0.0, 40.0)),
+    min_size=1, max_size=30,
+).map(lambda rows: summarize(make_trace(*zip(*rows)), LADDER))
+FAIRNESS_RESULTS = st.builds(
+    FairnessResult,
+    per_client_avg_kbps=st.lists(st.floats(0.0, 1e4), min_size=1,
+                                 max_size=12).map(tuple),
+    jfi=st.floats(0.0, 1.0), total_avg_kbps=st.floats(0.0, 1e4),
+    traces=st.just((make_trace([0]),)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(obj=st.one_of(SESSIONS, FAIRNESS_RESULTS))
+def test_exports_follow_the_fields(obj):
+    """The compared fields, in field order, are the whole export. The CSV
+    puts each scalar in `summary` and each sequence in its own section,
+    keyed by position from 0, or by the key of a (key, value) row. A
+    printed value is the value rounded to 4 places, so within 5e-5."""
+    names = [f.name for f in dataclasses.fields(obj) if f.compare]
+    d = to_dict(obj)
+    assert list(d) == names
+    assert json.loads(export(obj, "json")) == d
+    parsed = parse_csv_export(export(obj, "csv"))
+    summary = parsed.pop("summary")
+    assert [name for name, _ in summary] == [
+        name for name in names if not isinstance(getattr(obj, name), tuple)]
+    for name, got in summary:
+        assert got == round(getattr(obj, name), 4), name
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, tuple):
+            continue
+        if not (value and isinstance(value[0], tuple)):
+            value = tuple(enumerate(value))
+        rows = [(float(key), got) for key, got in parsed.pop(name, ())]
+        assert rows == [(round(k, 4), round(v, 4)) for k, v in value], name
+    assert not parsed  # no section but the fields'
