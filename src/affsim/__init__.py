@@ -8,9 +8,9 @@ multi-client fairness on a shared link.
 
 from .abr import (REASON_BUFFER_PANIC, REASON_STARTUP, REASON_THROUGHPUT,
                   BitrateLadder, Decision, decide, select_bitrate)
-from .errors import (AffSimError, InvalidParameterError, InvalidSampleError,
-                     ProfileExhaustedError, ProfileParseError,
-                     ProfileValidationError)
+from .errors import (AffSimError, ClockHorizonError, InvalidParameterError,
+                     InvalidSampleError, ProfileExhaustedError,
+                     ProfileParseError, ProfileValidationError)
 from .estimators import (AffState, EstimatorConfig, EwmaState,
                          SlidingMeanState, aff_update, estimator_kinds,
                          estimator_update, ewma_update, sliding_mean_update)
@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffSimError", "AffState", "BUILTIN_PROFILES", "BandwidthProfile",
-    "BitrateLadder", "Decision", "EstimatorConfig", "EwmaState",
-    "FairnessConfig", "FairnessResult", "InvalidParameterError",
+    "BitrateLadder", "ClockHorizonError", "Decision", "EstimatorConfig",
+    "EwmaState", "FairnessConfig", "FairnessResult", "InvalidParameterError",
     "InvalidSampleError", "ProfileExhaustedError", "ProfileParseError",
     "ProfileStats", "REASON_BUFFER_PANIC", "REASON_STARTUP",
     "REASON_THROUGHPUT", "ProfileValidationError", "QoeReport",

@@ -218,22 +218,15 @@ def _cmd_stats(args):
     return 0
 
 
-def build_parser():
-    """Return a new argument parser for the affsim command line."""
-    parser = argparse.ArgumentParser(
-        prog="affsim",
-        description="Trace-driven adaptive bitrate simulation")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="simulate one playback session")
+def _run_options(p_run):
     _add_profile_args(p_run)
     _add_session_args(p_run, SimConfig())
     _add_out_args(p_run)
     p_run.add_argument("--trace", help="write the per-segment CSV here")
     p_run.set_defaults(func=_cmd_run)
 
-    p_fair = sub.add_parser("fairness",
-                            help="simulate clients sharing one link")
+
+def _fairness_options(p_fair):
     fair = FairnessConfig()
     _add_profile_args(p_fair, "fairness-table3")
     _add_session_args(p_fair, fair.sim)
@@ -243,24 +236,62 @@ def build_parser():
     p_fair.add_argument("--window", default="%r:%r" % fair.window)
     p_fair.set_defaults(func=_cmd_fairness)
 
-    p_cmp = sub.add_parser("compare",
-                           help="run all three estimators on one trace")
+
+def _compare_options(p_cmp):
     _add_profile_args(p_cmp)
     _add_session_args(p_cmp, SimConfig(), pick_estimator=False)
     p_cmp.add_argument("--out", help="write per-method reports as JSON")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_stats = sub.add_parser("stats", help="print trace statistics")
+
+def _stats_options(p_stats):
     _add_profile_args(p_stats)
     p_stats.set_defaults(func=_cmd_stats)
 
+
+# (name, help, the function that adds its options), in `affsim -h` order
+_COMMANDS = (
+    ("run", "simulate one playback session", _run_options),
+    ("fairness", "simulate clients sharing one link", _fairness_options),
+    ("compare", "run all three estimators on one trace", _compare_options),
+    ("stats", "print trace statistics", _stats_options),
+)
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser. It adds its command's options the first time
+    it parses, so a call builds only the options of the command it runs.
+    The subparsers action and parse_args both go through parse_known_args,
+    so -h, usage and errors see every option."""
+
+    def __init__(self, *, add_options, **kwargs):
+        super().__init__(**kwargs)
+        self._add_options = add_options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_options is not None:
+            add, self._add_options = self._add_options, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser():
+    """Return a new argument parser for the affsim command line."""
+    parser = argparse.ArgumentParser(
+        prog="affsim",
+        description="Trace-driven adaptive bitrate simulation")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
+    for name, help_text, add_options in _COMMANDS:
+        sub.add_parser(name, help=help_text, add_options=add_options)
     return parser
 
 
 @functools.cache
 def _parser():
-    # parse_args leaves the parser as it was and returns a new Namespace,
-    # so one parser serves every main() call of the process
+    # parse_args returns a new Namespace, and leaves the parser as it was
+    # but for the options a command adds on its first call, so one parser
+    # serves every main() call of the process
     return build_parser()
 
 

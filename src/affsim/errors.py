@@ -35,5 +35,10 @@ class ProfileValidationError(AffSimError):
     """A parsed bandwidth trace violates a structural rule."""
 
 
+class ClockHorizonError(AffSimError):
+    """A run's clock reached the horizon past which one ulp is too coarse
+    to resolve its closing identity."""
+
+
 class ProfileExhaustedError(AffSimError):
     """The bandwidth trace ended before the simulated work completed."""

@@ -38,16 +38,21 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import pairwise
-from math import inf
+from math import inf, ulp
 from typing import NamedTuple
 
 from .abr import BitrateLadder, decide
-from .errors import InvalidParameterError, ProfileExhaustedError, check_int
+from .errors import (ClockHorizonError, InvalidParameterError,
+                     ProfileExhaustedError, check_int)
 from .estimators import EstimatorConfig, estimator_kinds
 
 # most records one run may hold (and buffer CDF rows one summary may
 # give); a longer run is refused instead of filling memory
 MAX_ROWS = 1 << 20
+# a client's wall time must stay below this: there one ulp of the clock is
+# at most 2^-32 s, so the closing identity's few ulps of rounding stay
+# under 1e-9 s
+CLOCK_HORIZON_S = float(1 << 21)
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,9 @@ def integrate_download(profile, start_s, size_kbit):
 
     One download by the shared-link engine's one-client loop: a lone
     client fetches one 1 s segment from a one-rung ladder of size_kbit.
-    Raises ProfileExhaustedError when the trace ends first.
+    Raises ProfileExhaustedError when the trace ends first, and
+    ClockHorizonError when that segment would play out at or past
+    CLOCK_HORIZON_S.
     """
     if not 0 < size_kbit < inf:
         raise InvalidParameterError(
@@ -187,7 +194,8 @@ def _client(start_time, cfg):
     """One client of `run_shared`, a coroutine: it yields each segment's
     (request time, size in kbit), next() the first and each completion
     time sent the rest, and after the last completion it returns its
-    SessionTrace. `buffer` is the level at the current request while a
+    SessionTrace, or raises ClockHorizonError if its wall time reached
+    CLOCK_HORIZON_S. `buffer` is the level at the current request while a
     segment is in flight; the drain in between, any stall it ends in, and
     the next decision (from the estimate and the level at the next
     request) concern no other client, so they are settled when the
@@ -231,6 +239,12 @@ def _client(start_time, cfg):
         records.append(tuple.__new__(SegmentRecord, (
             index, quality_index, size, t_request, t, estimate, buffer,
             reason)))
+    wall = t + buffer  # SessionTrace.wall_time_s
+    if wall >= CLOCK_HORIZON_S:
+        raise ClockHorizonError(
+            "the clock reaches %r s, where one ulp is %r s; a run must "
+            "end before the %d s (2^21 s) clock horizon"
+            % (wall, ulp(wall), CLOCK_HORIZON_S))
     return SessionTrace(tuple(records), cfg)
 
 
@@ -244,7 +258,10 @@ def run_shared(profile, clients):
     must be finite and at least 0, the start of the trace, since clients
     record their own request times, and the clients' total_segments must
     sum to at most MAX_ROWS records; a breach of either raises
-    InvalidParameterError before any client starts.
+    InvalidParameterError before any client starts. A client whose wall
+    time reaches CLOCK_HORIZON_S (2^21 s) raises ClockHorizonError when
+    its last segment lands: past it one ulp of the clock exceeds 2^-32 s,
+    too coarse to keep the closing identity within 1e-9 s.
     """
     rows = sum(cfg.total_segments for cfg, _ in clients)
     if rows > MAX_ROWS:
@@ -406,6 +423,7 @@ def run_session(profile, cfg):
     nanosecond scale: wall_time = startup_delay + total media duration +
     total stall time. Time lost to buffer-full waits overlaps playback, so
     it appears as idle_full_s instead of extending the wall clock. cfg was
-    checked when built, so a run holds at most MAX_ROWS records.
+    checked when built, so a run holds at most MAX_ROWS records, and a
+    run whose wall time reaches CLOCK_HORIZON_S raises ClockHorizonError.
     """
     return run_shared(profile, ((cfg, 0.0),))[0]

@@ -1,5 +1,6 @@
 """End-to-end CLI tests, driven in process through main(argv)."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -356,16 +357,16 @@ class TestErrorPaths:
         assert lines[0].startswith("error: window must")
 
     def test_long_wall_time_exits_one(self, capped_python, tmp_path):
-        # the buffer replay of this 5e6 s session once ran out of memory,
-        # so it runs in a child with capped memory; its levels, above
-        # 2^19 s, would need more than 2^20 buffer CDF rows
+        # the buffer replay of a session like this 2e6 s one once ran out
+        # of memory, so it runs in a child with capped memory; its levels,
+        # above 2^19 s, would need more than 2^20 buffer CDF rows
         path = tmp_path / "fast.csv"
         path.write_text("0,1e9\n")
         code = ("import sys\n"
                 "from affsim.cli import main\n"
                 "sys.exit(main(sys.argv[1:]))\n")
         proc = capped_python(
-            code, "run", "--profile", str(path), "--segment-duration", "1e6",
+            code, "run", "--profile", str(path), "--segment-duration", "4e5",
             "--max-buffer", "1e7", "--segments", "5")
         assert proc.returncode == 1, proc.stderr
         assert proc.stdout == ""
@@ -373,6 +374,22 @@ class TestErrorPaths:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith(
             "error: buffer levels must be finite and at most 524288 s")
+
+    def test_wall_time_past_the_clock_horizon_exits_one(self, capsys,
+                                                        tmp_path):
+        # five 1e6 s segments end at 5e6 s, past the 2^21 s horizon: the
+        # engine refuses the session before any buffer replay
+        path = tmp_path / "fast.csv"
+        path.write_text("0,1e9\n")
+        rc = main(["run", "--profile", str(path), "--segment-duration",
+                   "1e6", "--max-buffer", "1e7", "--segments", "5"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the clock reaches 5000000.25 s, where one ulp is "
+            "9.313225746154785e-10 s; a run must end before the 2097152 s "
+            "(2^21 s) clock horizon\n")
 
     def test_long_media_exits_one_before_the_engine(self, capped_python,
                                                     tmp_path):
@@ -671,6 +688,117 @@ class TestParserReuse:
         # run keeps its 150-segment default after fairness parsed 180
         assert "segments: 150\n" in shared[1][1]
         assert shared[6][1].startswith("usage: affsim")
+
+
+def eager_build_parser():
+    """Frozen reference: the parser as built when every command added its
+    options up front, before any call ran."""
+    parser = argparse.ArgumentParser(
+        prog="affsim",
+        description="Trace-driven adaptive bitrate simulation")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_run = sub.add_parser("run", help="simulate one playback session")
+    cli._add_profile_args(p_run)
+    cli._add_session_args(p_run, SimConfig())
+    cli._add_out_args(p_run)
+    p_run.add_argument("--trace", help="write the per-segment CSV here")
+    p_run.set_defaults(func=cli._cmd_run)
+
+    p_fair = sub.add_parser("fairness",
+                            help="simulate clients sharing one link")
+    fair = FairnessConfig()
+    cli._add_profile_args(p_fair, "fairness-table3")
+    cli._add_session_args(p_fair, fair.sim)
+    cli._add_out_args(p_fair)
+    p_fair.add_argument("--clients", type=int, default=fair.n_clients)
+    p_fair.add_argument("--jitter", type=float, default=fair.start_jitter_s)
+    p_fair.add_argument("--window", default="%r:%r" % fair.window)
+    p_fair.set_defaults(func=cli._cmd_fairness)
+
+    p_cmp = sub.add_parser("compare",
+                           help="run all three estimators on one trace")
+    cli._add_profile_args(p_cmp)
+    cli._add_session_args(p_cmp, SimConfig(), pick_estimator=False)
+    p_cmp.add_argument("--out", help="write per-method reports as JSON")
+    p_cmp.set_defaults(func=cli._cmd_compare)
+
+    p_stats = sub.add_parser("stats", help="print trace statistics")
+    cli._add_profile_args(p_stats)
+    p_stats.set_defaults(func=cli._cmd_stats)
+
+    return parser
+
+
+COMMANDS = ("run", "fairness", "compare", "stats")
+# every argv exits: help and usage errors
+EXITING_ARGVS = [[], ["-h"], ["bogus"]] + [
+    [command, *extra] for command in COMMANDS
+    for extra in (["-h"], ["--bogus"], ["--segments", "x"])]
+PARSING_ARGVS = [
+    ["run", "--synth", "test1", "--estimator", "ewma", "--trace", "t.csv"],
+    ["fairness"],
+    ["fairness", "--profile", "link.csv", "--clients", "4", "--window",
+     "5:30"],
+    ["compare", "--synth", "test2", "--segments", "20"],
+    ["stats", "--synth", "test3", "--duration", "120"],
+]
+
+
+def command_options(parser):
+    """{command: its option strings but -h}, in the order added."""
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {name: [o for a in p._actions for o in a.option_strings
+                   if a.dest != "help"]
+            for name, p in sub.choices.items()}
+
+
+class TestLazyCommandOptions:
+    """A command adds its options on its first parse, and the parser says
+    and parses what the eager one did."""
+
+    def _outcome(self, parser, argv, capsys):
+        try:
+            status = parser.parse_args(argv)
+        except SystemExit as exc:
+            status = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", EXITING_ARGVS + PARSING_ARGVS,
+                             ids=lambda argv: "_".join(argv) or "noargs")
+    def test_same_text_and_namespace_as_eager(self, capsys, argv):
+        eager = self._outcome(eager_build_parser(), argv, capsys)
+        lazy = self._outcome(cli.build_parser(), argv, capsys)
+        assert lazy == eager
+        if argv in EXITING_ARGVS:
+            assert eager[0] == ("exit", 0 if "-h" in argv else 2)
+
+    def test_shared_parser_says_the_same_in_any_order(self, capsys):
+        # one lazy parser, its commands built in the order argvs reach them
+        shared = cli.build_parser()
+        eager = eager_build_parser()
+        for argv in PARSING_ARGVS + EXITING_ARGVS + PARSING_ARGVS:
+            assert self._outcome(shared, argv, capsys) == \
+                self._outcome(eager, argv, capsys)
+        assert command_options(shared) == command_options(eager)
+
+    @pytest.mark.usefixtures("fresh_parser_cache")
+    def test_a_call_builds_only_its_command(self, capsys, tmp_path):
+        csv = tmp_path / "trace.csv"
+        csv.write_text("0,2400\n40,700\n")
+        eager = command_options(eager_build_parser())
+        assert main(["stats", "--profile", str(csv), "--duration", "60"]) \
+            == 0
+        built = command_options(cli._parser())
+        assert built == {"run": [], "fairness": [], "compare": [],
+                         "stats": eager["stats"]}
+        assert main(["run", "--profile", str(csv), "--segments", "5"]) == 0
+        built = command_options(cli._parser())
+        assert built == {"run": eager["run"], "fairness": [],
+                         "compare": [], "stats": eager["stats"]}
+        capsys.readouterr()
 
 
 # The command line's output contract over its option grammar. An example

@@ -14,6 +14,7 @@ from affsim import (
     AffState,
     BandwidthProfile,
     BitrateLadder,
+    ClockHorizonError,
     Decision,
     EstimatorConfig,
     EwmaState,
@@ -286,17 +287,18 @@ class TestDegenerateSession:
             run_session(profile, SimConfig(total_segments=40))
 
     def test_long_wall_time_rejected(self, capped_python):
-        # five 1e6 s segments play for about 5e6 s; the buffer replay once
-        # ran out of memory on its 1e7 samples, so this runs in a child.
-        # The session runs, and summarize refuses its levels: above 2^19 s
-        # they need more than MAX_ROWS CDF rows.
+        # five 4e5 s segments play for about 2e6 s, just under the clock
+        # horizon; the buffer replay once ran out of memory on sessions
+        # like it, so this runs in a child. The session runs, and summarize
+        # refuses its levels: above 2^19 s they need more than MAX_ROWS CDF
+        # rows.
         code = (
             "import sys\n"
             "from affsim import BandwidthProfile, BitrateLadder, SimConfig\n"
             "from affsim import InvalidParameterError, run_session\n"
             "from affsim import summarize\n"
             "profile = BandwidthProfile(((0.0, 1e9),), float('inf'))\n"
-            "ladder = BitrateLadder(segment_duration_s=1e6)\n"
+            "ladder = BitrateLadder(segment_duration_s=4e5)\n"
             "cfg = SimConfig(ladder=ladder, max_buffer_s=1e7,\n"
             "                total_segments=5)\n"
             "trace = run_session(profile, cfg)\n"
@@ -340,6 +342,58 @@ RECORD_FIELDS = dict(
 AFF_FIELDS = dict(
     weighted_sum=1800.0, weight=1.9, forgetting=0.9, sum_grad=1000.0,
     weight_grad=1.0, step_size=0.1, forgetting_min=0.6, forgetting_max=1.0)
+
+
+class TestClockHorizon:
+    """A client whose wall time reaches 2^21 s is refused when its last
+    segment lands: there the clock cannot resolve the closing identity."""
+
+    # a one-rung ladder of about 6e15 kbps on a 1,000 kbps link: five
+    # segments take the clock to 6e13 s, where one ulp is 2^-7 s, and the
+    # closing identity was once off by that much
+    HUGE_RUNG = SimConfig(ladder=BitrateLadder((5962973038436053.0,)),
+                          total_segments=5)
+
+    def test_coarse_clock_refused(self):
+        with pytest.raises(ClockHorizonError,
+                           match=r"reaches 59629730384362\.52 s, where one "
+                                 r"ulp is 0\.0078125 s.*2097152 s"):
+            run_session(constant(1000.0, math.inf), self.HUGE_RUNG)
+
+    def test_both_loops_refuse_alike(self):
+        link = constant(1000.0, math.inf)
+        errors = []
+        for run in (lambda: sim._run_alone(link, self.HUGE_RUNG, 0.0),
+                    lambda: sim._run_link(link, [(self.HUGE_RUNG, 0.0)])):
+            with pytest.raises(ClockHorizonError) as err:
+                run()
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+    def test_boundary_is_inclusive(self):
+        # one 1 s download at 1,000 kbps, then 1 s of media: the wall time
+        # is the start plus 2 s, exactly
+        cfg = SimConfig(ladder=BitrateLadder((1000.0,), 1.0),
+                        total_segments=1)
+        link = constant(1000.0, math.inf)
+        horizon = sim.CLOCK_HORIZON_S
+        assert horizon == 2.0 ** 21
+        (trace,) = run_shared(link, [(cfg, horizon - 3.0)])
+        assert trace.wall_time_s == horizon - 1.0
+        with pytest.raises(ClockHorizonError):
+            run_shared(link, [(cfg, horizon - 2.0)])
+
+    def test_one_late_client_fails_the_link(self):
+        cfg = SimConfig(ladder=BitrateLadder((1000.0,), 1.0),
+                        total_segments=2)
+        link = constant(4000.0, math.inf)
+        with pytest.raises(ClockHorizonError):
+            run_shared(link, [(cfg, 0.0), (cfg, sim.CLOCK_HORIZON_S)])
+
+    def test_integrate_download_keeps_the_message(self):
+        # its re-wrap names a transfer below one ulp; the horizon is not one
+        with pytest.raises(ClockHorizonError, match="clock horizon"):
+            integrate_download(constant(1000.0, math.inf), 3e6, 1000.0)
 
 
 class TestValueSemantics:
