@@ -17,7 +17,7 @@ from .estimators import EstimatorConfig, estimator_kinds
 from .fairness import FairnessConfig, _check_records, run_fairness
 from .profiles import BUILTIN_PROFILES, SYNTH_KINDS, BandwidthProfile, \
     load_profile, profile_stats, synthesize_profile
-from .report import export, summarize, to_dict
+from .report import export, summarize, summary, to_dict
 from .sim import SegmentRecord, SimConfig, run_session
 
 
@@ -119,18 +119,6 @@ def _synth_span(args):
     return 2.0 * args.segments * args.segment_duration + 120.0
 
 
-def _print_session(trace, report):
-    stall_total = sum(d for _, d in trace.stalls)
-    print("segments: %d" % len(trace.records))
-    print("mean_bitrate_kbps: %.4f" % report.mean_bitrate_kbps)
-    print("bitrate_changes: %d" % report.bitrate_changes)
-    print("stall_events: %d" % report.stall_events)
-    print("stall_time_s: %.4f" % stall_total)
-    print("startup_delay_s: %.4f" % trace.startup_delay_s)
-    print("wall_time_s: %.4f" % trace.wall_time_s)
-    print("idle_full_s: %.4f" % trace.idle_full_s)
-
-
 def _write(path, text):
     with open(path, "w") as fh:
         fh.write(text)
@@ -154,7 +142,8 @@ def _cmd_run(args):
     profile = _build_profile(args, _synth_span(args))
     trace = run_session(profile, cfg)
     report = summarize(trace, cfg.ladder)
-    _print_session(trace, report)
+    for name, text in summary(report):
+        print("%s: %s" % (name, text))
     if args.trace:
         _write(args.trace, _trace_csv(trace))
     if args.out:
@@ -176,8 +165,8 @@ def _cmd_fairness(args):
         rng_seed=args.seed)
     result = run_fairness(cfg)
     print("clients: %d" % args.clients)
-    print("jfi: %.4f" % result.jfi)
-    print("total_avg_kbps: %.4f" % result.total_avg_kbps)
+    for name, text in summary(result):  # jfi, total_avg_kbps
+        print("%s: %s" % (name, text))
     for i, v in enumerate(result.per_client_avg_kbps):
         print("client_%d_avg_kbps: %.4f" % (i, v))
     if args.out:
@@ -262,7 +251,8 @@ class _CommandParser(argparse.ArgumentParser):
     """A subcommand's parser. It adds its command's options the first time
     it parses, so a call builds only the options of the command it runs.
     The subparsers action and parse_args both go through parse_known_args,
-    so -h, usage and errors see every option."""
+    so -h, usage and errors see every option. Help formatted before any
+    parse, as by format_help on a fresh parser, lists only -h."""
 
     def __init__(self, *, add_options, **kwargs):
         super().__init__(**kwargs)

@@ -2,16 +2,16 @@
 
 `export` renders text and writes no file. A result's compared dataclass
 fields, in field order, are its export, so `FairnessResult.traces` never
-is. `to_dict` turns their tuples into lists, and JSON writes that dict
-at full precision. The CSV layout is long-form `section,key,value` rows,
-so one flat file carries scalar metrics and CDF tables side by side: a
-scalar field is a `summary` row (an int as is, a float at 4 places); a
-sequence field is its own section, its rows keyed by position from 0, or
-by their first value when they are (key, value) pairs. So stall rows are
-keyed from 0 (once from 1), and a fairness JSON lists
-`per_client_avg_kbps` first (once `jfi`). The buffer CDF weighs the
-level by wall time: each row is the fraction of the session's wall time
-that the buffer spends at or below its threshold.
+is, and a QoeReport's scalar fields are the eight numbers `affsim run`
+prints. `to_dict` turns their tuples into lists, and JSON writes that
+dict at full precision. `summary` renders the scalar fields, an int as
+is and a float at 4 places, for the CLI's `name: value` lines and the
+CSV's `summary` rows. The CSV is long-form `section,key,value` rows: a
+sequence field is its own section, its rows keyed by position from 0,
+or by the repr of their first value when they are (key, value) pairs,
+so a key reads back exactly. The buffer CDF weighs the level by wall
+time: each row is the fraction of the session's wall time that the
+buffer spends at or below its threshold.
 """
 
 import csv
@@ -33,12 +33,18 @@ BUFFER_CDF_STEP_S = 0.5
 @dataclass(frozen=True)
 class QoeReport:
     """A session's headline QoE numbers; its fields, in order, are what
-    `to_dict` and `export` write."""
+    `to_dict` and `export` write, and its scalar fields are what
+    `affsim run` prints."""
 
+    segments: int
+    mean_bitrate_kbps: float
     bitrate_changes: int
     stall_events: int
+    stall_time_s: float
+    startup_delay_s: float
+    wall_time_s: float
+    idle_full_s: float  # request time lost waiting for buffer room
     stall_durations_s: tuple
-    mean_bitrate_kbps: float
     bitrate_cdf: tuple  # ((kbps, fraction of segments at or below), ...)
     buffer_cdf: tuple   # ((seconds, fraction of wall time at or below), ...)
 
@@ -131,11 +137,18 @@ def summarize(trace, ladder):
     del spent, crossed  # the rows reuse their memory
     total = covered[-1]
     buffer_cdf = tuple((k * step, v / total) for k, v in enumerate(covered))
+    durations = tuple(d for _, d in trace.stalls)
     return QoeReport(
-        bitrate_changes=changes,
-        stall_events=len(trace.stalls),
-        stall_durations_s=tuple(d for _, d in trace.stalls),
+        segments=n,
         mean_bitrate_kbps=mean_bitrate,
+        bitrate_changes=changes,
+        stall_events=len(durations),
+        # float, so summary prints 4 places with no stalls or int times
+        stall_time_s=sum(durations, 0.0),
+        startup_delay_s=float(trace.startup_delay_s),
+        wall_time_s=float(wall),
+        idle_full_s=trace.idle_full_s,
+        stall_durations_s=durations,
         bitrate_cdf=bitrate_cdf,
         buffer_cdf=buffer_cdf)
 
@@ -160,19 +173,25 @@ def to_dict(obj):
     return {name: _plain(value) for name, value in _exported(obj)}
 
 
+def summary(obj):
+    """(name, text) of a QoeReport's or FairnessResult's scalar fields, in
+    field order: an int as is, a float at 4 places. The CLI prints these
+    as `name: text` lines, and CSV writes them as its `summary` rows."""
+    return [(name, str(value) if isinstance(value, int) else "%.4f" % value)
+            for name, value in _exported(obj) if not isinstance(value, tuple)]
+
+
 def _csv_rows(obj):
     rows = [("section", "key", "value")]
-    sections = []
+    rows += [("summary", name, cell) for name, cell in summary(obj)]
     for name, value in _exported(obj):
         if not isinstance(value, tuple):
-            cell = str(value) if isinstance(value, int) else "%.4f" % value
-            rows.append(("summary", name, cell))
-        elif value and isinstance(value[0], tuple):  # (key, value) rows
-            sections += [(name, "%.4f" % k, "%.4f" % v) for k, v in value]
+            continue
+        if value and isinstance(value[0], tuple):  # (key, value) rows
+            rows += [(name, repr(k), "%.4f" % v) for k, v in value]
         else:
-            sections += [(name, str(i), "%.4f" % v)
-                         for i, v in enumerate(value)]
-    return rows + sections
+            rows += [(name, str(i), "%.4f" % v) for i, v in enumerate(value)]
+    return rows
 
 
 def export(obj, fmt):

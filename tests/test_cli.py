@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -24,6 +25,18 @@ from affsim.profiles import fairness_table3
 TABLE_ROW = re.compile(
     r"^(aff|avg3|ewma)\s+\d+\s+\d+\s+"
     r"(--|\d+\.\d{2}(, \d+\.\d{2})*)\s+\d+\.\d{2}$")
+
+
+def run_module(argv):
+    """`python -m affsim.cli argv` in a child process, which fails the
+    test if it runs past 30 s."""
+    src = os.path.dirname(os.path.dirname(affsim.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, "-m", "affsim.cli"] + argv, env=env,
+        capture_output=True, text=True, timeout=30)
 
 
 class TestCompare:
@@ -222,6 +235,14 @@ class TestStats:
         assert rc == 0
         assert "max_mbps: 4.0000" in out
         assert "avg_mbps: 2.5000" in out
+
+    def test_module_entry_point(self, capsys):
+        # `python -m affsim.cli` exits with main's code and prints its text
+        argv = ["stats", "--synth", "test4", "--duration", "60"]
+        proc = run_module(argv)
+        assert main(argv) == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, capsys.readouterr().out, "")
 
     def test_huge_rates_give_finite_stats(self, capsys, tmp_path):
         # the time-weighted sums once overflowed to inf
@@ -436,13 +457,7 @@ class TestErrorPaths:
     def test_non_finite_option_exits_one(self, argv):
         # each of these once hung or crashed, so it runs in a child process
         # whose timeout turns a hang into a failure
-        src = os.path.dirname(os.path.dirname(affsim.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run(
-            [sys.executable, "-m", "affsim.cli"] + argv, env=env,
-            capture_output=True, text=True, timeout=30)
+        proc = run_module(argv)
         assert proc.returncode == 1, proc.stderr
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -882,20 +897,21 @@ def printed(out):
 
 
 def check_report_file(text, fmt, shown):
-    # a report's file re-parses to the numbers that run printed
+    # the lines run printed are the file's scalars, in order, each
+    # rendered by the summary walk: an int as is, a float at 4 places
     if fmt == "csv":
-        rows = parse_csv_export(text)
-        values = dict(rows["summary"])
-        assert len(rows.get("stall_durations_s", ())) \
+        rows = list(csv.reader(io.StringIO(text)))
+        values = {key: cell for section, key, cell in rows
+                  if section == "summary"}
+        assert len(parse_csv_export(text).get("stall_durations_s", ())) \
             == int(shown["stall_events"])
     else:
-        values = json.loads(text)
-        assert "%.4f" % sum(values["stall_durations_s"]) \
+        payload = json.loads(text)
+        values = {key: str(v) if isinstance(v, int) else "%.4f" % v
+                  for key, v in payload.items() if not isinstance(v, list)}
+        assert "%.4f" % sum(payload["stall_durations_s"]) \
             == shown["stall_time_s"]
-    assert "%.4f" % values["mean_bitrate_kbps"] \
-        == shown["mean_bitrate_kbps"]
-    for key in ("bitrate_changes", "stall_events"):
-        assert "%d" % values[key] == shown[key]
+    assert list(values.items()) == list(shown.items())
 
 
 def check_fairness_file(text, fmt, shown):

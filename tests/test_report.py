@@ -53,6 +53,21 @@ class TestSummarize:
         assert report.mean_bitrate_kbps == pytest.approx(1988.3333, abs=5e-5)
         assert report.bitrate_changes == 1
 
+    def test_scalars_are_run_lines_and_floats_for_int_times(self):
+        # a hand-built trace may hold int times; the report's time fields
+        # are floats all the same, so they print at 4 places
+        trace = make_trace([0, 1])
+        records = tuple(r._replace(t_request_s=int(r.t_request_s),
+                                   t_complete_s=int(r.t_complete_s),
+                                   buffer_after_s=int(r.buffer_after_s))
+                        for r in trace.records)
+        report = summarize(dataclasses.replace(trace, records=records), LADDER)
+        assert report_module.summary(report) == [
+            ("segments", "2"), ("mean_bitrate_kbps", "375.0000"),
+            ("bitrate_changes", "1"), ("stall_events", "0"),
+            ("stall_time_s", "0.0000"), ("startup_delay_s", "1.0000"),
+            ("wall_time_s", "13.0000"), ("idle_full_s", "0.0000")]
+
     def test_mean_bitrate_of_huge_rungs_is_finite(self):
         # two rungs near the float maximum overflow a plain sum; a sum of
         # scaled rungs gives their mean, and a finite sum stays as it was
@@ -311,8 +326,16 @@ class TestExport:
         assert "summary,bitrate_changes,1" in lines
         assert "summary,mean_bitrate_kbps,1988.3333" in lines
         assert "stall_durations_s,0,0.1250" in lines
-        assert "bitrate_cdf,2000.0000,1.0000" in lines
-        assert any(line.startswith("buffer_cdf,0.5000,") for line in lines)
+        assert "bitrate_cdf,2000.0,1.0000" in lines
+        assert any(line.startswith("buffer_cdf,0.5,") for line in lines)
+
+    def test_csv_keys_closer_than_printed_values_stay_apart(self):
+        # two rungs 3e-5 apart once both exported as key 1000.0000
+        rungs = (250.0, 1000.00001, 1000.00004)
+        cfg = SimConfig(ladder=BitrateLadder(rungs), total_segments=8)
+        trace = run_session(BandwidthProfile(((0.0, 2500.0),), 1e6), cfg)
+        parsed = parse_csv_export(export(summarize(trace, cfg.ladder), "csv"))
+        assert [float(key) for key, _ in parsed["bitrate_cdf"]] == list(rungs)
 
     def test_csv_parse_is_inverse_at_printed_precision(self):
         parsed = parse_csv_export(export(self.report, "csv"))
@@ -366,14 +389,19 @@ FAIRNESS_RESULTS = st.builds(
 @given(obj=st.one_of(SESSIONS, FAIRNESS_RESULTS))
 def test_exports_follow_the_fields(obj):
     """The compared fields, in field order, are the whole export. The CSV
-    puts each scalar in `summary` and each sequence in its own section,
-    keyed by position from 0, or by the key of a (key, value) row. A
+    puts each scalar in `summary`, as `report.summary` renders it, and
+    each sequence in its own section, keyed by position from 0, or by the
+    repr of the key of a (key, value) row, which reads back exactly. A
     printed value is the value rounded to 4 places, so within 5e-5."""
     names = [f.name for f in dataclasses.fields(obj) if f.compare]
     d = to_dict(obj)
     assert list(d) == names
     assert json.loads(export(obj, "json")) == d
-    parsed = parse_csv_export(export(obj, "csv"))
+    text = export(obj, "csv")
+    cells = report_module.summary(obj)
+    assert text.splitlines()[1:1 + len(cells)] == [
+        "summary,%s,%s" % cell for cell in cells]
+    parsed = parse_csv_export(text)
     summary = parsed.pop("summary")
     assert [name for name, _ in summary] == [
         name for name in names if not isinstance(getattr(obj, name), tuple)]
@@ -386,5 +414,5 @@ def test_exports_follow_the_fields(obj):
         if not (value and isinstance(value[0], tuple)):
             value = tuple(enumerate(value))
         rows = [(float(key), got) for key, got in parsed.pop(name, ())]
-        assert rows == [(round(k, 4), round(v, 4)) for k, v in value], name
+        assert rows == [(k, round(v, 4)) for k, v in value], name
     assert not parsed  # no section but the fields'

@@ -78,8 +78,13 @@ def reference_summarize(trace, ladder):
         (rung, sum(1 for b in bitrates if b <= rung) / n)
         for rung in ladder.bitrates_kbps)
     return QoeReport(
+        segments=len(trace.records),
         bitrate_changes=changes,
         stall_events=len(trace.stalls),
+        stall_time_s=sum(d for _, d in trace.stalls),
+        startup_delay_s=trace.startup_delay_s,
+        wall_time_s=trace.wall_time_s,
+        idle_full_s=trace.idle_full_s,
         stall_durations_s=tuple(d for _, d in trace.stalls),
         mean_bitrate_kbps=mean_bitrate,
         bitrate_cdf=bitrate_cdf,

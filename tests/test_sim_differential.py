@@ -229,9 +229,11 @@ def assert_same_session(new, old, old_series, ladder):
         [th for th, _ in old_rep.buffer_cdf]
     assert [fr for _, fr in new_rep.buffer_cdf] == pytest.approx(
         [fr for _, fr in old_rep.buffer_cdf], abs=TOL)
-    assert dataclasses.replace(new_rep, stall_durations_s=(),
-                               buffer_cdf=()) == \
-        dataclasses.replace(old_rep, stall_durations_s=(), buffer_cdf=())
+    # the float times agree within TOL, checked above on the trace
+    blank = dict(stall_time_s=0.0, startup_delay_s=0.0, wall_time_s=0.0,
+                 idle_full_s=0.0, stall_durations_s=(), buffer_cdf=())
+    assert dataclasses.replace(new_rep, **blank) == \
+        dataclasses.replace(old_rep, **blank)
 
 
 def test_matches_reference_on_acceptance_generator():
