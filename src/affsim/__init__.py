@@ -7,7 +7,7 @@ multi-client fairness on a shared link.
 """
 
 from .abr import (REASON_BUFFER_PANIC, REASON_STARTUP, REASON_THROUGHPUT,
-                  BitrateLadder, Decision, decide, select_bitrate)
+                  BitrateLadder, Decision, decide)
 from .errors import (AffSimError, ClockHorizonError, InvalidParameterError,
                      InvalidSampleError, ProfileExhaustedError,
                      ProfileParseError, ProfileValidationError)
@@ -37,6 +37,5 @@ __all__ = [
     "estimator_update", "ewma_update", "export", "fairness_table3",
     "integrate_download", "jain_index", "load_profile", "parse_csv_export",
     "profile_stats", "run_fairness", "run_session", "run_shared",
-    "select_bitrate", "sliding_mean_update", "summarize",
-    "synthesize_profile", "to_dict",
+    "sliding_mean_update", "summarize", "synthesize_profile", "to_dict",
 ]

@@ -192,9 +192,9 @@ def integrate_download(profile, start_s, size_kbit):
 
 def _client(start_time, cfg):
     """One client of `run_shared`, a coroutine: it yields each segment's
-    (request time, size in kbit), next() the first and each completion
-    time sent the rest, and after the last completion it returns its
-    SessionTrace, or raises ClockHorizonError if its wall time reached
+    (request time, size read from the ladder), next() the first and each
+    completion time sent the rest, and after the last completion returns
+    its SessionTrace, or raises ClockHorizonError if its wall time reached
     CLOCK_HORIZON_S. `buffer` is the level at the current request while a
     segment is in flight; the drain in between, any stall it ends in, and
     the next decision (from the estimate and the level at the next
@@ -202,8 +202,7 @@ def _client(start_time, cfg):
     segment lands.
     """
     seg_dur = cfg.ladder.segment_duration_s
-    # one size float per rung, shared by every record at that rung
-    sizes = [b * seg_dur for b in cfg.ladder.bitrates_kbps]
+    sizes = cfg.ladder.segment_sizes_kbit  # shared by every record at a rung
     room = cfg.max_buffer_s - seg_dur  # most buffer at a request
     last = cfg.total_segments
     update = estimator_kinds()[cfg.estimator.kind].update

@@ -20,7 +20,6 @@ from affsim import (
     decide,
     run_fairness,
     run_session,
-    select_bitrate,
     synthesize_profile,
 )
 
@@ -28,7 +27,17 @@ LADDER = BitrateLadder((250.0, 500.0, 1000.0, 2000.0), 2.0)
 CFG = SimConfig(ladder=LADDER)
 
 
+def select(ladder, estimate):
+    """decide's rung for the estimate, at a buffer level that does not
+    panic: the panic threshold itself, since the test is strict."""
+    return decide(dataclasses.replace(CFG, ladder=ladder), estimate,
+                  CFG.panic_buffer_s)
+
+
 class TestSelectBitrate:
+    """decide's throughput step: the highest rung at or below the
+    estimate."""
+
     @pytest.mark.parametrize("estimate,index", [
         (100.0, 0),      # below the whole ladder still plays something
         (250.0, 0),
@@ -42,14 +51,14 @@ class TestSelectBitrate:
         (1e9, 3),
     ])
     def test_threshold_table(self, estimate, index):
-        d = select_bitrate(LADDER, estimate)
+        d = select(LADDER, estimate)
         assert d.quality_index == index
         assert d.reason == REASON_THROUGHPUT
 
     def test_single_rung_ladder(self):
         one = BitrateLadder((800.0,), 2.0)
-        assert select_bitrate(one, 100.0).quality_index == 0
-        assert select_bitrate(one, 9999.0).quality_index == 0
+        assert select(one, 100.0).quality_index == 0
+        assert select(one, 9999.0).quality_index == 0
 
 
 class TestDecide:
@@ -198,13 +207,30 @@ class TestDecisionsBuiltOnce:
             Decision(i, REASON_THROUGHPUT) for i in range(4))
         assert repr(LADDER) == ("BitrateLadder(bitrates_kbps=(250.0, 500.0, "
                                 "1000.0, 2000.0), segment_duration_s=2.0)")
+        assert LADDER.segment_sizes_kbit == (500.0, 1000.0, 2000.0, 4000.0)
         other = BitrateLadder((250.0, 500.0, 1000.0, 2000.0), 2.0)
         object.__setattr__(other, "decisions", ())
+        object.__setattr__(other, "segment_sizes_kbit", ())
         assert other == LADDER and hash(other) == hash(LADDER)
         short = dataclasses.replace(LADDER, bitrates_kbps=(300.0, 900.0))
         assert short.decisions == ((0, REASON_THROUGHPUT),
                                    (1, REASON_THROUGHPUT))
-        assert select_bitrate(short, 1e9) is short.decisions[1]
+        assert select(short, 1e9) is short.decisions[1]
+
+
+class TestSegmentSizes:
+    """A ladder sizes its own segments, once, and the engine reads them."""
+
+    def test_records_carry_the_ladders_own_sizes(self):
+        trace = run_session(synthesize_profile("test1", 0, 800.0), CFG)
+        assert len({r.quality_index for r in trace.records}) > 1
+        for r in trace.records:
+            assert r.size_kbit is LADDER.segment_sizes_kbit[r.quality_index]
+
+    def test_a_nan_duration_is_the_durations_fault(self):
+        with pytest.raises(InvalidParameterError,
+                           match="^segment_duration_s must be positive"):
+            BitrateLadder((1e308,), float("nan"))
 
 
 ladders = st.lists(
@@ -221,8 +247,8 @@ class TestProperties:
     @settings(max_examples=300, deadline=None)
     def test_monotone_in_estimate(self, ladder, a, b):
         lo, hi = sorted((a, b))
-        assert select_bitrate(ladder, lo).quality_index \
-            <= select_bitrate(ladder, hi).quality_index
+        assert select(ladder, lo).quality_index \
+            <= select(ladder, hi).quality_index
 
     @given(ladders, estimates, st.integers(min_value=-6, max_value=6))
     @settings(max_examples=300, deadline=None)
@@ -234,8 +260,8 @@ class TestProperties:
         scaled = BitrateLadder(
             tuple(b * s for b in ladder.bitrates_kbps),
             ladder.segment_duration_s)
-        assert select_bitrate(ladder, estimate).quality_index \
-            == select_bitrate(scaled, estimate * s).quality_index
+        assert select(ladder, estimate).quality_index \
+            == select(scaled, estimate * s).quality_index
 
     @given(ladders, estimates)
     @settings(max_examples=300, deadline=None)
@@ -244,7 +270,7 @@ class TestProperties:
         for i, b in enumerate(ladder.bitrates_kbps):
             if b <= estimate:
                 best = i
-        assert select_bitrate(ladder, estimate).quality_index == best
+        assert select(ladder, estimate).quality_index == best
 
     @given(ladders, estimates,
            st.floats(min_value=0.0, max_value=7.999))

@@ -99,6 +99,26 @@ class TestRun:
             assert re.search(r"^%s: \d+\.\d{4}$" % key, out, re.M)
         assert re.search(r"^(bitrate_changes|stall_events): \d+$", out, re.M)
 
+    @pytest.mark.parametrize("argv", [
+        ["--synth", "test1", "--max-buffer", "inf"],
+        ["--profile", "fairness-table3", "--duration", "inf"],
+        ["--profile", "@DIR/link.csv", "--duration", "inf"],
+    ], ids=["no-buffer-ceiling", "open-ended-builtin", "open-ended-csv"])
+    def test_accepted_infinite_option_keeps_the_identity(self, capsys,
+                                                          tmp_path, argv):
+        # inf means no ceiling, or a trace with no end
+        (tmp_path / "link.csv").write_text("0,2400\n40,700\n90,1800\n")
+        argv = [a.replace("@DIR", str(tmp_path)) for a in argv]
+        rc = main(["run", "--segments", "60"] + argv)
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        shown = dict(line.split(": ") for line in captured.out.splitlines())
+        media = 60 * SimConfig().ladder.segment_duration_s
+        assert float(shown["wall_time_s"]) == pytest.approx(
+            float(shown["startup_delay_s"]) + media
+            + float(shown["stall_time_s"]), abs=2e-4)
+
     def test_builtin_profile_by_name(self, capsys):
         rc = main(["run", "--profile", "fairness-table3",
                    "--segments", "100"])
@@ -365,6 +385,26 @@ class TestErrorPaths:
         assert captured.err == ""
         mean = re.search(r"^mean_bitrate_kbps: (\S+)$", captured.out, re.M)
         assert float(mean.group(1)) == pytest.approx(1e308, rel=1e-12)
+
+    @pytest.mark.parametrize("source, ladder", [
+        (["--synth", "test1"], ["--ladder", "1e308"]),
+        (["--profile", "@DIR/link.csv"], ["--ladder", "1e308"]),
+        (["--synth", "test1"], ["--ladder", "0.1",
+                                "--segment-duration", "5e-324"]),
+    ], ids=["synth-overflow", "csv-overflow", "synth-underflow"])
+    def test_unsizable_ladder_is_the_ladders_fault(self, capsys, tmp_path,
+                                                   source, ladder):
+        # these once ran and failed on the trace or the clock
+        (tmp_path / "link.csv").write_text("0,1000\n")
+        source = [a.replace("@DIR", str(tmp_path)) for a in source]
+        rc = main(["run"] + source + ladder)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(
+            "error: segment sizes must be positive and finite: bitrates ")
 
     def test_infinite_fairness_window_end(self, capsys, tmp_path):
         path = tmp_path / "open.csv"

@@ -70,8 +70,10 @@ class TestSummarize:
 
     def test_mean_bitrate_of_huge_rungs_is_finite(self):
         # two rungs near the float maximum overflow a plain sum; a sum of
-        # scaled rungs gives their mean, and a finite sum stays as it was
-        ladder = BitrateLadder((1e307, 1.5e308))
+        # scaled rungs gives their mean, and a finite sum stays as it was.
+        # The segments last 1 s, since a 2 s one at the top rung would be
+        # inf kbit, which a ladder refuses
+        ladder = BitrateLadder((1e307, 1.5e308), 1.0)
         report = summarize(make_trace([1, 1, 0]), ladder)
         assert report.mean_bitrate_kbps == pytest.approx(
             1e307 / 3 + 1e308, rel=1e-12)
