@@ -1,20 +1,18 @@
 """Line counts of src/affsim, per module, for the work tree and a git revision.
 
-    python3 scripts/src_lines.py [--rev REV] [--json]
+    python3 scripts/src_lines.py [--rev REV]
 
 Each module's lines are split four ways: code, doc (docstring and comment
 lines: a string statement's lines, or a line that holds only a comment),
 blank, and their total. The revision's files are read with
 `git show REV:path`, so the work tree is not touched; a module that exists
-on one side only counts 0 on the other. Prints a table, or with --json one
-JSON object, with the net change (work tree minus revision) per module
+on one side only counts 0 on the other. Prints a table with the net change (work tree minus revision) per module
 and in total. Stdlib only; run it from anywhere inside the repository.
 """
 
 import argparse
 import ast
 import io
-import json
 import os
 import subprocess
 import tokenize
@@ -110,16 +108,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--rev", default="HEAD",
                     help="git revision to compare against (default HEAD)")
-    ap.add_argument("--json", action="store_true",
-                    help="print one JSON object instead of a table")
     args = ap.parse_args()
     root = git(os.path.dirname(os.path.abspath(__file__)),
                "rev-parse", "--show-toplevel").strip()
     rows = compare(count_rev(root, args.rev), count_tree(root))
-    if args.json:
-        print(json.dumps({"rev": args.rev, "modules": rows}, indent=1))
-    else:
-        print(table(args.rev, rows))
+    print(table(args.rev, rows))
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 `decide` is the whole rule: the configured start rung before any estimate
 exists, the lowest rung when the playout buffer runs dangerously low, and
 otherwise the highest rung the throughput estimate can sustain. A ladder
-sizes each rung's segment once and refuses a size that is not positive and
-finite. The SimConfig checks the other knobs, so `decide` checks nothing.
+sizes each rung's segment once and refuses sizes that are not positive,
+finite and strictly increasing. The SimConfig checks the other knobs, so
+`decide` checks nothing.
 """
 
 import math
@@ -46,15 +47,14 @@ class BitrateLadder:
                 "segment_duration_s must be positive and finite, got %r"
                 % (self.segment_duration_s,))
         sizes = tuple(b * self.segment_duration_s for b in rungs)
-        # a size is positive and finite when its rung is, unless the
-        # product under- or overflows, so this test refuses both
-        if not (0 < sizes[0] and sizes[-1] < math.inf):
+        # sizes are positive, finite and strictly increasing when the rungs
+        # are, unless the products round, so this test reads the sizes
+        if not (0 < sizes[0] and sizes[-1] < math.inf and all(
+                b < a for b, a in zip(sizes, sizes[1:]))):
             raise InvalidParameterError(
-                "segment sizes must be positive and finite: bitrates %r x "
-                "%r s give %r kbit" % (rungs, self.segment_duration_s, sizes))
-        if not all(b < a for b, a in zip(rungs, rungs[1:])):
-            raise InvalidParameterError(
-                "bitrates must be strictly increasing, got %r" % (rungs,))
+                "segment sizes must be positive, finite and strictly "
+                "increasing: bitrates %r x %r s give %r kbit"
+                % (rungs, self.segment_duration_s, sizes))
         object.__setattr__(self, "segment_sizes_kbit", sizes)
         object.__setattr__(self, "decisions", tuple(
             Decision(i, REASON_THROUGHPUT) for i in range(len(rungs))))

@@ -404,7 +404,8 @@ class TestErrorPaths:
         lines = captured.err.splitlines()
         assert len(lines) == 1, captured.err
         assert lines[0].startswith(
-            "error: segment sizes must be positive and finite: bitrates ")
+            "error: segment sizes must be positive, finite and strictly "
+            "increasing: bitrates ")
 
     def test_infinite_fairness_window_end(self, capsys, tmp_path):
         path = tmp_path / "open.csv"

@@ -55,17 +55,20 @@ SHORT_CLIENTS = 3
     # the whole message, pinned
     ("^initial_quality_index 1 outside ladder of 1 rungs$", lambda: SimConfig(
         initial_quality_index=1, ladder=BitrateLadder((800.0,)))),
-    # finite rungs whose segment sizes over- or underflow; one message pinned
-    (r"^segment sizes must be positive and finite: bitrates \(1e\+308,\) x "
-     r"2\.0 s give \(inf,\) kbit$", lambda: BitrateLadder((1e308,), 2.0)),
+    # finite rungs whose segment sizes over- or underflow, or round to one
+    # size for two rungs; one message pinned
+    (r"^segment sizes must be positive, finite and strictly increasing: "
+     r"bitrates \(1e\+308,\) x 2\.0 s give \(inf,\) kbit$",
+     lambda: BitrateLadder((1e308,), 2.0)),
     ("segment sizes", lambda: BitrateLadder((250.0, 1e308), 2.0)),
     ("segment sizes", lambda: BitrateLadder((0.1,), 5e-324)),
+    ("segment sizes", lambda: BitrateLadder((2e-323, 2.5e-323), 0.5)),
 ], ids=["segments-float", "segments-bool", "initial-float", "initial-bool",
         "avg-window-bool", "clients-float", "window-triple", "window-text",
         "seed-nan", "unknown-kind", "unhashable-kind", "zero-step",
         "clients-over-record-cap", "segments-over-record-cap",
         "initial-outside-ladder", "size-overflow", "top-size-overflow",
-        "size-underflow"])
+        "size-underflow", "sizes-round-equal"])
 def test_probe_refused_when_built(field, build):
     with pytest.raises(InvalidParameterError, match=field):
         build()
