@@ -1,17 +1,21 @@
-"""Time and memory of building the affsim CLI parser, cold and warm.
+"""Time and memory of building the affsim CLI parsers, cold and warm.
 
     python3 scripts/parser_cost.py [--src DIR] [--reps N]
 
-A case builds a parser with `affsim.cli.build_parser()` and parses the
-argv of one command, or of all four in turn on the same parser, so each
-command's options are in place, however the parser adds them. Cold runs
-one case per fresh interpreter, after `import affsim.cli`: what the first
-`affsim.cli.main` call of a process pays. Warm repeats the case in one
-interpreter after a first build, so lazily built module state is filled.
+A case builds, for each of its argvs, the parser that `affsim.cli.main`
+builds for that argv's command (`affsim.cli._parser`, uncached: the
+command's options alone), and parses the argv with it. The four one-
+command cases are what one call pays; all_four builds and parses all four
+commands in turn, and `full` builds the whole parser, every command's
+options, as `affsim.cli.build_parser()` does, and parses one command. Cold runs one case per fresh
+interpreter, after `import affsim.cli`: what the first `affsim.cli.main`
+call of a process pays. Warm repeats the case in one interpreter after a
+first build, so lazily built module state is filled.
 Memory is the tracemalloc peak of one case, taken in runs of its own.
 Prints one JSON object: medians over --reps runs (cold) or the least of
 --reps runs (warm).
-Stdlib only; --src points at the `src` directory of any checkout.
+Stdlib only; --src points at the `src` directory of a checkout whose
+`affsim.cli._parser` takes a command.
 """
 
 import argparse
@@ -30,19 +34,21 @@ ARGVS = {
     "stats": ["stats", "--synth", "test1"],
 }
 CASES = {**{name: [argv] for name, argv in ARGVS.items()},
-         "all_four": list(ARGVS.values())}
+         "all_four": list(ARGVS.values()), "full": [ARGVS["run"]]}
 
 
-def one_case(build, argvs, memory):
+def one_case(case, memory):
     """Seconds, or with memory the tracemalloc peak in bytes, of one
-    parser build and its parses; tracemalloc slows the build, so a run
+    case's parser builds and parses; tracemalloc slows the build, so a run
     measures one or the other."""
+    from affsim.cli import _parser
+    build = _parser.__wrapped__  # main's parser for a command, uncached
     if memory:
         tracemalloc.start()
     t0 = time.perf_counter()
-    parser = build()
-    for argv in argvs:
-        parser.parse_args(argv)
+    for argv in CASES[case]:
+        # None, as for an argv that names no command, is the whole parser
+        build(None if case == "full" else argv[0]).parse_args(argv)
     elapsed = time.perf_counter() - t0
     if not memory:
         return elapsed
@@ -57,13 +63,12 @@ def summary(seconds, peaks, pick):
 
 def warm(src, reps):
     sys.path.insert(0, src)
-    from affsim.cli import build_parser
     out = {}
-    for case, argvs in CASES.items():
-        one_case(build_parser, argvs, False)
+    for case in CASES:
+        one_case(case, False)
         out[case] = summary(
-            [one_case(build_parser, argvs, False) for _ in range(reps)],
-            [one_case(build_parser, argvs, True) for _ in range(reps)], min)
+            [one_case(case, False) for _ in range(reps)],
+            [one_case(case, True) for _ in range(reps)], min)
     return out
 
 
@@ -91,9 +96,8 @@ def main():
     src = os.path.abspath(args.src)
     if args.child:  # one cold case in this fresh interpreter
         sys.path.insert(0, src)
-        from affsim.cli import build_parser
-        print(json.dumps(one_case(build_parser, CASES[args.child],
-                                  args.memory)))
+        import affsim.cli  # noqa: F401  (the import is not timed)
+        print(json.dumps(one_case(args.child, args.memory)))
         return
     print(json.dumps({"python": sys.version.split()[0], "src": src,
                       "reps": args.reps, "cold": cold(src, args.reps),

@@ -18,7 +18,7 @@ from .fairness import FairnessConfig, _check_records, run_fairness
 from .profiles import BUILTIN_PROFILES, SYNTH_KINDS, BandwidthProfile, \
     load_profile, profile_stats, synthesize_profile
 from .report import export, summarize, summary, to_dict
-from .sim import SegmentRecord, SimConfig, run_session
+from .sim import CLOCK_HORIZON_S, SegmentRecord, SimConfig, run_session
 
 
 @functools.cache
@@ -115,8 +115,10 @@ def _build_profile(args, default_synth_duration):
 
 
 def _synth_span(args):
-    # generous default so sessions with stalls still fit in the trace
-    return 2.0 * args.segments * args.segment_duration + 120.0
+    # generous default so sessions with stalls still fit in the trace; no
+    # run outlasts the clock horizon
+    return min(2.0 * args.segments * args.segment_duration + 120.0,
+               CLOCK_HORIZON_S)
 
 
 def _write(path, text):
@@ -238,55 +240,49 @@ def _stats_options(p_stats):
     p_stats.set_defaults(func=_cmd_stats)
 
 
-# (name, help, the function that adds its options), in `affsim -h` order
-_COMMANDS = (
-    ("run", "simulate one playback session", _run_options),
-    ("fairness", "simulate clients sharing one link", _fairness_options),
-    ("compare", "run all three estimators on one trace", _compare_options),
-    ("stats", "print trace statistics", _stats_options),
-)
+# {name: (help, the function that adds its options)}, in `affsim -h` order
+_COMMANDS = {
+    "run": ("simulate one playback session", _run_options),
+    "fairness": ("simulate clients sharing one link", _fairness_options),
+    "compare": ("run all three estimators on one trace", _compare_options),
+    "stats": ("print trace statistics", _stats_options),
+}
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser. It adds its command's options the first time
-    it parses, so a call builds only the options of the command it runs.
-    The subparsers action and parse_args both go through parse_known_args,
-    so -h, usage and errors see every option. Help formatted before any
-    parse, as by format_help on a fresh parser, lists only -h."""
-
-    def __init__(self, *, add_options, **kwargs):
-        super().__init__(**kwargs)
-        self._add_options = add_options
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_options is not None:
-            add, self._add_options = self._add_options, None
-            add(self)
-        return super().parse_known_args(args, namespace)
+def _build(commands):
+    # every command, with its name and help; only those in commands add
+    # their options
+    parser = argparse.ArgumentParser(
+        prog="affsim",
+        description="Trace-driven adaptive bitrate simulation")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name in commands:
+            add_options(p)
+    return parser
 
 
 def build_parser():
     """Return a new argument parser for the affsim command line."""
-    parser = argparse.ArgumentParser(
-        prog="affsim",
-        description="Trace-driven adaptive bitrate simulation")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_CommandParser)
-    for name, help_text, add_options in _COMMANDS:
-        sub.add_parser(name, help=help_text, add_options=add_options)
-    return parser
+    return _build(_COMMANDS)
 
 
 @functools.cache
-def _parser():
-    # parse_args returns a new Namespace, and leaves the parser as it was
-    # but for the options a command adds on its first call, so one parser
-    # serves every main() call of the process
-    return build_parser()
+def _parser(command):
+    # parse_args returns a new Namespace and leaves the parser as it was,
+    # so one parser per command serves every main() call of the process;
+    # None, for any argv that names no command, is the whole parser
+    return build_parser() if command is None else _build((command,))
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes only -h, so a command is the first argument, and
+    # a parser holding that command's options alone says what the whole
+    # one would
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (AffSimError, OSError) as exc:

@@ -14,6 +14,7 @@ from itertools import accumulate
 
 from .errors import (InvalidParameterError, ProfileParseError,
                      ProfileValidationError, check_int)
+from .sim import CLOCK_HORIZON_S
 
 
 @dataclass(frozen=True)
@@ -168,12 +169,9 @@ TEST4_LOW_KBPS = 600.0
 # every kind synthesize_profile accepts
 SYNTH_KINDS = (*SYNTH_TARGETS, "test4")
 
+# a synthetic trace lasts from this up to sim.CLOCK_HORIZON_S, past which
+# no run can end
 MIN_SYNTH_DURATION_S = 60.0
-# About 24 days: room for the CLI's default span (2 x media + 120 s) of a
-# session with up to 2^19 s of media. A session's media has no such bound
-# (up to 2^20 segments of any duration), so a longer span is refused here
-# instead of generated.
-MAX_SYNTH_DURATION_S = 2 ** 21
 
 
 def synthesize_profile(kind, seed, duration_s):
@@ -192,10 +190,10 @@ def synthesize_profile(kind, seed, duration_s):
     second of each pair kept for the next piece. A Python whose gauss
     draws differently fails the frozen-reference test, which calls it.
     """
-    if not (MIN_SYNTH_DURATION_S <= duration_s <= MAX_SYNTH_DURATION_S):
+    if not (MIN_SYNTH_DURATION_S <= duration_s <= CLOCK_HORIZON_S):
         raise InvalidParameterError(
             "duration_s must lie in [%g, %d], got %r"
-            % (MIN_SYNTH_DURATION_S, MAX_SYNTH_DURATION_S, duration_s))
+            % (MIN_SYNTH_DURATION_S, CLOCK_HORIZON_S, duration_s))
     check_int("seed", seed, -math.inf)
     if kind == "test4":
         return BandwidthProfile(

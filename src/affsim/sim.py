@@ -238,13 +238,13 @@ def _client(start_time, cfg):
         records.append(tuple.__new__(SegmentRecord, (
             index, quality_index, size, t_request, t, estimate, buffer,
             reason)))
-    wall = t + buffer  # SessionTrace.wall_time_s
-    if wall >= CLOCK_HORIZON_S:
+    trace = SessionTrace(tuple(records), cfg)
+    if (wall := trace.wall_time_s) >= CLOCK_HORIZON_S:
         raise ClockHorizonError(
             "the clock reaches %r s, where one ulp is %r s; a run must "
             "end before the %d s (2^21 s) clock horizon"
             % (wall, ulp(wall), CLOCK_HORIZON_S))
-    return SessionTrace(tuple(records), cfg)
+    return trace
 
 
 def run_shared(profile, clients):

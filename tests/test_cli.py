@@ -453,6 +453,27 @@ class TestErrorPaths:
             "9.313225746154785e-10 s; a run must end before the 2097152 s "
             "(2^21 s) clock horizon\n")
 
+    def test_synthetic_span_stops_at_the_clock_horizon(self, capsys):
+        # 1.1e6 s of media play out below the 2^21 s horizon; its default
+        # span, twice the media plus 120 s, was once refused at synthesis
+        argv = ["run", "--synth", "test4", "--segment-duration", "100000",
+                "--max-buffer", "500000"]
+        assert main(argv + ["--segments", "11"]) == 0
+        captured = capsys.readouterr()
+        assert "wall_time_s: 1110460.2510\n" in captured.out
+        assert captured.err == ""
+        # 3e6 s of media cannot play out below it: the trace, capped at the
+        # horizon, ends first, and an explicit longer --duration is refused
+        assert main(argv + ["--segments", "30"]) == 1
+        assert main(argv + ["--segments", "11", "--duration",
+                            "2097152.0000000005"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: trace ends at 2.09715e+06 with downloads in flight\n"
+            "error: duration_s must lie in [60, 2097152], got "
+            "2097152.0000000005\n")
+
     def test_long_media_exits_one_before_the_engine(self, capped_python,
                                                     tmp_path):
         # 3e6 two-second segments play for at least 6e6 s; this session
@@ -677,7 +698,7 @@ def fresh_parser_cache():
 
 @pytest.mark.usefixtures("fresh_parser_cache")
 class TestParserReuse:
-    """main() builds one parser per process and reuses it."""
+    """main() builds one parser per command per process and reuses it."""
 
     def _calls(self, tmp_path):
         csv = tmp_path / "trace.csv"
@@ -721,17 +742,20 @@ class TestParserReuse:
             results.append((status, captured.out, captured.err, written))
         return results
 
-    def test_build_parser_runs_once(self, capsys, monkeypatch, tmp_path):
+    def test_each_parser_is_built_once(self, capsys, monkeypatch, tmp_path):
         built = []
-        real = cli.build_parser
+        real = cli._build
 
-        def counting():
-            built.append(1)
-            return real()
-        monkeypatch.setattr(cli, "build_parser", counting)
+        def counting(commands):
+            built.append(tuple(commands))
+            return real(commands)
+        monkeypatch.setattr(cli, "_build", counting)
         calls, files = self._calls(tmp_path)
         self._play(capsys, calls, files, fresh=False)
-        assert len(built) == 1
+        # one parser per command, with its options alone, and the whole
+        # parser for --help, which names no command
+        assert built == [("fairness",), ("run",), ("compare",), ("stats",),
+                         ("run", "fairness", "compare", "stats")]
 
     def test_shared_parser_output_matches_fresh_parsers(self, capsys,
                                                        tmp_path):
@@ -786,6 +810,7 @@ def eager_build_parser():
     return parser
 
 
+EAGER = eager_build_parser()
 COMMANDS = ("run", "fairness", "compare", "stats")
 # every argv exits: help and usage errors
 EXITING_ARGVS = [[], ["-h"], ["bogus"]] + [
@@ -810,51 +835,66 @@ def command_options(parser):
             for name, p in sub.choices.items()}
 
 
-class TestLazyCommandOptions:
-    """A command adds its options on its first parse, and the parser says
-    and parses what the eager one did."""
-
-    def _outcome(self, parser, argv, capsys):
+def parse_outcome(parser, argv):
+    """(repr of the namespace or exit, stdout, stderr) of one parse of
+    argv; a repr, so that two nan values compare equal."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             status = parser.parse_args(argv)
         except SystemExit as exc:
             status = ("exit", exc.code)
-        captured = capsys.readouterr()
-        return status, captured.out, captured.err
+    return repr(status), out.getvalue(), err.getvalue()
+
+
+def mains_parser(argv):
+    """The cached parser that main(argv) parses argv with."""
+    return cli._parser(argv[0] if argv and argv[0] in COMMANDS else None)
+
+
+class TestLazyCommandOptions:
+    """A call's parser holds only its command's options, and it says and
+    parses what the eager one did."""
 
     @pytest.mark.parametrize("argv", EXITING_ARGVS + PARSING_ARGVS,
                              ids=lambda argv: "_".join(argv) or "noargs")
-    def test_same_text_and_namespace_as_eager(self, capsys, argv):
-        eager = self._outcome(eager_build_parser(), argv, capsys)
-        lazy = self._outcome(cli.build_parser(), argv, capsys)
-        assert lazy == eager
+    def test_same_text_and_namespace_as_eager(self, argv):
+        eager = parse_outcome(eager_build_parser(), argv)
+        assert parse_outcome(mains_parser(argv), argv) == eager
+        assert parse_outcome(cli.build_parser(), argv) == eager
         if argv in EXITING_ARGVS:
-            assert eager[0] == ("exit", 0 if "-h" in argv else 2)
+            assert eager[0] == repr(("exit", 0 if "-h" in argv else 2))
 
-    def test_shared_parser_says_the_same_in_any_order(self, capsys):
-        # one lazy parser, its commands built in the order argvs reach them
-        shared = cli.build_parser()
+    def test_shared_parser_says_the_same_in_any_order(self):
+        # main's parsers, reused in the order argvs reach them
         eager = eager_build_parser()
         for argv in PARSING_ARGVS + EXITING_ARGVS + PARSING_ARGVS:
-            assert self._outcome(shared, argv, capsys) == \
-                self._outcome(eager, argv, capsys)
-        assert command_options(shared) == command_options(eager)
+            assert parse_outcome(mains_parser(argv), argv) == \
+                parse_outcome(eager, argv)
+        assert command_options(cli.build_parser()) == command_options(eager)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(argv=st.deferred(lambda: cli_argv()))
+    def test_grammar_parses_as_eager(self, argv):
+        # argvs drawn from the output contract's grammar, parsed only
+        assert parse_outcome(mains_parser(argv), argv) == \
+            parse_outcome(EAGER, argv)
 
     @pytest.mark.usefixtures("fresh_parser_cache")
     def test_a_call_builds_only_its_command(self, capsys, tmp_path):
         csv = tmp_path / "trace.csv"
         csv.write_text("0,2400\n40,700\n")
         eager = command_options(eager_build_parser())
+        none = dict.fromkeys(COMMANDS, [])
         assert main(["stats", "--profile", str(csv), "--duration", "60"]) \
             == 0
-        built = command_options(cli._parser())
-        assert built == {"run": [], "fairness": [], "compare": [],
-                         "stats": eager["stats"]}
         assert main(["run", "--profile", str(csv), "--segments", "5"]) == 0
-        built = command_options(cli._parser())
-        assert built == {"run": eager["run"], "fairness": [],
-                         "compare": [], "stats": eager["stats"]}
+        assert main(["stats", "--profile", str(csv)]) == 1
         capsys.readouterr()
+        assert cli._parser.cache_info().currsize == 2
+        for command in ("stats", "run"):
+            assert command_options(cli._parser(command)) == {
+                **none, command: eager[command]}
 
 
 # The command line's output contract over its option grammar. An example

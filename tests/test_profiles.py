@@ -22,7 +22,7 @@ from affsim import (
     synthesize_profile,
 )
 from affsim.cli import _synth_span
-from affsim.profiles import MAX_SYNTH_DURATION_S
+from affsim.sim import CLOCK_HORIZON_S, MAX_ROWS
 
 TABLE3_CSV = "0,22000\n100,12000\n200,6000\n300,22000"
 
@@ -299,16 +299,17 @@ class TestSynthesize:
             synthesize_profile("test1", 0, 59.0)
 
     def test_duration_bound(self):
-        # the bound admits the CLI's default span for 2^19 s of media, and
-        # refuses the next float up before any generation (test1 at 1e300
-        # once looped until memory ran out)
-        longest_media = 2.0 ** 19
-        args = argparse.Namespace(segments=int(longest_media / 2.0),
-                                  segment_duration=2.0)
-        assert _synth_span(args) <= MAX_SYNTH_DURATION_S
-        p = synthesize_profile("test4", 0, MAX_SYNTH_DURATION_S)
-        assert p.duration_s == MAX_SYNTH_DURATION_S
-        over = math.nextafter(MAX_SYNTH_DURATION_S, math.inf)
+        # the bound is the clock horizon: the CLI's default span never
+        # passes it, however much media a session holds, and the next float
+        # up is refused before any generation (test1 at 1e300 once looped
+        # until memory ran out)
+        spans = [_synth_span(argparse.Namespace(segments=n,
+                                                segment_duration=d))
+                 for n, d in ((1, 2.0), (2 ** 19, 2.0), (MAX_ROWS, 1e6))]
+        assert spans == [124.0, CLOCK_HORIZON_S, CLOCK_HORIZON_S]
+        p = synthesize_profile("test4", 0, CLOCK_HORIZON_S)
+        assert p.duration_s == CLOCK_HORIZON_S
+        over = math.nextafter(CLOCK_HORIZON_S, math.inf)
         for kind in ("test1", "test2", "test3", "test4"):
             with pytest.raises(InvalidParameterError,
                                match=r"must lie in \[60, 2097152\]"):
