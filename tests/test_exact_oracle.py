@@ -29,8 +29,8 @@ wall time ended 1 s after the exact one's.
 
 Capacities stay positive and within a factor of 50 of each other. A
 download's last fraction of a kbit, rounded away at a breakpoint, is
-divided by the capacity of the piece after it, and before a piece of zero
-capacity it moves the completion by the whole piece.
+divided by the capacity of the piece after it, so the unit divides by the
+least capacity, which a piece of zero capacity would leave undefined.
 """
 
 import math
