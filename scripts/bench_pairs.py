@@ -1,16 +1,16 @@
 """Alternating runs of the benchmark at a git revision and in the work tree.
 
-    python3 scripts/bench_pairs.py --rev REV [--workload W ...] [--pairs 10]
-        [--seconds 20] [--seed 1] [--out FILE]
+    python3 scripts/bench_pairs.py --rev REV [--seconds 20] [--seed 1]
 
 Extracts REV with `git archive` into a temporary directory, and refuses to
 run if its `bench/` or `BENCHMARK.json` differ from the work tree's, since
-the two sides would then not run one benchmark. For each workload it runs
+the two sides would then not run one benchmark. For every workload of
+`BENCHMARK.json` it runs
 `bench/run.py --workload W --seed SEED --seconds S --trace 0` in both
-checkouts, one run at a time, for --pairs pairs: the revision (the parent)
+checkouts, one run at a time, for 10 pairs: the revision (the parent)
 runs first in pairs 1, 3, 5, ... and the work tree (the change) first in
 pairs 2, 4, 6, .... It writes the `workloads` block of a BENCH record as
-JSON, to --out or stdout: per workload the attempted and failed counts
+JSON to stdout: per workload the attempted and failed counts
 and digests of each side's runs, and per end-to-end metric of
 `BENCHMARK.json` both sides' runs in pair order, their medians and
 inclusive quartiles, the change's percent difference, the pairs it wins
@@ -32,6 +32,7 @@ import tarfile
 import tempfile
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def tree_files(root, names):
@@ -129,12 +130,8 @@ def workload_block(runs, seed, end_to_end):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--rev", required=True, help="the parent revision")
-    ap.add_argument("--workload", action="append",
-                    help="a workload to run (default: every one)")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--out", help="write the JSON here instead of stdout")
     args = ap.parse_args(argv)
     root = subprocess.run(["git", "rev-parse", "--show-toplevel"],
                           check=True, capture_output=True,
@@ -150,22 +147,16 @@ def main(argv=None):
                      % (", ".join(names), args.rev))
         roots = {"parent": parent_root, "change": root}
         workloads = {}
-        for workload in args.workload or [w["name"]
-                                          for w in bench["workloads"]]:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = {s: [] for s in SIDES}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 # the parent first in odd pairs (1-based)
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     runs[side].append(run_once(roots[side], workload,
                                                args.seed, args.seconds))
             workloads[workload] = workload_block(runs, args.seed,
                                                  bench["end_to_end"])
-    text = json.dumps({"workloads": workloads}, indent=1) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps({"workloads": workloads}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -847,9 +848,26 @@ def parse_outcome(parser, argv):
     return repr(status), out.getvalue(), err.getvalue()
 
 
+class _Parsed(Exception):
+    """Stops main at its parse."""
+
+
 def mains_parser(argv):
-    """The cached parser that main(argv) parses argv with."""
-    return cli._parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    """The cached parser that main(argv) parses argv with. main runs up
+    to its parse, so the parser is main's own choice; the parse itself
+    is left to the caller."""
+    chosen, real = [], cli._parser
+    parse = mock.Mock(side_effect=_Parsed)
+
+    def spy(command):
+        chosen.append(real(command))
+        return mock.Mock(parse_args=parse)
+
+    with mock.patch.object(cli, "_parser", spy), pytest.raises(_Parsed):
+        main(argv)
+    parse.assert_called_once_with(argv)
+    (parser,) = chosen
+    return parser
 
 
 class TestLazyCommandOptions:
@@ -860,7 +878,15 @@ class TestLazyCommandOptions:
                              ids=lambda argv: "_".join(argv) or "noargs")
     def test_same_text_and_namespace_as_eager(self, argv):
         eager = parse_outcome(eager_build_parser(), argv)
-        assert parse_outcome(mains_parser(argv), argv) == eager
+        parser = mains_parser(argv)
+        assert parse_outcome(parser, argv) == eager
+        # a command's parser holds its options alone; any other argv
+        # gets every command's
+        options = command_options(EAGER)
+        if argv and argv[0] in COMMANDS:
+            options = {**dict.fromkeys(COMMANDS, []),
+                       argv[0]: options[argv[0]]}
+        assert command_options(parser) == options
         assert parse_outcome(cli.build_parser(), argv) == eager
         if argv in EXITING_ARGVS:
             assert eager[0] == repr(("exit", 0 if "-h" in argv else 2))

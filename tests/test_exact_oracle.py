@@ -21,11 +21,13 @@ The worst error per event was 0.93 units over 742 random lone sessions,
 link of `test_long_sessions_below_the_horizon`, where a download that
 starts d seconds late misses d seconds at 3,000 kbps and makes them up at
 700 kbps, so one crossing can multiply an error by 4.3. Longer mixed links
-are ill-conditioned: with up to 300 segments per client the worst was
+show an engine fault: with up to 300 segments per client the worst was
 18.9, and 3 links of 1,229 left any budget, because two clients' downloads
 touched end to start, each request landing on the other's completion.
-Rounding opens an overlap there that doubles every cycle; one client's
-wall time ended 1 s after the exact one's.
+The engine's rounding opens an overlap there that doubles every cycle;
+one client's wall time ended 1 s after the exact one's. The draws stop at
+60 segments per client for that reason. `test_touching_downloads` keeps
+one such link as an expected failure until the engine mends it.
 
 Capacities stay positive and within a factor of 50 of each other. A
 download's last fraction of a kbit, rounded away at a breakpoint, is
@@ -142,3 +144,31 @@ def test_long_sessions_below_the_horizon(kbps, seg, segments, start):
         assert all(trace.stalls and trace.idle_full_s for trace in traces)
         walls = [exact.wall for exact in link.sessions]
         assert 2 ** 20 < max(walls) < CLOCK_HORIZON_S
+
+
+# Two clients whose downloads touch end to start on a mixed link: by
+# client 0's 20th segment, each one's request lands on the other's
+# completion. The float run's error, 9e-10 s at that completion and past
+# the budget there, doubles every cycle to 1 s at the 95th, and client 0's
+# wall time ends at 173.38 s against the replay's 172.38 s. The engine's
+# mixed-link loop lets rounding compound here; ROADMAP item 21 tracks the
+# mend, which turns this test into a pass.
+TOUCHING_LINK = (
+    BandwidthProfile(((0.0, 250.0), (2.0, 1000.0), (4.0, 4000.0),
+                      (5.0, 4951.653329588688), (6.0, 1000.0),
+                      (6.6976970053747324, 4000.0)), math.inf),
+    [(SimConfig(ladder=BitrateLadder((250.0, 500.0, 1000.0, 2000.0), 0.5),
+                panic_buffer_s=0.0, max_buffer_s=0.75, total_segments=289),
+      27.66765200149093),
+     (SimConfig(ladder=BitrateLadder((500.0, 705.0523278604102, 2000.0),
+                                     0.5),
+                panic_buffer_s=0.0, max_buffer_s=2.6235175126234305,
+                total_segments=249),
+      0.0)])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="rounding compounds between touching downloads "
+                   "on a mixed link (ROADMAP item 21)")
+def test_touching_downloads():
+    check(*TOUCHING_LINK)
