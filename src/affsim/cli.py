@@ -7,6 +7,7 @@ module that opens files: the library takes and returns text.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -14,7 +15,7 @@ import sys
 from .abr import BitrateLadder
 from .errors import AffSimError
 from .estimators import EstimatorConfig, estimator_kinds
-from .fairness import FairnessConfig, _check_records, run_fairness
+from .fairness import FairnessConfig, run_fairness
 from .profiles import BUILTIN_PROFILES, SYNTH_KINDS, BandwidthProfile, \
     load_profile, profile_stats, synthesize_profile
 from .report import export, summarize, summary, to_dict
@@ -154,17 +155,17 @@ def _cmd_run(args):
 
 
 def _cmd_fairness(args):
-    sim = _sim_config(args, args.estimator)  # checked before the trace
-    _check_records(args.clients, sim)  # and so are the run's records
+    sim = _sim_config(args, args.estimator)
     try:
         window = tuple(float(x) for x in args.window.split(":"))
     except ValueError:
         raise AffSimError("window must look like LO:HI, got %r"
                           % (args.window,)) from None
-    cfg = FairnessConfig(
+    cfg = FairnessConfig(  # checked before the trace
         n_clients=args.clients, start_jitter_s=args.jitter, window=window,
-        profile=_build_profile(args, _synth_span(args)), sim=sim,
-        rng_seed=args.seed)
+        sim=sim, rng_seed=args.seed)
+    cfg = dataclasses.replace(
+        cfg, profile=_build_profile(args, _synth_span(args)))
     result = run_fairness(cfg)
     print("clients: %d" % args.clients)
     for name, text in summary(result):  # jfi, total_avg_kbps

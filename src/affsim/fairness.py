@@ -19,16 +19,6 @@ from .profiles import fairness_table3, unit_scale
 from .sim import MAX_ROWS, SimConfig, run_shared
 
 
-def _check_records(n_clients, sim):
-    """Refuse n_clients clients of config sim, one record per segment, when
-    they would hold over MAX_ROWS records; the CLI calls this before it
-    builds the trace."""
-    if n_clients * sim.total_segments > MAX_ROWS:
-        raise InvalidParameterError(
-            "n_clients %d x total_segments %d is over %d records"
-            % (n_clients, sim.total_segments, MAX_ROWS))
-
-
 @dataclass(frozen=True)
 class FairnessConfig:
     n_clients: int = 10
@@ -40,7 +30,10 @@ class FairnessConfig:
 
     def __post_init__(self):
         check_int("n_clients", self.n_clients, 2)
-        _check_records(self.n_clients, self.sim)
+        if self.n_clients * self.sim.total_segments > MAX_ROWS:
+            raise InvalidParameterError(
+                "n_clients %d x total_segments %d is over %d records"
+                % (self.n_clients, self.sim.total_segments, MAX_ROWS))
         if not (0 <= self.start_jitter_s < math.inf):
             raise InvalidParameterError(
                 "start_jitter_s must be finite and >= 0, got %r"
@@ -56,10 +49,6 @@ class FairnessConfig:
         check_int("rng_seed", self.rng_seed, -math.inf)
         if self.profile is None:
             object.__setattr__(self, "profile", fairness_table3())
-        if self.profile.duration_s < w_hi:
-            raise InvalidParameterError(
-                "profile ends at %g, before the window end %g"
-                % (self.profile.duration_s, w_hi))
 
 
 @dataclass(frozen=True)
@@ -94,6 +83,10 @@ def run_fairness(cfg):
     """Simulate cfg.n_clients identical clients and score the sharing; the
     result keeps their traces."""
     w_lo, w_hi = cfg.window
+    if cfg.profile.duration_s < w_hi:  # the one rule that reads the trace
+        raise InvalidParameterError(
+            "profile ends at %g, before the window end %g"
+            % (cfg.profile.duration_s, w_hi))
     rng = random.Random(cfg.rng_seed)
     traces = run_shared(cfg.profile, [(cfg.sim, rng.uniform(
         0.0, cfg.start_jitter_s)) for _ in range(cfg.n_clients)])

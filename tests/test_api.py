@@ -162,11 +162,6 @@ def test_readme_python_blocks_run():
              {"__name__": "readme"})
 
 
-# (importer, source, name): the CLI checks a fairness run's record count
-# before it builds the trace, with the check FairnessConfig runs
-PRIVATE_IMPORTS_ALLOWED = {("cli", "fairness", "_check_records")}
-
-
 def private_imports():
     """(importer, source, name) for each `_`-prefixed name that one affsim
     module imports from another, or reads off an imported affsim module,
@@ -200,7 +195,7 @@ def private_imports():
 
 
 def test_private_names_stay_in_their_module():
-    assert private_imports() - PRIVATE_IMPORTS_ALLOWED == set()
+    assert private_imports() == set()
 
 
 def unread_imports():

@@ -596,21 +596,34 @@ class TestErrorPaths:
         assert captured.err == ("error: total_segments 500000000 is over "
                                 "1048576 records\n")
 
-    def test_fairness_records_refused_before_synthesis(self, capsys,
-                                                       monkeypatch):
+    @pytest.mark.parametrize("options, message", [
         # each client's 500,000 half-second segments are under the cap and
         # their 500,120 s span under its own; three clients' records are
-        # not, and that is refused before any trace is synthesized
+        # not
+        (["--clients", "3", "--segments", "500000", "--segment-duration",
+          "0.5"], "n_clients 3 x total_segments 500000 is over 1048576 "
+                  "records"),
+        # the other rules of the config, on a session whose default span
+        # is the whole 2^21 s clock horizon
+        (["--clients", "1"], "n_clients must be an integer >= 2, got 1"),
+        (["--clients", "2", "--jitter", "-1"],
+         "start_jitter_s must be finite and >= 0, got -1.0"),
+        (["--clients", "2", "--window", "5:1"],
+         "window must satisfy 0 <= start < end < inf, got (5.0, 1.0)"),
+    ], ids=["records", "clients", "jitter", "window"])
+    def test_fairness_records_refused_before_synthesis(
+            self, capsys, monkeypatch, options, message):
+        # every rule of the config refuses before any trace is synthesized
         def fail(*args):
             raise AssertionError("a trace was synthesized")
         monkeypatch.setattr(cli, "synthesize_profile", fail)
-        rc = main(["fairness", "--synth", "test1", "--clients", "3",
-                   "--segments", "500000", "--segment-duration", "0.5"])
+        # a case's own options come last, and argparse keeps the last
+        rc = main(["fairness", "--synth", "test1", "--segments", "524288",
+                   "--segment-duration", "2"] + options)
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err == ("error: n_clients 3 x total_segments 500000 "
-                                "is over 1048576 records\n")
+        assert captured.err == "error: %s\n" % message
 
 
 class TestFairnessCommand:

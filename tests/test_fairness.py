@@ -431,8 +431,10 @@ class TestRunFairness:
 
     def test_default_link_is_owned_by_the_config(self):
         assert FairnessConfig().profile == fairness_table3()
+        # the config builds; the run, where it meets its trace, refuses
+        cfg = FairnessConfig(window=(50.0, 500.0))
         with pytest.raises(InvalidParameterError) as err:
-            FairnessConfig(window=(50.0, 500.0))
+            run_fairness(cfg)
         assert str(err.value) == (
             "profile ends at 360, before the window end 500")
 
