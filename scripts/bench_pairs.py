@@ -60,6 +60,21 @@ def extract(rev, root, dest):
         archive.extractall(dest, filter="data")
 
 
+def one_benchmark(roots, rev):
+    """The BENCHMARK.json that both checkouts of roots ({side: root})
+    share. Exits with an error if the parent's (rev's) `bench/` or
+    BENCHMARK.json differ from the change's: the sides would not run one
+    benchmark."""
+    with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    names = bench["paths"] + ["BENCHMARK.json"]
+    if tree_files(roots["parent"], names) != tree_files(roots["change"],
+                                                        names):
+        sys.exit("error: %s at %s differ from the work tree's; the "
+                 "sides would not run one benchmark" % (", ".join(names), rev))
+    return bench
+
+
 def run_once(root, workload, seed, seconds):
     """bench/run.py's result in checkout root: metric values, attempted
     and failed counts, and the digest."""
@@ -136,16 +151,10 @@ def main(argv=None):
     root = subprocess.run(["git", "rev-parse", "--show-toplevel"],
                           check=True, capture_output=True,
                           text=True).stdout.strip()
-    with open(os.path.join(root, "BENCHMARK.json")) as fh:
-        bench = json.load(fh)
-    names = bench["paths"] + ["BENCHMARK.json"]
     with tempfile.TemporaryDirectory() as parent_root:
         extract(args.rev, root, parent_root)
-        if tree_files(parent_root, names) != tree_files(root, names):
-            sys.exit("error: %s at %s differ from the work tree's; the "
-                     "sides would not run one benchmark"
-                     % (", ".join(names), args.rev))
         roots = {"parent": parent_root, "change": root}
+        bench = one_benchmark(roots, args.rev)
         workloads = {}
         for workload in (w["name"] for w in bench["workloads"]):
             runs = {s: [] for s in SIDES}

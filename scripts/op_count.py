@@ -4,18 +4,21 @@ in the work tree.
     python3 scripts/op_count.py --rev REV
 
 Extracts REV with `bench_pairs.extract` (`git archive`) into a temporary
-directory. For each side (the revision, "parent", and the work tree,
-"change") and each shape it runs one child process that imports that
-side's `src/affsim` and counts one reduced pass shaped like a benchmark
-workload:
-
-- `long_trace`: three 1,000-segment sessions, one per estimator, on a
-  24,000 s `test1` trace, each followed by `summarize`;
-- `shared_link`: one `run_fairness` of 40 clients x 180 segments on the
-  built-in link scaled by 4;
-- `cli_sweep`: `cli.main` `compare`, `run --out` (JSON) and
-  `run --estimator ewma --format csv --out --trace` on three 800 s CSV
-  traces (`test1`, `test2`, `test3`).
+directory, and refuses to go on, through `bench_pairs.one_benchmark`, if
+its `bench/` or `BENCHMARK.json` differ from the work tree's. For each
+side (the revision, "parent", and the work tree, "change") and each
+workload of `BENCHMARK.json`, in order, it runs one child process that
+imports that side's `src/affsim` and `bench/workloads.py` and counts one
+pass of the workload at seed 1, as `bench/run.py --seed 1` builds it:
+`workload.run` on each of its calls, with each output checked by
+`workload.check` outside the count. A check that reports a problem ends
+the script with an error, so every count comes from outputs the
+benchmark accepts. The divisor is the checks' `Outcome.segments`, the
+segments that the benchmark's `segments_per_s` counts. Set-up is counted
+apart from the pass: the workload's `setup` (trace synthesis, configs,
+CSV files) and one first pass over its calls, which builds each CLI
+command's parser and fills the caches. Modules are imported before
+counting starts.
 
 What counts. `sys.settrace` with `f_trace_opcodes` sees Python frames
 only; time spent in C (builtins, `bisect`, `csv`, `json`'s scanner) is
@@ -25,24 +28,20 @@ generator's resume) under its function. A stdlib frame (the standard
 library, frozen import machinery included) counts under the innermost
 `affsim` frame below it on the stack, in the `stdlib_*` columns; a stdlib
 frame with no `affsim` frame below it, and every other frame (this
-script), counts nowhere. Set-up is counted apart from the pass: building
-the inputs (trace synthesis, configs, CSV files) and, for `cli_sweep`, a
-first run of every call, which builds each command's parser and fills
-the CLI's caches. Modules are imported before counting starts.
+script, `bench/`), counts nowhere.
 
-Writes a `counts` block of a BENCH record as JSON to stdout: per shape
+Writes a `counts` block of a BENCH record as JSON to stdout: per workload
 and side the pass's segments, the set-up totals, and opcodes and calls
 per segment in total, by module and by function, with the functions
 whose per-segment counts are higher in the change. Children run with
 `PYTHONHASHSEED=0`, so two runs at one commit print the same counts.
+Both sides take about 16 s together (Python 3.11, x86_64, 2 CPUs).
 Counts differ between Python versions: stdlib only, a tool for records,
 never a test gate.
 """
 
 import argparse
 import collections
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -50,9 +49,10 @@ import sys
 import sysconfig
 import tempfile
 
-from bench_pairs import SIDES, extract
+from bench_pairs import SIDES, extract, one_benchmark
 
-SEED = 1
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1  # bench_pairs.py's default
 COLUMNS = ("opcodes", "calls", "stdlib_opcodes", "stdlib_calls")
 STDLIB = os.path.join(os.path.realpath(sysconfig.get_paths()["stdlib"]), "")
 SITE = os.path.join(os.path.realpath(sysconfig.get_paths()["purelib"]), "")
@@ -130,67 +130,6 @@ class OpCounter:
             sys.settrace(None)
 
 
-def long_trace(affsim, workdir):
-    profile = affsim.synthesize_profile("test1", SEED, 24000.0)
-    cfgs = [affsim.SimConfig(estimator=affsim.EstimatorConfig(kind=kind),
-                             total_segments=1000)
-            for kind in ("aff", "ewma", "sliding_mean")]
-
-    def one_pass():
-        segments = 0
-        for cfg in cfgs:
-            trace = affsim.run_session(profile, cfg)
-            affsim.summarize(trace, cfg.ladder)
-            segments += len(trace.records)
-        return segments
-    return one_pass
-
-
-def shared_link(affsim, workdir):
-    base = affsim.fairness_table3()
-    link = affsim.BandwidthProfile(
-        tuple((t, kbps * 4.0) for t, kbps in base.breakpoints),
-        base.duration_s)
-    cfg = affsim.FairnessConfig(
-        n_clients=40, profile=link,
-        sim=affsim.SimConfig(total_segments=180), rng_seed=SEED * 4)
-
-    def one_pass():
-        result = affsim.run_fairness(cfg)
-        return sum(len(trace.records) for trace in result.traces)
-    return one_pass
-
-
-def cli_sweep(affsim, workdir):
-    per_session = affsim.SimConfig().total_segments  # the CLI's default
-    calls = []
-    for kind in ("test1", "test2", "test3"):
-        stem = os.path.join(workdir, kind)
-        with open(stem + ".csv", "w") as fh:
-            fh.write(affsim.dump_profile(
-                affsim.synthesize_profile(kind, SEED, 800.0)))
-        calls += [
-            (["compare", "--profile", stem + ".csv"], 3),
-            (["run", "--profile", stem + ".csv", "--out", stem + ".json"], 1),
-            (["run", "--profile", stem + ".csv", "--estimator", "ewma",
-              "--format", "csv", "--out", stem + ".out.csv",
-              "--trace", stem + ".trace.csv"], 1)]
-
-    def one_pass():
-        segments = 0
-        with contextlib.redirect_stdout(io.StringIO()):
-            for argv, sessions in calls:
-                if affsim.cli.main(argv) != 0:
-                    raise RuntimeError("%r exited nonzero" % (argv,))
-                segments += sessions * per_session
-        return segments
-    one_pass()  # parsers and caches: set-up
-    return one_pass
-
-
-SHAPES = {f.__name__: f for f in (long_trace, shared_link, cli_sweep)}
-
-
 def column_sums(rows):
     return [sum(row[i] for row in rows) for i in range(len(COLUMNS))]
 
@@ -209,35 +148,66 @@ def per_segment(rows, segments):
             "functions": {k: scaled(r) for k, r in sorted(rows.items())}}
 
 
-def count_shape(root, shape):
-    """One side's counts of one shape, in this process: root's
-    `src/affsim` must be the `affsim` that imports."""
-    import affsim
-    import affsim.cli  # before counting starts, as affsim is
-    package = os.path.join(root, "src", "affsim")
-    if os.path.realpath(os.path.dirname(affsim.__file__)) != \
-            os.path.realpath(package):
-        raise SystemExit("error: imported %s, not %s"
-                         % (affsim.__file__, package))
-    with tempfile.TemporaryDirectory() as workdir:
-        setup = OpCounter(package)
-        one_pass = setup.run(SHAPES[shape], affsim, workdir)
-        counted = OpCounter(package)
-        segments = counted.run(one_pass)
+def count_pass(package, workload, api, workdir):
+    """Counts of one pass of workload over api, frames under package
+    counted. The workload's setup and a first pass over its calls are
+    set-up; in the counted pass each call's output is checked outside the
+    count, a check that reports a problem exits with an error, and the
+    checks' segments are the divisor."""
+    setup = OpCounter(package)
+    inputs = setup.run(workload.setup, api, SEED, workdir)
+    for call in inputs.calls:
+        setup.run(workload.run, api, call)
+    counted = OpCounter(package)
+    segments = 0
+    for k, call in enumerate(inputs.calls):
+        outcome = workload.check(api, inputs, call,
+                                 counted.run(workload.run, api, call))
+        if outcome.problems:
+            sys.exit("error: %s call %d: %s" % (
+                workload.name, k, "; ".join(outcome.problems)))
+        segments += outcome.segments
     counts = {"segments": segments,
               "setup": dict(zip(COLUMNS, column_sums(setup.rows.values())))}
     counts.update(per_segment(counted.rows, segments))
     return counts
 
 
+def count_shape(root, shape):
+    """One side's counts of one workload, in this process: root's
+    `src/affsim` and `bench/workloads.py` must be the ones that import."""
+    import affsim
+    import affsim.cli  # before counting starts, as affsim is
+    import workloads
+    package = os.path.join(root, "src", "affsim")
+    for module, path in ((affsim, package),
+                         (workloads, os.path.join(root, "bench"))):
+        if os.path.realpath(os.path.dirname(module.__file__)) != \
+                os.path.realpath(path):
+            sys.exit("error: imported %s, not from %s"
+                     % (module.__file__, path))
+    with tempfile.TemporaryDirectory() as workdir:
+        return count_pass(package, workloads.WORKLOADS[shape], affsim,
+                          workdir)
+
+
 def run_child(root, shape):
-    env = dict(os.environ, PYTHONHASHSEED="0",
-               PYTHONPATH=os.path.join(root, "src"))
-    out = subprocess.run(
+    # no bytecode written, so no __pycache__ is left in either checkout
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   os.path.join(root, d) for d in ("src", "bench")))
+    child = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--tree", root,
-         "--shape", shape], env=env, check=True, capture_output=True,
-        text=True).stdout
-    return json.loads(out)
+         "--shape", shape], env=env, capture_output=True, text=True)
+    if child.returncode:
+        sys.exit(child.stderr.rstrip())
+    return json.loads(child.stdout)
+
+
+def shapes():
+    """The workload names of BENCHMARK.json, in order."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return [w["name"] for w in json.load(fh)["workloads"]]
 
 
 def higher(parent, change):
@@ -252,28 +222,26 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--rev", help="the parent revision")
     ap.add_argument("--tree", help=argparse.SUPPRESS)  # a child's side
-    ap.add_argument("--shape", choices=SHAPES, help=argparse.SUPPRESS)
+    ap.add_argument("--shape", choices=shapes(), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.tree:
         json.dump(count_shape(args.tree, args.shape), sys.stdout)
         return
     if not args.rev:
         ap.error("--rev is required")
-    root = subprocess.run(["git", "rev-parse", "--show-toplevel"],
-                          check=True, capture_output=True,
-                          text=True).stdout.strip()
-    shapes = {}
+    counts = {}
     with tempfile.TemporaryDirectory() as parent_root:
-        extract(args.rev, root, parent_root)
-        roots = {"parent": parent_root, "change": root}
-        for shape in SHAPES:
+        extract(args.rev, ROOT, parent_root)
+        roots = {"parent": parent_root, "change": ROOT}
+        one_benchmark(roots, args.rev)
+        for shape in shapes():
             sides = {side: run_child(roots[side], shape) for side in SIDES}
             sides["higher_in_change"] = higher(sides["parent"],
                                                sides["change"])
-            shapes[shape] = sides
+            counts[shape] = sides
     sys.stdout.write(json.dumps({"counts": {
         "rev": args.rev, "python": sys.version.split()[0],
-        "seed": SEED, "shapes": shapes}}, indent=1) + "\n")
+        "seed": SEED, "shapes": counts}}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

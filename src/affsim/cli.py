@@ -104,9 +104,8 @@ def _build_profile(args, default_synth_duration):
                                   if args.duration is None else args.duration)
     if args.profile in BUILTIN_PROFILES:
         profile = BUILTIN_PROFILES[args.profile]()
-        if args.duration is None:
-            return profile
-        return BandwidthProfile(profile.breakpoints, args.duration)
+        return profile if args.duration is None else BandwidthProfile(
+            profile.breakpoints, args.duration)
     try:
         with open(args.profile, encoding="utf-8") as fh:
             return load_profile(fh, args.duration)

@@ -16,7 +16,7 @@ from operator import attrgetter
 
 from .errors import InvalidParameterError, check_int
 from .profiles import fairness_table3, unit_scale
-from .sim import MAX_ROWS, SimConfig, run_shared
+from .sim import CLOCK_HORIZON_S, MAX_ROWS, SimConfig, run_shared
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,10 @@ class FairnessConfig:
             raise InvalidParameterError(
                 "n_clients %d x total_segments %d is over %d records"
                 % (self.n_clients, self.sim.total_segments, MAX_ROWS))
-        if not (0 <= self.start_jitter_s < math.inf):
+        if not (0 <= self.start_jitter_s < CLOCK_HORIZON_S):
             raise InvalidParameterError(
-                "start_jitter_s must be finite and >= 0, got %r"
-                % (self.start_jitter_s,))
+                "start_jitter_s must be >= 0 and before the %d s clock "
+                "horizon, got %r" % (CLOCK_HORIZON_S, self.start_jitter_s))
         try:
             w_lo, w_hi = self.window
             if not 0.0 <= w_lo < w_hi < math.inf:
@@ -85,7 +85,7 @@ def run_fairness(cfg):
     w_lo, w_hi = cfg.window
     if cfg.profile.duration_s < w_hi:  # the one rule that reads the trace
         raise InvalidParameterError(
-            "profile ends at %g, before the window end %g"
+            "profile ends at %r, before the window end %r"
             % (cfg.profile.duration_s, w_hi))
     rng = random.Random(cfg.rng_seed)
     traces = run_shared(cfg.profile, [(cfg.sim, rng.uniform(
@@ -102,7 +102,7 @@ def run_fairness(cfg):
         per_client.append(sum(map(size, records[lo:hi])) / span)
     if not any(per_client):
         raise InvalidParameterError(
-            "no client completed a segment inside the window [%g, %g]"
+            "no client completed a segment inside the window [%r, %r]"
             % (w_lo, w_hi))
     return FairnessResult(
         per_client_avg_kbps=tuple(per_client),

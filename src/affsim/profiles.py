@@ -34,7 +34,7 @@ class BandwidthProfile:
             if prev is not None and not prev < t < math.inf:
                 raise ProfileValidationError(
                     "start times must be finite and strictly increasing "
-                    "(%g then %g)" % (prev, t))
+                    "(%r then %r)" % (prev, t))
             if not 0 <= b < math.inf:
                 raise ProfileValidationError(
                     "bandwidth must be finite and >= 0, got %g at t=%g"
@@ -45,7 +45,7 @@ class BandwidthProfile:
             raise ProfileValidationError("profile needs at least one row")
         if not (self.duration_s >= prev):
             raise ProfileValidationError(
-                "duration %g ends before the last breakpoint at %g"
+                "duration %r ends before the last breakpoint at %r"
                 % (self.duration_s, prev))
         object.__setattr__(self, "breakpoints", tuple(bps))
         object.__setattr__(self, "starts", tuple([t for t, _ in bps]))
@@ -96,9 +96,8 @@ def load_profile(source, duration_s=None):
         append((t, b))
     if not rows:
         raise ProfileValidationError("profile has no data rows")
-    if duration_s is None:
-        duration_s = math.inf
-    return BandwidthProfile(tuple(rows), duration_s)
+    return BandwidthProfile(
+        tuple(rows), math.inf if duration_s is None else duration_s)
 
 
 def dump_profile(profile):

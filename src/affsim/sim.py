@@ -71,15 +71,14 @@ class SimConfig:
                 % (self.panic_buffer_s,))
         check_int("initial_quality_index", self.initial_quality_index, 0)
         check_int("total_segments", self.total_segments, 1)
-        seg_dur = self.ladder.segment_duration_s
         if not (self.max_buffer_s > self.panic_buffer_s):
             raise InvalidParameterError(
-                "max_buffer_s %g must exceed panic_buffer_s %g"
+                "max_buffer_s %r must exceed panic_buffer_s %r"
                 % (self.max_buffer_s, self.panic_buffer_s))
-        if self.max_buffer_s < seg_dur:
+        if self.max_buffer_s < self.ladder.segment_duration_s:
             raise InvalidParameterError(
-                "max_buffer_s %g cannot hold one %g s segment"
-                % (self.max_buffer_s, seg_dur))
+                "max_buffer_s %r cannot hold one %r s segment"
+                % (self.max_buffer_s, self.ladder.segment_duration_s))
         if self.total_segments > MAX_ROWS:
             raise InvalidParameterError(
                 "total_segments %d is over %d records"
@@ -181,7 +180,9 @@ def integrate_download(profile, start_s, size_kbit):
             "download starts at %g, outside the trace" % (start_s,))
     cfg = SimConfig(ladder=BitrateLadder((size_kbit,), 1.0), total_segments=1)
     try:
-        trace = run_shared(profile, ((cfg, start_s),))[0]
+        # not run_shared, whose start rule would refuse a late start before
+        # its one download could name the ulp or the horizon
+        trace = _run_alone(profile, cfg, start_s)
     except InvalidParameterError:
         # the engine's only refusal here: a transfer below one ulp
         raise InvalidParameterError(
@@ -256,11 +257,13 @@ def run_shared(profile, clients):
     both give the same records and raise the same errors. A start time
     must be finite and at least 0, the start of the trace, since clients
     record their own request times, and the clients' total_segments must
-    sum to at most MAX_ROWS records; a breach of either raises
-    InvalidParameterError before any client starts. A client whose wall
-    time reaches CLOCK_HORIZON_S (2^21 s) raises ClockHorizonError when
-    its last segment lands: past it one ulp of the clock exceeds 2^-32 s,
-    too coarse to keep the closing identity within 1e-9 s.
+    sum to at most MAX_ROWS records. A breach of either raises
+    InvalidParameterError, and a start at or past CLOCK_HORIZON_S (2^21 s),
+    where no run can end, raises ClockHorizonError, both before any client
+    starts. A client whose wall time reaches CLOCK_HORIZON_S
+    raises ClockHorizonError when its last segment lands: past it one ulp
+    of the clock exceeds 2^-32 s, too coarse to keep the closing identity
+    within 1e-9 s.
     """
     rows = sum(cfg.total_segments for cfg, _ in clients)
     if rows > MAX_ROWS:
@@ -271,6 +274,9 @@ def run_shared(profile, clients):
         if not 0.0 <= st < inf:
             raise InvalidParameterError(
                 "start times must be finite and at least 0, got %r" % (st,))
+        if st >= CLOCK_HORIZON_S:
+            raise ClockHorizonError(
+                "start time %r is at or past the clock horizon" % (st,))
     if len(clients) == 1:
         cfg, st = clients[0]
         return [_run_alone(profile, cfg, st)]

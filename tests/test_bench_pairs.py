@@ -1,4 +1,5 @@
-"""The statistics of scripts/bench_pairs.py, on fixed numbers.
+"""The statistics of scripts/bench_pairs.py, on fixed numbers, and its
+rule that both sides run one benchmark, on temporary trees.
 
 No benchmark runs here: the script's own runs are minutes long.
 """
@@ -80,3 +81,24 @@ def test_reproduces_a_committed_record():
             assert bench_pairs.compare(
                 entry["parent_runs"], entry["change_runs"],
                 metrics[name]["better"], metrics[name]["bound"]) == entry
+
+
+def test_sides_must_share_one_benchmark(tmp_path):
+    # scripts/op_count.py refuses through the same function
+    roots = {}
+    for side in bench_pairs.SIDES:
+        root = tmp_path / side
+        (root / "bench" / "sub").mkdir(parents=True)
+        (root / "BENCHMARK.json").write_text(
+            json.dumps({"paths": ["bench"], "workloads": []}))
+        (root / "bench" / "run.py").write_text("pass\n")
+        (root / "bench" / "sub" / "checks.py").write_text("pass\n")
+        (root / "src.py").write_text(side)  # outside bench/: not compared
+        roots[side] = str(root)
+    assert bench_pairs.one_benchmark(roots, "REV")["paths"] == ["bench"]
+    (tmp_path / "change" / "bench" / "sub" / "checks.py").write_text("x\n")
+    with pytest.raises(SystemExit) as err:
+        bench_pairs.one_benchmark(roots, "REV")
+    assert err.value.code == (
+        "error: bench, BENCHMARK.json at REV differ from the work tree's; "
+        "the sides would not run one benchmark")

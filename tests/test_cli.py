@@ -245,7 +245,8 @@ class TestStats:
                    "--duration", "100"])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: duration 100 ends before the last breakpoint at 300\n")
+            "error: duration 100.0 ends before the last breakpoint at "
+            "300.0\n")
 
     def test_csv_profile(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
@@ -607,10 +608,15 @@ class TestErrorPaths:
         # is the whole 2^21 s clock horizon
         (["--clients", "1"], "n_clients must be an integer >= 2, got 1"),
         (["--clients", "2", "--jitter", "-1"],
-         "start_jitter_s must be finite and >= 0, got -1.0"),
+         "start_jitter_s must be >= 0 and before the 2097152 s clock "
+         "horizon, got -1.0"),
+        # no client could end; the run once blamed the trace
+        (["--clients", "2", "--jitter", "1e308"],
+         "start_jitter_s must be >= 0 and before the 2097152 s clock "
+         "horizon, got 1e+308"),
         (["--clients", "2", "--window", "5:1"],
          "window must satisfy 0 <= start < end < inf, got (5.0, 1.0)"),
-    ], ids=["records", "clients", "jitter", "window"])
+    ], ids=["records", "clients", "jitter", "jitter-horizon", "window"])
     def test_fairness_records_refused_before_synthesis(
             self, capsys, monkeypatch, options, message):
         # every rule of the config refuses before any trace is synthesized
@@ -663,13 +669,14 @@ class TestFairnessCommand:
         assert capsys.readouterr().out == default
         assert main(["fairness", "--duration", "340"]) == 1
         assert capsys.readouterr().err == (
-            "error: profile ends at 340, before the window end 350\n")
+            "error: profile ends at 340.0, before the window end 350.0\n")
 
     def test_default_link_duration_before_last_breakpoint(self, capsys):
         rc = main(["fairness", "--duration", "100"])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: duration 100 ends before the last breakpoint at 300\n")
+            "error: duration 100.0 ends before the last breakpoint at "
+            "300.0\n")
 
     def test_huge_rates_score_a_finite_jfi(self, capsys, tmp_path):
         # the squares of 1e200-scale averages once overflowed to jfi: nan

@@ -74,6 +74,31 @@ def test_probe_refused_when_built(field, build):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: run_fairness(FairnessConfig(
+        profile=BandwidthProfile(((0.0, 1000.0),), 349.9999))),
+     "profile ends at 349.9999, before the window end 350.0"),
+    (lambda: run_fairness(FairnessConfig(n_clients=2,
+                                         window=(349.9999, 350.0))),
+     "no client completed a segment inside the window [349.9999, 350.0]"),
+    (lambda: SimConfig(max_buffer_s=7.9999999, panic_buffer_s=8.0),
+     "max_buffer_s 7.9999999 must exceed panic_buffer_s 8.0"),
+    (lambda: SimConfig(max_buffer_s=1.9999999, panic_buffer_s=1.0),
+     "max_buffer_s 1.9999999 cannot hold one 2.0 s segment"),
+    (lambda: BandwidthProfile(((0, 1), (1.0000001, 2), (1.0, 3)), 10),
+     "start times must be finite and strictly increasing "
+     "(1.0000001 then 1.0)"),
+    (lambda: BandwidthProfile(((0, 1), (100, 2)), 99.9999999),
+     "duration 99.9999999 ends before the last breakpoint at 100.0"),
+], ids=["profile-end", "empty-window", "max-under-panic", "max-under-segment",
+        "breakpoint-order", "duration-before-breakpoint"])
+def test_refusal_names_the_values_given(build, message):
+    # two values six significant digits apart once printed alike
+    with pytest.raises(AffSimError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_record_cap_boundary():
     # 2^19 half-second segments stay under the session cap; two clients
     # of them hold exactly MAX_ROWS records, three do not

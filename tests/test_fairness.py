@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from affsim import (
     BandwidthProfile,
+    ClockHorizonError,
     EstimatorConfig,
     FairnessConfig,
     InvalidParameterError,
@@ -175,6 +176,16 @@ class TestSharedEngine:
                                match="start times must be finite and at "
                                      "least 0, got"):
                 run_shared(constant(5000.0), clients)
+
+    def test_start_at_or_past_the_horizon_refused_first(self):
+        # no such client can end; the engine once ran every client first
+        # and blamed the trace
+        cfg = SimConfig()
+        for clients in ([(cfg, 2.0 ** 21)], [(cfg, 2.0 ** 21), (cfg, 0.0)]):
+            with pytest.raises(ClockHorizonError) as err:
+                run_shared(fairness_table3(), clients)
+            assert str(err.value) == (
+                "start time 2097152.0 is at or past the clock horizon")
 
     def test_total_records_cap_boundary(self, monkeypatch):
         # the clients' total_segments may sum to MAX_ROWS records; one more
@@ -436,7 +447,7 @@ class TestRunFairness:
         with pytest.raises(InvalidParameterError) as err:
             run_fairness(cfg)
         assert str(err.value) == (
-            "profile ends at 360, before the window end 500")
+            "profile ends at 360.0, before the window end 500.0")
 
     def test_infinite_window_end_rejected(self):
         open_ended = BandwidthProfile(((0.0, 2500.0),), math.inf)
@@ -452,7 +463,7 @@ class TestRunFairness:
         with pytest.raises(InvalidParameterError) as err:
             run_fairness(cfg)
         assert str(err.value) == (
-            "no client completed a segment inside the window [100, 300]")
+            "no client completed a segment inside the window [100.0, 300.0]")
 
     def test_estimator_homogeneity_respected(self):
         sliding = dataclasses.replace(

@@ -1,18 +1,22 @@
-"""The counter of scripts/op_count.py, on small fixed functions.
+"""The counter of scripts/op_count.py, on small fixed functions and fake
+workloads.
 
-No workload runs here: the script's shapes run in child processes, per
-side, and are a tool for records.
+No benchmark workload runs here: the script counts one pass of each
+workload of BENCHMARK.json in child processes, per side, and is a tool
+for records.
 """
 
 import importlib.util
+import json
 import os
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "scripts")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS = os.path.join(ROOT, "scripts")
 sys.path.insert(0, SCRIPTS)  # op_count imports bench_pairs from there
 try:
     import op_count
@@ -123,3 +127,56 @@ def test_higher_names_what_rose():
     parent = side(f=[10, 1, 0, 0], g=[5, 1, 2, 0])
     change = side(f=[9, 1, 0, 0], g=[5, 1, 3, 0], h=[1, 0, 0, 0])
     assert op_count.higher(parent, change) == ["g", "h"]
+
+
+def test_shapes_are_the_benchmark_workloads():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    assert op_count.shapes() == names
+
+
+class FakeWorkload:
+    """A workload over the small module as its api: two calls of twice
+    per pass, each worth segments; set-up runs loop."""
+
+    name = "fake"
+
+    def __init__(self, segments, problems=()):
+        self.segments, self.problems = segments, problems
+
+    def setup(self, api, seed, workdir):
+        api.loop(seed * 10)
+        return SimpleNamespace(calls=["a", "b"])
+
+    def run(self, api, call):
+        return api.twice()
+
+    def check(self, api, inputs, call, output):
+        assert output == 2
+        return SimpleNamespace(problems=list(self.problems),
+                               segments=self.segments)
+
+
+def test_a_pass_is_counted_over_its_checked_segments(small, tmp_path):
+    module, package = small
+    counts = op_count.count_pass(package, FakeWorkload(4), module,
+                                 str(tmp_path))
+    # two calls of twice, each calling leaf twice, over 2 x 4 segments
+    assert counts["segments"] == 8
+    assert counts["total"]["calls"] == 6 / 8
+    assert counts["functions"]["small.leaf"]["calls"] == 4 / 8
+    assert "small.loop" not in counts["functions"]
+    # set-up: loop, then a first pass of two twice and four leaf calls
+    assert counts["setup"]["calls"] == 7
+    loop = counted(package, module.loop, op_count.SEED * 10)["small.loop"]
+    twice = counted(package, module.twice)
+    assert counts["setup"]["opcodes"] == loop[0] + 2 * sum(
+        row[0] for row in twice.values())
+
+
+def test_a_problem_ends_the_count(small, tmp_path):
+    module, package = small
+    workload = FakeWorkload(4, problems=["bad output"])
+    with pytest.raises(SystemExit) as err:
+        op_count.count_pass(package, workload, module, str(tmp_path))
+    assert err.value.code == "error: fake call 0: bad output"
